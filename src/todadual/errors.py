@@ -19,10 +19,6 @@ class AlgebraMembershipError(TodaDualError):
     """A matrix fails the defining relation of the Lie algebra."""
 
 
-class GroupMembershipError(TodaDualError):
-    """A matrix fails the defining relation of the group."""
-
-
 class NonGenericPointError(TodaDualError):
     """Base for failures caused by a non-generic phase-space point."""
 

@@ -15,14 +15,13 @@ lives here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
 from .errors import (
     AlgebraMembershipError,
     DegenerateSpectrumError,
+    DualityResidualError,
     GaussCellError,
     SingularMatrixError,
     ValidationError,
@@ -84,26 +83,6 @@ def extended_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X[:, 0] if squeeze else X
 
 
-@dataclass(frozen=True)
-class MinorSelector:
-    """Sorted row and column index sets of equal size."""
-
-    rows: tuple
-    cols: tuple
-
-    def __post_init__(self):
-        rows, cols = tuple(self.rows), tuple(self.cols)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        if len(rows) != len(cols) or len(rows) == 0:
-            raise ValidationError("rows and cols must be nonempty and of equal size")
-        for idx in (rows, cols):
-            if list(idx) != sorted(set(idx)):
-                raise ValidationError(f"indices must be sorted and distinct, got {idx}")
-            if idx[0] < 0:
-                raise ValidationError(f"negative index in {idx}")
-
-
 def bottom_right_minor(M, k: int) -> complex:
     """Determinant of the bottom-right k x k block."""
     M = _as_square(M)
@@ -111,16 +90,6 @@ def bottom_right_minor(M, k: int) -> complex:
     if not 1 <= k <= N:
         raise ValidationError(f"minor size {k} out of range 1..{N}")
     return complex(np.linalg.det(M[N - k :, N - k :].astype(complex)))
-
-
-def general_minor(M, selector: MinorSelector) -> complex:
-    """Determinant of the submatrix picked by a MinorSelector."""
-    M = _as_square(M)
-    N = M.shape[0]
-    if selector.rows[-1] >= N or selector.cols[-1] >= N:
-        raise ValidationError(f"selector {selector} exceeds matrix size {N}")
-    sub = M[np.ix_(selector.rows, selector.cols)]
-    return complex(np.linalg.det(sub.astype(complex)))
 
 
 def _phase_fixed(v: np.ndarray) -> np.ndarray:
@@ -207,7 +176,9 @@ def lower_triangularize(datum: RootDatum, g, pivot_rtol: float = PIVOT_RTOL):
 
     Implemented as an LU factorization of the index-reversed matrix without
     pivoting; a small Gauss pivot means g left the big cell (some trailing
-    principal minor vanishes) and raises GaussCellError.
+    principal minor vanishes) and raises GaussCellError.  An upper residue
+    left after a finished elimination is lost precision, not a vanishing
+    minor, and raises DualityResidualError.
     """
     g = _as_square(g, "g").astype(complex)
     N = datum.size
@@ -239,7 +210,7 @@ def lower_triangularize(datum: RootDatum, g, pivot_rtol: float = PIVOT_RTOL):
 
     stray = float(np.linalg.norm(np.triu(glow_ext, 1).astype(complex), "fro"))
     if stray > RESIDUAL_RTOL * gnorm:
-        raise GaussCellError(f"upper residue {stray:.3e} after elimination")
+        raise DualityResidualError(f"upper residue {stray:.3e} after elimination")
     nplus = nplus_ext.astype(complex)
     glow = np.tril(glow_ext).astype(complex)
     return nplus, glow

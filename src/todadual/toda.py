@@ -10,9 +10,11 @@ in the algebra.  The commuting Hamiltonians are trace powers,
 and the physical (quadratic) Hamiltonian is H_2 for family A and H_1 for
 B/C/D.  The Poisson structure carries a per-family scale s (1 for A, 2 for
 B/C/D): {q_i, p_j} = delta_ij / s, so Hamilton's equations read
-dz/dt = s^{-1} (dH/dp, -dH/dq).  Gradients are taken by central finite
-differences and the flow uses the implicit midpoint rule, which preserves
-the quadratic invariants of the exact flow to the iteration tolerance.
+dz/dt = s^{-1} (dH/dp, -dH/dq).  Gradients are exact: dH_k = Tr(G dX) with
+G = X^{k-1} for A and G = X^{2k-1} / 2 for B/C/D, paired against the Cartan
+generators and the simple root vectors.  The flow uses the implicit
+midpoint rule, which preserves the quadratic invariants of the exact flow
+to the iteration tolerance.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ import numpy as np
 from .errors import StepFailureError, ValidationError
 from .rootsys import RootDatum, cartan_pattern, project_lower_nilpotent, simple_root_pairings
 
-# Relative step used by all central finite differences in this module.
-FD_SCALE = 1.0e-6
 # Fixed-point iteration control for the implicit midpoint rule.
 MIDPOINT_TOL = 1.0e-12
 MIDPOINT_MAX_ITER = 100
@@ -142,33 +142,25 @@ def toda_hamiltonian(datum: RootDatum, point: TodaPoint, k: int) -> float:
     return float(toda_hamiltonians(datum, point, kmax=k)[k - 1])
 
 
-def _fd_step(z: np.ndarray) -> float:
-    return FD_SCALE * max(1.0, float(np.linalg.norm(z)))
-
-
 def equations_of_motion(datum: RootDatum, point: TodaPoint, k: int):
     """Hamiltonian vector field of H_k: (dq/dt, dp/dt).
 
-    Built from central finite differences of H_k with step
-    1e-6 * max(1, |(q, p)|) and the per-family Poisson scale.
+    Exact gradient of the trace power: dH_k = Tr(G dX) with G = X^{k-1}
+    (A) or X^{2k-1} / 2 (B/C/D), so dH/dp_i = Tr(G h_i) and
+    dH/dq = alpha_coeffs^T (w * Tr(G (e_alpha + e_-alpha))) with
+    w = exp((alpha, q)); divided by the per-family Poisson scale.
     """
-    n = datum.algebra.rank
-    q, p = point.q, point.p
-    z = np.concatenate([q, p])
-    h = _fd_step(z)
+    if not 1 <= k <= datum.algebra.rank:
+        raise ValidationError(f"k must lie in 1..{datum.algebra.rank}, got {k}")
+    X = build_lax(datum, point)
+    if datum.algebra.family == "A":
+        G = np.linalg.matrix_power(X, k - 1)
+    else:
+        G = 0.5 * np.linalg.matrix_power(X, 2 * k - 1)
     s = float(symplectic_scale(datum))
-
-    dH_dq = np.empty(n)
-    dH_dp = np.empty(n)
-    for i in range(n):
-        dq = np.zeros(n)
-        dq[i] = h
-        plus = toda_hamiltonian(datum, TodaPoint(q=q + dq, p=p), k)
-        minus = toda_hamiltonian(datum, TodaPoint(q=q - dq, p=p), k)
-        dH_dq[i] = (plus - minus) / (2.0 * h)
-        plus = toda_hamiltonian(datum, TodaPoint(q=q, p=p + dq), k)
-        minus = toda_hamiltonian(datum, TodaPoint(q=q, p=p - dq), k)
-        dH_dp[i] = (plus - minus) / (2.0 * h)
+    dH_dp = np.einsum("ijk,kj->i", datum.cartan, G)
+    w = np.exp(simple_root_pairings(datum, point.q))
+    dH_dq = datum.alpha_coeffs.T @ (w * np.einsum("ijk,kj->i", datum.raising + datum.lowering, G))
     return dH_dp / s, -dH_dq / s
 
 
@@ -203,24 +195,12 @@ def integrate_flow(
     traj[0] = z
     for step in range(1, steps + 1):
         w = z + dt * field(z)
-        best = np.inf
-        stalled = 0
-        # The FD vector field carries roundoff noise of order eps*|H|/h, so
-        # the iterates can bounce slightly above `tol`; accept the noise
-        # floor once the contraction stops making progress there.
-        floor_cap = 64.0 * tol * max(1.0, float(np.max(np.abs(z))))
         for _ in range(max_iter):
             w_next = z + dt * field((z + w) / 2.0)
             delta = float(np.max(np.abs(w_next - w)))
             w = w_next
             if delta <= tol:
                 break
-            if delta < best:
-                best, stalled = delta, 0
-            else:
-                stalled += 1
-                if stalled >= 3 and delta <= floor_cap:
-                    break
         else:
             raise StepFailureError(f"midpoint iteration stalled at step {step} (delta {delta:.3e})")
         z = w

@@ -169,6 +169,15 @@ def test_degenerate_point_exits_three(capsys):
     assert "non-generic" in err
 
 
+def test_lost_precision_in_gauss_split_exits_one(capsys):
+    # B7, seed 0: the spectrum is well separated (gap 0.019), but the
+    # elimination leaves an upper residue; that is a failure, not a skip.
+    code, _, err = run_cli(capsys, "dual-map", "--type", "B", "--rank", "7", "--seed", "0")
+    assert code == 1
+    assert "upper residue" in err
+    assert "non-generic" not in err
+
+
 def test_byte_determinism(capsys):
     args = ("verify", "--type", "C", "--rank", "2", "--seed", "11", "--points", "2", "--flow-steps", "40")
     _, first, _ = run_cli(capsys, *args)

@@ -161,8 +161,8 @@ def test_equations_of_motion_match_hand_derivative():
     p = np.array([0.4, -0.1])
     dq, dp = equations_of_motion(datum, TodaPoint(q=q, p=p), 2)
     coupling = 2.0 * np.exp(2.0 * (q[0] - q[1]))
-    assert np.max(np.abs(dq - p)) < 1e-8
-    assert np.max(np.abs(dp - np.array([-coupling, coupling]))) < 1e-8
+    assert np.max(np.abs(dq - p)) < 1e-12
+    assert np.max(np.abs(dp - np.array([-coupling, coupling]))) < 1e-12
 
 
 def test_equations_of_motion_use_poisson_scale():
@@ -171,7 +171,31 @@ def test_equations_of_motion_use_poisson_scale():
     q = np.array([0.3, -0.2])
     p = np.array([0.5, 0.1])
     dq, _ = equations_of_motion(datum, TodaPoint(q=q, p=p), 1)
-    assert np.max(np.abs(dq - p / 2.0)) < 1e-8
+    assert np.max(np.abs(dq - p / 2.0)) < 1e-12
+
+
+def test_equations_of_motion_match_central_differences():
+    # Oracle: central differences of H_k in every coordinate.
+    for fam, n in ALGEBRAS:
+        datum = build_root_datum(AlgebraType(fam, n))
+        point = sample_toda(datum, spawn_rng(59, n))
+        s = symplectic_scale(datum)
+        h = 1e-6 * max(1.0, float(np.linalg.norm(np.concatenate([point.q, point.p]))))
+        for k in range(1, n + 1):
+
+            def H(q, p):
+                return toda_hamiltonian(datum, TodaPoint(q=q, p=p), k)
+
+            dH_dq = np.empty(n)
+            dH_dp = np.empty(n)
+            for i in range(n):
+                e = np.zeros(n)
+                e[i] = h
+                dH_dq[i] = (H(point.q + e, point.p) - H(point.q - e, point.p)) / (2.0 * h)
+                dH_dp[i] = (H(point.q, point.p + e) - H(point.q, point.p - e)) / (2.0 * h)
+            want = np.concatenate([dH_dp, -dH_dq]) / s
+            got = np.concatenate(equations_of_motion(datum, point, k))
+            assert np.max(np.abs(got - want)) < 1e-7 * max(1.0, np.max(np.abs(want)))
 
 
 def test_flow_conserves_invariants():
