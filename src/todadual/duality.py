@@ -7,13 +7,14 @@ positive leading-block diagonal).  The map between them is a change of
 canonical coordinates: Toda (q, p) on one side, spectral (qhat, phat) on
 the other.
 
-toda_to_goldfish diagonalizes X by a unitary group element k, transports
-g into that frame, strips the unipotent upper factor, and fixes the
-residual torus phases so the leading diagonal is real positive; the
-diagonal then reads off ahat and the momentum equation pins everything
-else.  goldfish_to_toda runs the Iwasawa split of the Moser group element
-the other way.  Both directions verify their defining residuals and raise
-DualityResidualError instead of returning drifted coordinates.
+toda_to_goldfish diagonalizes X by a unitary group element k and
+transports g into that frame.  The unipotent upper factor separating the
+transported element from the Moser gauge leaves its bottom row alone, so
+ahat is read off that row through its closed form, and the momentum
+equation pins everything else.  goldfish_to_toda runs the Iwasawa split
+of the Moser group element the other way.  Both directions verify their
+defining residuals and raise DualityResidualError instead of returning
+drifted coordinates.
 
 Two families of invariant functions certify the map: the trailing
 principal minors of g g^dagger (trivial in the Toda gauge, the dual
@@ -27,18 +28,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DualityResidualError, GaussCellError
+from .errors import DualityResidualError
 from .goldfish import GoldfishPoint, a_from_p, goldfish_hamiltonians, p_from_a
-from .linalg import iwasawa, lower_triangularize, structured_diagonalize
-from .moser import MoserPoint, build_moser_g, momentum_equation_residual
+from .linalg import iwasawa, structured_diagonalize
+from .moser import (
+    MoserPoint,
+    build_moser_g,
+    build_ruijsenaars_matrix,
+    momentum_equation_residual,
+    ruijsenaars_spec_for,
+)
 from .rootsys import RootDatum, cartan_pattern
 from .toda import SymplecticForm, TodaPoint, build_lax, symplectic_scale, toda_hamiltonians
 
 # Residual budget for both directions of the map.
 DUALITY_RTOL = 1.0e-8
-# A leading diagonal entry below this (relative) floor means the point sits
-# outside the dense cell where the triangular gauge exists.
-PHASE_FLOOR = 1.0e-12
 # Default finite-difference step for the Jacobian of the map.
 JACOBIAN_STEP = 1.0e-5
 
@@ -72,70 +76,51 @@ def _relative_gap(a: float, b: float) -> float:
     return abs(a - b) / scale
 
 
-def _torus_phases(datum: RootDatum, diag: np.ndarray) -> np.ndarray:
-    """Unit-modulus column factors making the leading diagonal real positive.
+def toda_to_moser(datum: RootDatum, point: TodaPoint) -> MoserPoint:
+    """Moser-gauge coordinates (qhat, ahat) of a Toda point.
 
-    The residual gauge freedom after triangularization is the diagonal
-    torus of the compact subgroup; its mirrored entries are forced to the
-    conjugate phases (and the middle entry to 1 for family B), so fixing
-    the leading block fixes the whole element.
-    """
-    fam, n = datum.algebra.family, datum.algebra.rank
-    lead = diag if fam == "A" else diag[:n]
-    floor = PHASE_FLOOR * max(1.0, float(np.max(np.abs(diag))))
-    if np.min(np.abs(lead)) < floor:
-        raise GaussCellError("vanishing gauge diagonal; point is not generic")
-    u = np.conj(lead) / np.abs(lead)
-    if fam == "A":
-        return u
-    if fam == "B":
-        return np.concatenate([u, [1.0], np.conj(u)[::-1]])
-    return np.concatenate([u, np.conj(u)[::-1]])
+    The unipotent upper factor that takes the transported element to the
+    triangular gauge leaves its bottom row unchanged, and that row has the
+    closed form |g[N-1, j]| = |b_j| / prod_{i>j} |x_j - x_i| of
+    ruijsenaars_spec_for, with |b_j| = ahat_j (A/B/C) or 2|qhat_j| ahat_j
+    (D).  So ahat is read from the leading entries of the transported
+    bottom row, and no elimination is run.
 
-
-def toda_to_moser(datum: RootDatum, point: TodaPoint, rtol: float = DUALITY_RTOL):
-    """Moser-gauge representative of a Toda point: (MoserPoint, g_lower).
-
-    Raises NonGenericPointError subclasses when the spectrum degenerates,
-    the chamber is hit, or the triangular cell is missed, and
-    DualityResidualError when the mapped element fails its momentum
-    equation or disagrees with the canonical recurrence solution.
+    Raises NonGenericPointError subclasses when the spectrum degenerates or
+    the chamber is hit, and DualityResidualError when the built element
+    fails its momentum equation or its bottom row misses the transported
+    one (for B/C/D the mirrored entries carry 1/ahat and are not used by
+    the read).
     """
     X = build_lax(datum, point)
     kunitary, qhat = structured_diagonalize(datum, X)
     gdiag = np.exp(cartan_pattern(datum, point.q))
-    # Transport g into the frame where X is diagonal, then strip N_+.
-    gtilde = gdiag[:, None] * kunitary.conj().T
-    _, glow = lower_triangularize(datum, gtilde)
-    phases = _torus_phases(datum, np.diagonal(glow))
-    gfixed = glow * phases[None, :]
+    # Moduli of the bottom row of diag(gdiag) k^dagger: g transported into
+    # the frame where X is diagonal.
+    row = np.abs(gdiag[-1] * kunitary[:, -1])
 
     n = datum.algebra.rank
-    lead = np.diagonal(gfixed)[:n] if datum.algebra.family != "A" else np.diagonal(gfixed)
-    ahat = np.abs(lead)
-    mp = MoserPoint(qhat=qhat, ahat=ahat)
+    spec, _ = ruijsenaars_spec_for(datum, MoserPoint(qhat=qhat, ahat=np.ones(n)))
+    unit_row = build_ruijsenaars_matrix(spec)[-1, :n]
+    mp = MoserPoint(qhat=qhat, ahat=row[:n] / np.abs(unit_row))
 
-    # The momentum equation is checked on the recurrence-built element for
-    # the extracted point; the transported matrix is then compared to it.
-    # (Checking the equation on gfixed directly would only remeasure the
-    # eigensolver's forward error at larger ranks.)
     gref = build_moser_g(datum, mp)
     residual = momentum_equation_residual(datum, gref, qhat)
-    if residual > rtol:
+    if residual > DUALITY_RTOL:
         raise DualityResidualError(f"momentum residual {residual:.3e} after gauge transport")
-    gap = np.linalg.norm(gfixed - gref, "fro") / max(1.0, np.linalg.norm(gref, "fro"))
-    if gap > rtol:
-        raise DualityResidualError(f"transported element misses the recurrence by {gap:.3e}")
-    return mp, gfixed
+    ref_row = np.abs(gref[-1])
+    gap = float(np.max(np.abs(row - ref_row) / ref_row))
+    if gap > DUALITY_RTOL:
+        raise DualityResidualError(f"transported bottom row misses the recurrence by {gap:.3e}")
+    return mp
 
 
-def toda_to_goldfish(datum: RootDatum, point: TodaPoint, rtol: float = DUALITY_RTOL) -> GoldfishPoint:
+def toda_to_goldfish(datum: RootDatum, point: TodaPoint) -> GoldfishPoint:
     """Canonical coordinates of the dual system at the image of a Toda point."""
-    mp, _ = toda_to_moser(datum, point, rtol=rtol)
-    return p_from_a(datum, mp)
+    return p_from_a(datum, toda_to_moser(datum, point))
 
 
-def goldfish_to_toda(datum: RootDatum, point: GoldfishPoint, rtol: float = DUALITY_RTOL) -> TodaPoint:
+def goldfish_to_toda(datum: RootDatum, point: GoldfishPoint) -> TodaPoint:
     """Toda-gauge representative of a dual-system point.
 
     The Iwasawa split of the Moser group element supplies the positive
@@ -151,7 +136,7 @@ def goldfish_to_toda(datum: RootDatum, point: GoldfishPoint, rtol: float = DUALI
     adiag = np.real(np.diagonal(afactor))
     q = np.log(adiag[:n])
     pattern_gap = np.max(np.abs(adiag - np.exp(cartan_pattern(datum, q))))
-    if pattern_gap > rtol * max(1.0, float(np.max(adiag))):
+    if pattern_gap > DUALITY_RTOL * max(1.0, float(np.max(adiag))):
         raise DualityResidualError(
             f"Iwasawa diagonal breaks the torus pattern by {pattern_gap:.3e}"
         )
@@ -159,7 +144,7 @@ def goldfish_to_toda(datum: RootDatum, point: GoldfishPoint, rtol: float = DUALI
     Xhat = np.diag(cartan_pattern(datum, mp.qhat)).astype(complex)
     Xt = kfactor @ Xhat @ kfactor.conj().T
     scale = max(1.0, float(np.linalg.norm(Xhat, "fro")))
-    if np.linalg.norm(Xt.imag, "fro") > rtol * scale:
+    if np.linalg.norm(Xt.imag, "fro") > DUALITY_RTOL * scale:
         raise DualityResidualError("transported Lax matrix is not real")
     Xr = (Xt.real + Xt.real.T) / 2.0
 
@@ -172,7 +157,7 @@ def goldfish_to_toda(datum: RootDatum, point: GoldfishPoint, rtol: float = DUALI
     recovered = TodaPoint(q=q, p=p)
     Xlax = build_lax(datum, recovered)
     gap = np.linalg.norm(Xr - Xlax, "fro") / scale
-    if gap > rtol:
+    if gap > DUALITY_RTOL:
         raise DualityResidualError(f"transported X misses the Lax form by {gap:.3e}")
     return recovered
 
@@ -231,15 +216,8 @@ def verify_duality_identities(
     )
 
 
-def duality_jacobian(
-    datum: RootDatum, point: TodaPoint, step: float = JACOBIAN_STEP, richardson: bool = False
-) -> np.ndarray:
-    """Central-difference Jacobian of (p, q) -> (phat, qhat).
-
-    With richardson=True the h and h/2 stencils are combined to cancel the
-    quadratic truncation term, which matters once the map's curvature grows
-    with the rank.
-    """
+def duality_jacobian(datum: RootDatum, point: TodaPoint, step: float = JACOBIAN_STEP) -> np.ndarray:
+    """Central-difference Jacobian of (p, q) -> (phat, qhat)."""
     n = datum.algebra.rank
     z0 = np.concatenate([point.p, point.q])
 
@@ -247,45 +225,42 @@ def duality_jacobian(
         gp = toda_to_goldfish(datum, TodaPoint(q=z[n:], p=z[:n]))
         return np.concatenate([gp.phat, gp.qhat])
 
-    def stencil(h: float) -> np.ndarray:
-        cols = []
-        for j in range(2 * n):
-            zp, zm = z0.copy(), z0.copy()
-            zp[j] += h
-            zm[j] -= h
-            cols.append((image(zp) - image(zm)) / (2.0 * h))
-        return np.stack(cols, axis=1)
-
-    if not richardson:
-        return stencil(step)
-    return (4.0 * stencil(step / 2.0) - stencil(step)) / 3.0
+    cols = []
+    for j in range(2 * n):
+        zp, zm = z0.copy(), z0.copy()
+        zp[j] += step
+        zm[j] -= step
+        cols.append((image(zp) - image(zm)) / (2.0 * step))
+    return np.stack(cols, axis=1)
 
 
 # Stencil widths tried by symplectomorphism_check.  A single width cannot
 # serve every rank: truncation error grows with the step, map-evaluation
-# noise grows with 1/step, and the noise floor rises with the rank.
+# noise grows with 1/step, and the noise floor rises with the rank.  Each
+# width is ten times the one before; symplectomorphism_check relies on it.
 STEP_LADDER = (1.0e-5, 1.0e-4, 1.0e-3)
 
 
-def symplectomorphism_check(
-    datum: RootDatum, point: TodaPoint, step: float | None = None, richardson: bool = False
-) -> tuple[float, float]:
+def symplectomorphism_check(datum: RootDatum, point: TodaPoint) -> tuple[float, float]:
     """Residual of J^T W J = sigma W over sigma in {+1, -1}.
 
     W is the canonical block form in (p, q) ordering with the per-family
     scale on both sides.  Returns (best residual, chosen sigma); the sign
     is measured, not asserted, since either orientation is acceptable.
 
-    With step=None every width in STEP_LADDER is tried and the smallest
-    residual wins: each stencil measures the true deviation plus its own
-    finite-difference noise, so the minimum is the tightest certificate.
+    Candidates are the plain stencils at every width in STEP_LADDER and
+    the ratio-10 Richardson extrapolations (100 J(h) - J(10 h)) / 99 of
+    neighbouring widths, which cancel the quadratic truncation term at no
+    extra map calls.  The smallest residual wins: each candidate measures
+    the true deviation plus its own finite-difference error, so the
+    minimum is the tightest certificate.
     """
     s = symplectic_scale(datum)
     W = SymplecticForm(scale=s, rank=datum.algebra.rank).matrix()
-    steps = STEP_LADDER if step is None else (float(step),)
+    plain = [duality_jacobian(datum, point, step=h) for h in STEP_LADDER]
+    extrapolated = [(100.0 * fine - coarse) / 99.0 for fine, coarse in zip(plain, plain[1:])]
     best = (np.inf, 1.0)
-    for h in steps:
-        J = duality_jacobian(datum, point, step=h, richardson=richardson)
+    for J in plain + extrapolated:
         M = J.T @ W @ J
         r_plus = float(np.linalg.norm(M - W, "fro"))
         r_minus = float(np.linalg.norm(M + W, "fro"))

@@ -1,9 +1,10 @@
-"""Minors and the three matrix factorizations the duality maps are built from.
+"""Minors and the three matrix factorizations of the duality layer.
 
 * structured_diagonalize: conjugate a Hermitian algebra element into the
   canonical diagonal pattern by a unitary group element.
 * lower_triangularize: split g = nplus * glow with nplus unipotent upper
-  triangular (valid on the big Gauss cell).
+  triangular (valid on the big Gauss cell).  The forward duality map reads
+  its weights without it; the tests keep it as that read's oracle.
 * iwasawa: g = n * a * k with n unipotent upper, a positive diagonal,
   k unitary.
 

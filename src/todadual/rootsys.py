@@ -73,6 +73,9 @@ class RootDatum:
         Diagonal Cartan generators h_1..h_n.
     raising, lowering : ndarray (num_roots, N, N)
         Simple root vectors e_alpha and e_{-alpha}, in the simple-root order.
+    root_sums : ndarray (num_roots, N, N)
+        raising + lowering: the symmetric combinations e_alpha + e_{-alpha}
+        the Lax matrix is built from.
     momentum : ndarray (N, N)
         Sum of the lowering vectors; strictly lower triangular.
     alpha_coeffs : ndarray (num_roots, rank)
@@ -86,6 +89,7 @@ class RootDatum:
     cartan: np.ndarray
     raising: np.ndarray
     lowering: np.ndarray
+    root_sums: np.ndarray
     momentum: np.ndarray
     alpha_coeffs: np.ndarray
 
@@ -181,6 +185,7 @@ def build_root_datum(algebra: AlgebraType) -> RootDatum:
         cartan=cartan,
         raising=raising,
         lowering=lowering,
+        root_sums=raising + lowering,
         momentum=momentum,
         alpha_coeffs=coeffs,
     )

@@ -77,8 +77,7 @@ def build_lax(datum: RootDatum, point: TodaPoint) -> np.ndarray:
     X = np.diag(cartan_pattern(datum, point.p))
     if datum.num_roots:
         weights = np.exp(simple_root_pairings(datum, point.q))
-        sym = datum.raising + datum.lowering
-        X = X + np.tensordot(weights, sym, axes=1)
+        X = X + np.tensordot(weights, datum.root_sums, axes=1)
     return X
 
 
@@ -160,7 +159,7 @@ def equations_of_motion(datum: RootDatum, point: TodaPoint, k: int):
     s = float(symplectic_scale(datum))
     dH_dp = np.einsum("ijk,kj->i", datum.cartan, G)
     w = np.exp(simple_root_pairings(datum, point.q))
-    dH_dq = datum.alpha_coeffs.T @ (w * np.einsum("ijk,kj->i", datum.raising + datum.lowering, G))
+    dH_dq = datum.alpha_coeffs.T @ (w * np.einsum("ijk,kj->i", datum.root_sums, G))
     return dH_dp / s, -dH_dq / s
 
 

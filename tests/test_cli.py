@@ -169,12 +169,13 @@ def test_degenerate_point_exits_three(capsys):
     assert "non-generic" in err
 
 
-def test_lost_precision_in_gauss_split_exits_one(capsys):
-    # B7, seed 0: the spectrum is well separated (gap 0.019), but the
-    # elimination leaves an upper residue; that is a failure, not a skip.
+def test_lost_precision_in_iwasawa_split_exits_one(capsys):
+    # B7, seed 0: the spectrum is well separated (gap 0.019) and the point
+    # maps forward, but the inverse map's Iwasawa diagonal drifts off the
+    # torus pattern; that is a failure, not a skip.
     code, _, err = run_cli(capsys, "dual-map", "--type", "B", "--rank", "7", "--seed", "0")
     assert code == 1
-    assert "upper residue" in err
+    assert "Iwasawa diagonal breaks the torus pattern" in err
     assert "non-generic" not in err
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from todadual.errors import DegenerateSpectrumError, GaussCellError, ValidationError
+from todadual.errors import DegenerateSpectrumError, DualityResidualError, GaussCellError, ValidationError
 from todadual.linalg import (
     bottom_right_minor,
     determinant,
@@ -89,6 +89,18 @@ def test_lower_triangularize_rejects_zero_pivot():
     g = np.array([[1.0, 1.0], [1.0, 0.0]])
     with pytest.raises(GaussCellError):
         lower_triangularize(datum, g)
+
+
+def test_lower_triangularize_reports_lost_precision():
+    # B7, seed 0: the spectrum is well separated (gap 0.019), but the
+    # transported element is so ill-conditioned that the elimination
+    # leaves an upper residue; that is lost precision, not a small pivot.
+    datum = build_root_datum(AlgebraType("B", 7))
+    point = sample_toda(datum, spawn_rng(0, 0))
+    k, _ = structured_diagonalize(datum, build_lax(datum, point))
+    gtilde = np.exp(cartan_pattern(datum, point.q))[:, None] * k.conj().T
+    with pytest.raises(DualityResidualError, match="upper residue"):
+        lower_triangularize(datum, gtilde)
 
 
 def test_iwasawa_recombines():
