@@ -31,11 +31,11 @@ from .rootsys import FAMILIES, AlgebraType, RootDatum, build_root_datum
 from .sampling import sample_flow_toda, sample_toda, spawn_rng
 from .toda import (
     TodaPoint,
+    _trace_hamiltonians,
     build_lax,
     integrate_flow,
     quadratic_index,
     toda_group_element,
-    toda_hamiltonians,
 )
 from .verify import RANK_CAP, run_suite
 
@@ -263,8 +263,9 @@ def cmd_integrate(args) -> tuple[int, str]:
     lines = [sep.join(names)]
     for step, row in enumerate(traj):
         pt = TodaPoint(q=row[:n], p=row[n:])
-        hs = toda_hamiltonians(datum, pt)
-        lam = np.linalg.eigvalsh(build_lax(datum, pt))[::-1]  # descending, chamber order
+        X = build_lax(datum, pt)
+        hs = _trace_hamiltonians(datum, X, n)
+        lam = np.linalg.eigvalsh(X)[::-1]  # descending, chamber order
         cells = [_fmt(step * args.dt)]
         cells += [_fmt(v) for v in row]
         cells += [_fmt(v) for v in hs]

@@ -6,22 +6,19 @@ chamber factor F_i is a product of coordinate differences (and sums, and in
 the odd orthogonal case a bare coordinate) that stays positive on the whole
 chamber; ahat_i = exp(phat_i) sqrt(F_i).
 
-The dual Hamiltonians H-hat_k are the bottom-right principal minors of
-g g^dagger for the lower-triangular momentum-equation solution g.  They are
-evaluated here in closed form:
+The dual Hamiltonian H-hat_k is the bottom-right k x k principal minor of
+g g^dagger for the lower-triangular momentum-equation solution g.  By the
+Cauchy-Binet theorem it is the sum over column sets S of the squared k x k
+minors of the bottom k rows of g.  Those rows are rows of the Cauchy-type
+matrix of moser.ruijsenaars_spec_for, whose minors factor in product form
+(moser.signed_log_minors), so every H-hat_k of every family is one masked
+sum over the subsets of the columns.  The only exception is the top
+invariant of family D, whose bottom n rows start with the fused-root row;
+each maximal minor there is a Laplace expansion along that row against the
+product-form (n-1)-minors below it.
 
-* family A: sum over k-subsets I of prod_{i in I, j notin I} |q_i - q_j|^{-1}
-  times exp(2 sum_I phat);
-* families B/C/D (k < rank): a double-subset sum with exp(+-2 phat) factors
-  and difference/sum denominators; family B carries an extra half-weight
-  stratum with |I|+|J| = k-1, family D a 2^k |q| weight;
-* family D, k = rank: no single product formula exists; each maximal minor
-  of the bottom rows factors as a weight monomial times a weight-free
-  rational product, so the sum of squared minors is assembled exactly from
-  product-form minors (no determinant calls).
-
-All closed forms are verified against an independent Gram/Cauchy-Binet
-oracle in the tests.
+The values are verified against an independent Gram-determinant oracle in
+the tests.
 """
 
 from __future__ import annotations
@@ -33,10 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ChamberError, SingularConfigurationError, ValidationError
-from .moser import MoserPoint, RuijsenaarsMatrixSpec, check_chamber, closed_form_minor
+from .moser import MoserPoint, check_chamber, ruijsenaars_spec_for, signed_log_minors
 from .rootsys import RootDatum
-
-LOG2 = float(np.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -127,166 +122,83 @@ def _subset_masks(n: int, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _paired_masks(n: int, size: int):
-    """Stacked indicator rows for all (I, J) with |I| + |J| = size.
-
-    Returns (Imask, MJmask); MJmask marks the mirrored indices n-1-r, r in J.
-    Overlap of I and mirrored J is allowed and meaningful (the exponential
-    factors cancel there).
-    """
-    I_rows, M_rows = [], []
-    for sI in range(size + 1):
-        sJ = size - sI
-        if sI > n or sJ > n:
-            continue
-        for I in itertools.combinations(range(n), sI):
-            for J in itertools.combinations(range(n), sJ):
-                irow = np.zeros(n)
-                mrow = np.zeros(n)
-                irow[list(I)] = 1.0
-                mrow[[n - 1 - r for r in J]] = 1.0
-                I_rows.append(irow)
-                M_rows.append(mrow)
-    return np.array(I_rows), np.array(M_rows)
-
-
-def _log_diff_matrix(q: np.ndarray) -> np.ndarray:
-    ad = np.abs(q[:, None] - q[None, :])
-    np.fill_diagonal(ad, 1.0)  # diagonal never survives the masks
-    return np.log(ad)
-
-
-def _log_gap_matrices(q: np.ndarray):
-    # The pair-sum logs are only meaningful on the B/C/D chambers, where
-    # q_i + q_j stays away from zero; family A must not evaluate them
-    # (opposite spectral values are generic there).
-    return _log_diff_matrix(q), np.log(np.abs(q[:, None] + q[None, :]))
-
-
-def _paired_sum(fam: str, q: np.ndarray, p: np.ndarray, size: int, stratum: str) -> float:
-    """Evaluate one (I, J)-stratum of the B/C/D closed forms."""
-    n = q.size
-    if size < 1:
-        raise ValidationError("stratum size must be at least 1")
-    logad, logas = _log_gap_matrices(q)
-    Imask, MJmask = _paired_masks(n, size)
-    Ic, MJc = 1.0 - Imask, 1.0 - MJmask
-    logden = (
-        ((Imask @ logad) * Ic).sum(axis=1)
-        + ((Imask @ logas) * MJc).sum(axis=1)
-        + ((MJmask @ logas) * Ic).sum(axis=1)
-        + ((MJmask @ logad) * MJc).sum(axis=1)
-    )
-    lognum = 2.0 * (Imask - MJmask) @ p
-    if fam == "B":
-        logq = np.log(q)
-        if stratum == "main":
-            lognum -= (Imask + MJmask) @ logq
-        else:  # exceptional half-weight stratum
-            lognum -= (Ic + MJc) @ logq
-    elif fam == "D":
-        lognum += size * LOG2 + (Imask + MJmask) @ np.log(np.abs(q))
-    return float(np.exp(lognum - logden).sum())
-
-
-def _b_exceptional_zero(q: np.ndarray) -> float:
-    # size-0 stratum of family B at k=1: the empty (I, J) pair contributes
-    # the bare weight 1/(prod_m q_m)^2 with no exponential factors
-    return float(np.prod(1.0 / q) ** 2)
+def _stacked_masks(m: int, kmax: int):
+    """_subset_masks(m, k) for k = 1..kmax stacked, with the first row of each block."""
+    blocks = [_subset_masks(m, k) for k in range(1, kmax + 1)]
+    starts = np.cumsum([0] + [block.shape[0] for block in blocks[:-1]])
+    masks = np.vstack(blocks)
+    masks.flags.writeable = starts.flags.writeable = False  # shared by every caller
+    return masks, starts
 
 
 @lru_cache(maxsize=None)
-def _top_subsets(two_n: int, n: int):
-    return list(itertools.combinations(range(two_n), n))
+def _laplace_tables(m: int, k: int):
+    """Laplace expansion of every k-subset minor along its first row.
 
-
-def _d_top_sum(datum: RootDatum, q: np.ndarray, p: np.ndarray) -> float:
-    """Exact k = rank invariant for family D.
-
-    Work at unit weights: the bottom n rows of the momentum-equation
-    solution consist of one exceptional row R (the fused-root row) above
-    n-1 rows of a Cauchy-type matrix.  Each maximal minor V_S splits as
-    (prod of ahat^{+-1} over selected columns) x V0_S with V0_S weight-free;
-    V0_S is a short Laplace expansion of R against product-form minors.
-    Squaring and substituting ahat_i^2 = e^{2 phat_i} F_i gives the sum.
+    For row t of _subset_masks(m, k) and position i of its sorted columns:
+    the column cols[t, i], the sign parity[i] = (-1)^i, and the row
+    rest[t, i] of _subset_masks(m, k - 1) that holds the other columns.
     """
+    top = _subset_masks(m, k)
+    cols = np.nonzero(top)[1].reshape(-1, k)
+    bits = np.left_shift(1, np.arange(m, dtype=np.int64))
+    rest_codes = (top.astype(np.int64) @ bits)[:, None] - bits[cols]
+    lower_codes = _subset_masks(m, k - 1).astype(np.int64) @ bits
+    order = np.argsort(lower_codes)
+    rest = order[np.searchsorted(lower_codes, rest_codes, sorter=order)]
+    cols.flags.writeable = rest.flags.writeable = False  # shared by every caller
+    return cols, (-1.0) ** np.arange(k), rest
+
+
+def _fused_root_row(mp: MoserPoint) -> np.ndarray:
+    """Row n of the family-D element g (the first of its bottom n rows).
+
+    At unit weights its only entries are -1 / ((q_j + q_{n-1})
+    prod_{j<k<n-1} (q_j - q_k)) for j < n-1 and 1 in column n; the weights
+    scale column j by ahat_j and column n+j by 1/ahat_{n-1-j}.
+    """
+    q = mp.qhat
     n = q.size
-    F = chamber_factors(datum, q)
-    jj = np.arange(n)
-    b0 = np.concatenate([((-1.0) ** (n - 1 - jj)) * 2.0 * q, np.ones(n)])
-    x = np.concatenate([-q, q[::-1]])
-    spec0 = RuijsenaarsMatrixSpec(b=b0, x=x)
-
-    R0 = np.zeros(2 * n)
-    for j in range(n - 1):
-        val = 1.0
-        for k in range(j + 1, n - 1):
-            val /= q[j] - q[k]
-        R0[j] = -val / (q[j] + q[n - 1])
-    R0[n] = 1.0
-
-    # column -> (coordinate index, weight power)
-    col_index = np.concatenate([jj, (n - 1 - jj)])
-    col_power = np.concatenate([np.ones(n), -np.ones(n)])
-
-    log_weight = 2.0 * p + np.log(F)  # log(ahat_i^2)
-    total = 0.0
-    for S in _top_subsets(2 * n, n):
-        v0 = 0.0
-        for pos, c in enumerate(S):
-            if R0[c] == 0.0:
-                continue
-            rest = tuple(col for col in S if col != c)
-            v0 += (-1.0) ** pos * R0[c] * closed_form_minor(spec0, rest)
-        if v0 == 0.0:
-            continue
-        sigma = np.zeros(n)
-        for c in S:
-            sigma[col_index[c]] += col_power[c]
-        total += v0 * v0 * float(np.exp(sigma @ log_weight))
-    return total
-
-
-def goldfish_hamiltonian(datum: RootDatum, point: GoldfishPoint, k: int) -> float:
-    """Closed-form dual Hamiltonian H-hat_k = m_k(g g^dagger)."""
-    n = datum.algebra.rank
-    if not 1 <= k <= n:
-        raise ValidationError(f"k must lie in 1..{n}, got {k}")
-    q = np.asarray(point.qhat, dtype=float)
-    if q.shape != (n,):
-        raise ValidationError(f"point rank {q.shape} does not match algebra rank {n}")
-    check_chamber(datum, q)
-    p = np.asarray(point.phat, dtype=float)
-    fam = datum.algebra.family
-
-    if fam == "A":
-        logad = _log_diff_matrix(q)
-        Imask = _subset_masks(n, k)
-        Ic = 1.0 - Imask
-        logden = ((Imask @ logad) * Ic).sum(axis=1)
-        return float(np.exp(2.0 * (Imask @ p) - logden).sum())
-    if fam == "C":
-        return _paired_sum("C", q, p, k, "main")
-    if fam == "B":
-        main = _paired_sum("B", q, p, k, "main")
-        if k == 1:
-            extra = _b_exceptional_zero(q)
-        else:
-            extra = _paired_sum("B", q, p, k - 1, "exceptional")
-        return main + extra
-    # family D
-    if k < n:
-        return _paired_sum("D", q, p, k, "main")
-    return _d_top_sum(datum, q, p)
+    head = q[: n - 1]
+    later = np.triu(np.ones((n - 1, n - 1)), k=1) > 0.0
+    gaps = np.where(later, head[:, None] - head[None, :], 1.0)
+    row = np.zeros(2 * n)
+    row[: n - 1] = -1.0 / ((head + q[-1]) * np.prod(gaps, axis=1))
+    row[n] = 1.0
+    return row * np.concatenate([mp.ahat, 1.0 / mp.ahat[::-1]])
 
 
 def goldfish_hamiltonians(datum: RootDatum, point: GoldfishPoint, kmax: int | None = None) -> np.ndarray:
-    """Vector (H-hat_1, ..., H-hat_kmax); kmax defaults to the rank."""
+    """Dual Hamiltonians (H-hat_1, ..., H-hat_kmax) = m_k(g g^dagger); kmax defaults to the rank.
+
+    One product-form minor evaluation over all column subsets of sizes
+    1..kmax (at most n-1 for family D), summed per size; the D top
+    invariant expands each maximal minor along the fused-root row.
+    """
     n = datum.algebra.rank
     kmax = n if kmax is None else int(kmax)
     if not 1 <= kmax <= n:
         raise ValidationError(f"kmax must lie in 1..{n}, got {kmax}")
-    return np.array([goldfish_hamiltonian(datum, point, k) for k in range(1, kmax + 1)])
+    mp = a_from_p(datum, point)
+    spec, _ = ruijsenaars_spec_for(datum, mp)
+    fused = datum.algebra.family == "D"
+    masks, starts = _stacked_masks(spec.size, min(kmax, n - 1) if fused else kmax)
+    sign, logabs = signed_log_minors(spec, masks)
+    values = np.add.reduceat(np.exp(2.0 * logabs), starts)
+    if fused and kmax == n:
+        cols, parity, rest = _laplace_tables(spec.size, n)
+        rest = rest + starts[-1]
+        maximal = (parity * _fused_root_row(mp)[cols] * sign[rest] * np.exp(logabs[rest])).sum(axis=1)
+        values = np.append(values, np.sum(maximal**2))
+    return values
+
+
+def goldfish_hamiltonian(datum: RootDatum, point: GoldfishPoint, k: int) -> float:
+    """Single dual Hamiltonian H-hat_k."""
+    n = datum.algebra.rank
+    if not 1 <= k <= n:
+        raise ValidationError(f"k must lie in 1..{n}, got {k}")
+    return float(goldfish_hamiltonians(datum, point, k)[k - 1])
 
 
 def goldfish_hamiltonian_signed_A(point: GoldfishPoint, k: int) -> float:

@@ -129,26 +129,37 @@ def build_ruijsenaars_matrix(spec: RuijsenaarsMatrixSpec) -> np.ndarray:
     return M
 
 
-def closed_form_minor(spec: RuijsenaarsMatrixSpec, cols) -> float:
-    """Minor of the bottom k rows of the matrix against columns `cols`.
+def signed_log_minors(spec: RuijsenaarsMatrixSpec, masks: np.ndarray):
+    """Sign and log-modulus of bottom-row minors, one per 0/1 column mask.
 
-    Equals prod_{c in cols} b_c / prod_{c in cols} prod_{j > c, j not in cols}
-    (x_c - x_j); derived by row-reducing the Cauchy-type columns.
+    Row t of `masks` selects a column set S of size k; the minor of the
+    bottom k rows of the matrix against S equals
+    prod_{c in S} b_c / prod_{c in S} prod_{j > c, j not in S} (x_c - x_j),
+    derived by row-reducing the Cauchy-type columns.  Returns (sign, log|minor|).
     """
+    S = np.asarray(masks, dtype=float)
+    diff = spec.x[:, None] - spec.x[None, :]
+    later = np.triu(np.ones(diff.shape, dtype=bool), k=1)  # pairs j > c
+    logden = np.log(np.abs(np.where(later, diff, 1.0)))
+    flipden = later & (diff < 0.0)
+    out = 1.0 - S
+    logabs = S @ np.log(np.abs(spec.b)) - ((S @ logden) * out).sum(axis=1)
+    flips = S @ (spec.b < 0.0) + ((S @ flipden) * out).sum(axis=1)
+    return 1.0 - 2.0 * (np.rint(flips) % 2.0), logabs
+
+
+def closed_form_minor(spec: RuijsenaarsMatrixSpec, cols) -> float:
+    """Minor of the bottom k rows of the matrix against columns `cols`."""
     cols = tuple(cols)
     m = spec.size
     if len(cols) == 0 or list(cols) != sorted(set(cols)):
         raise ValidationError(f"cols must be nonempty, sorted, distinct, got {cols}")
     if cols[0] < 0 or cols[-1] >= m:
         raise ValidationError(f"cols out of range 0..{m - 1}: {cols}")
-    chosen = set(cols)
-    value = 1.0
-    for c in cols:
-        value *= spec.b[c]
-        for j in range(c + 1, m):
-            if j not in chosen:
-                value /= spec.x[c] - spec.x[j]
-    return float(value)
+    mask = np.zeros((1, m))
+    mask[0, list(cols)] = 1.0
+    sign, logabs = signed_log_minors(spec, mask)
+    return float(sign[0] * np.exp(logabs[0]))
 
 
 def _full_diagonal(datum: RootDatum, ahat: np.ndarray) -> np.ndarray:

@@ -4,8 +4,10 @@ Both Hamiltonian families live on a phase space with the bracket
 {f, g} = s^{-1} sum_i (df/dq_i dg/dp_i - df/dp_i dg/dq_i), where s is the
 per-family symplectic scale (1 for A, 2 for B/C/D).  Derivatives are
 central finite differences on the flat vector z = (momenta, positions);
-an optional Richardson pass combines steps h and h/2 to cancel the h^2
-error term, which is what the tighter commutativity tolerances need.
+a Richardson pass combines steps h and h/2 to cancel the h^2 error term,
+which is what the tighter commutativity tolerances need.  The
+commutativity matrix differentiates the whole Hamiltonian vector with one
+stencil and takes every pairing from the resulting Jacobian.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .goldfish import GoldfishPoint, goldfish_hamiltonian
+from .goldfish import GoldfishPoint, goldfish_hamiltonian, goldfish_hamiltonians
 from .rootsys import AlgebraType, RootDatum
-from .toda import TodaPoint, symplectic_scale, toda_hamiltonian
+from .toda import TodaPoint, symplectic_scale, toda_hamiltonian, toda_hamiltonians
 
 BRACKET_STEP = 1.0e-5
 
@@ -68,14 +70,15 @@ def observable_value(datum: RootDatum, handle: ObservableHandle, point) -> float
     return observable_function(datum, handle)(flatten_point(point))
 
 
-def _gradient(f: Callable[[np.ndarray], float], z: np.ndarray, step: float) -> np.ndarray:
-    grad = np.empty(z.size)
+def _gradient(f: Callable[[np.ndarray], np.ndarray], z: np.ndarray, step: float) -> np.ndarray:
+    """Central differences of f at z; row j is df/dz_j, a scalar or a vector."""
+    rows = []
     for j in range(z.size):
         zp, zm = z.copy(), z.copy()
         zp[j] += step
         zm[j] -= step
-        grad[j] = (f(zp) - f(zm)) / (2.0 * step)
-    return grad
+        rows.append((np.asarray(f(zp)) - np.asarray(f(zm))) / (2.0 * step))
+    return np.array(rows)
 
 
 def _pairing(scale: float, gf: np.ndarray, gg: np.ndarray) -> float:
@@ -127,32 +130,31 @@ def poisson_bracket(
     )
 
 
-def commutativity_matrix(
-    datum: RootDatum,
-    family: str,
-    point,
-    step: float = BRACKET_STEP,
-    richardson: bool = True,
-) -> np.ndarray:
+def commutativity_matrix(datum: RootDatum, family: str, point) -> np.ndarray:
     """Normalized |{H_j, H_k}| over all pairs of one family.
 
     Entry (j, k) is |{H_j+1, H_k+1}| / (|grad H_j+1| |grad H_k+1|) so the
     integrability certificate is scale-free; the diagonal is exactly zero.
+    One stencil differentiates the whole vector (H_1, ..., H_n) into a
+    Jacobian J (rows H_k, columns (p, q)); the brackets are the pairing
+    J_q J_p^T - J_p J_q^T, Richardson-extrapolated over steps h and h/2.
     """
+    family = ObservableHandle(family, 1, datum.algebra).family
     n = datum.algebra.rank
-    handles = [ObservableHandle(family, k, datum.algebra) for k in range(1, n + 1)]
-    funcs = [observable_function(datum, h) for h in handles]
+    if family == "toda":
+        vector = lambda z: toda_hamiltonians(datum, TodaPoint(q=z[n:], p=z[:n]))
+    else:
+        vector = lambda z: goldfish_hamiltonians(datum, GoldfishPoint(qhat=z[n:], phat=z[:n]))
     z = flatten_point(point)
-    grads = [_gradient(fn, z, step) for fn in funcs]
-    halves = [_gradient(fn, z, step / 2.0) for fn in funcs] if richardson else grads
-    norms = [max(float(np.linalg.norm(gr)), 1.0e-300) for gr in grads]
     s = float(symplectic_scale(datum))
 
-    out = np.zeros((n, n))
-    for j in range(n):
-        for k in range(j + 1, n):
-            value = _pairing(s, grads[j], grads[k])
-            if richardson:
-                value = (4.0 * _pairing(s, halves[j], halves[k]) - value) / 3.0
-            out[j, k] = out[k, j] = abs(value) / (norms[j] * norms[k])
+    def pairings(step: float):
+        J = _gradient(vector, z, step).T
+        return J, (J[:, n:] @ J[:, :n].T - J[:, :n] @ J[:, n:].T) / s
+
+    J, value = pairings(BRACKET_STEP)
+    _, half = pairings(BRACKET_STEP / 2.0)
+    norms = np.maximum(np.linalg.norm(J, axis=1), 1.0e-300)
+    out = np.abs(4.0 * half - value) / 3.0 / np.outer(norms, norms)
+    np.fill_diagonal(out, 0.0)
     return out

@@ -109,16 +109,10 @@ def quadratic_index(datum: RootDatum) -> int:
     return 1
 
 
-def toda_hamiltonians(datum: RootDatum, point: TodaPoint, kmax: int | None = None) -> np.ndarray:
-    """Trace-power Hamiltonians (H_1, ..., H_kmax); kmax defaults to the rank."""
-    n = datum.algebra.rank
-    kmax = n if kmax is None else int(kmax)
-    if not 1 <= kmax <= n:
-        raise ValidationError(f"kmax must lie in 1..{n}, got {kmax}")
-    X = build_lax(datum, point)
-    fam = datum.algebra.family
+def _trace_hamiltonians(datum: RootDatum, X: np.ndarray, kmax: int) -> np.ndarray:
+    """Trace powers (H_1, ..., H_kmax) of an already built Lax matrix X."""
     values = np.empty(kmax)
-    if fam == "A":
+    if datum.algebra.family == "A":
         P = X.copy()
         values[0] = np.trace(P)
         for k in range(2, kmax + 1):
@@ -132,6 +126,15 @@ def toda_hamiltonians(datum: RootDatum, point: TodaPoint, kmax: int | None = Non
             P = P @ X2
             values[k - 1] = np.trace(P) / (4.0 * k)
     return values
+
+
+def toda_hamiltonians(datum: RootDatum, point: TodaPoint, kmax: int | None = None) -> np.ndarray:
+    """Trace-power Hamiltonians (H_1, ..., H_kmax); kmax defaults to the rank."""
+    n = datum.algebra.rank
+    kmax = n if kmax is None else int(kmax)
+    if not 1 <= kmax <= n:
+        raise ValidationError(f"kmax must lie in 1..{n}, got {kmax}")
+    return _trace_hamiltonians(datum, build_lax(datum, point), kmax)
 
 
 def toda_hamiltonian(datum: RootDatum, point: TodaPoint, k: int) -> float:

@@ -22,7 +22,12 @@ from .duality import (
     toda_to_goldfish,
     verify_duality_identities,
 )
-from .errors import DualityResidualError, NonGenericPointError, OracleMismatchError
+from .errors import (
+    DualityResidualError,
+    NonGenericPointError,
+    OracleMismatchError,
+    SingularMatrixError,
+)
 from .goldfish import a_from_p, d_h1_pairsum_variant, goldfish_hamiltonians
 from .moser import build_moser_g, minor_oracle_mk, moser_momentum_residual
 from .poisson import commutativity_matrix
@@ -95,7 +100,8 @@ def _point_notes(skipped: list, broken: list) -> str:
     below the pole tolerance) are a legitimate sampler outcome at larger
     ranks; they are reported but do not fail the property unless nothing
     is left to certify.  Residual failures mean a map ran and missed its own
-    consistency gates; those always fail the property.
+    consistency gates or met a numerically singular matrix; those always
+    fail the property.
     """
     parts = []
     if skipped:
@@ -162,7 +168,7 @@ def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 2
         pt = sample_toda(datum, _rng(seed, name, j))
         try:
             worst = max(worst, verify_duality_identities(datum, pt).max_relative_mismatch)
-        except DualityResidualError as exc:
+        except (DualityResidualError, SingularMatrixError) as exc:
             broken.append((j, str(exc)))
         except NonGenericPointError as exc:
             skipped.append((j, str(exc)))
@@ -177,7 +183,7 @@ def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 2
         pt = sample_toda(datum, _rng(seed, name, j))
         try:
             back = goldfish_to_toda(datum, toda_to_goldfish(datum, pt))
-        except DualityResidualError as exc:
+        except (DualityResidualError, SingularMatrixError) as exc:
             broken.append((j, str(exc)))
             continue
         except NonGenericPointError as exc:
@@ -233,7 +239,7 @@ def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 2
         pt = sample_toda(datum, _rng(seed, name, j))
         try:
             residual, sigma = symplectomorphism_check(datum, pt)
-        except DualityResidualError as exc:
+        except (DualityResidualError, SingularMatrixError) as exc:
             broken.append((j, str(exc)))
             continue
         except NonGenericPointError as exc:

@@ -6,9 +6,12 @@ import pytest
 from todadual.errors import ValidationError
 from todadual.goldfish import GoldfishPoint
 from todadual.poisson import (
+    BRACKET_STEP,
     ObservableHandle,
+    _gradient,
     commutativity_matrix,
     flatten_point,
+    observable_function,
     observable_value,
     poisson_bracket,
     poisson_bracket_functions,
@@ -110,6 +113,29 @@ def test_dual_hamiltonians_commute():
         gp = sample_goldfish(datum, spawn_rng(43, 100 + n))
         M = commutativity_matrix(datum, "goldfish", gp)
         assert M.max() < 1e-6, f"{fam}{n}: {M.max():.3e}"
+
+
+def test_commutativity_matrix_matches_pairwise_brackets():
+    # the one-stencil Jacobian pairing reproduces every normalized bracket
+    for fam, n in [("A", 3), ("B", 2), ("C", 3), ("D", 3)]:
+        datum = build_root_datum(AlgebraType(fam, n))
+        points = {
+            "toda": sample_toda(datum, spawn_rng(47, n)),
+            "goldfish": sample_goldfish(datum, spawn_rng(47, 100 + n)),
+        }
+        for family, point in points.items():
+            handles = [ObservableHandle(family, k, datum.algebra) for k in range(1, n + 1)]
+            z = flatten_point(point)
+            norms = [
+                np.linalg.norm(_gradient(observable_function(datum, h), z, BRACKET_STEP))
+                for h in handles
+            ]
+            M = commutativity_matrix(datum, family, point)
+            for j in range(n):
+                for k in range(n):
+                    bracket = poisson_bracket(datum, handles[j], handles[k], point, richardson=True)
+                    want = abs(bracket) / (norms[j] * norms[k])
+                    assert abs(M[j, k] - want) < 1e-12, f"{fam}{n} {family} ({j}, {k})"
 
 
 def test_richardson_tightens_bracket():

@@ -76,3 +76,13 @@ def test_rank_cap_warning_present_beyond_cap():
     datum = build_root_datum(AlgebraType("A", RANK_CAP + 1))
     report = run_suite(datum, seed=7, npoints=1, flow_steps=10)
     assert "rank_cap_warning" in report["header"]
+
+
+def test_singular_iwasawa_split_is_a_residual_failure():
+    # at B8 seed 0 the inverse map of round-trip point 2 meets a numerically
+    # singular Iwasawa split; the suite must still return a report naming it
+    datum = build_root_datum(AlgebraType("B", 8))
+    report = run_suite(datum, seed=0, npoints=3, flow_steps=2)
+    record = next(r for r in report["properties"] if r["property"] == "round-trip")
+    assert not record["passed"]
+    assert "2: matrix numerically singular" in record["note"]
