@@ -20,7 +20,7 @@ from .errors import (
     StepFailureError,
 )
 from .rootsys import AlgebraType, RootDatum, FAMILIES, build_root_datum, matrix_size, cartan_pattern
-from .linalg import structured_diagonalize, lower_triangularize, iwasawa, bottom_right_minor
+from .linalg import structured_diagonalize, lower_triangularize, iwasawa
 from .moser import (
     MoserPoint,
     RuijsenaarsMatrixSpec,
@@ -92,7 +92,6 @@ __all__ = [
     "structured_diagonalize",
     "lower_triangularize",
     "iwasawa",
-    "bottom_right_minor",
     "MoserPoint",
     "RuijsenaarsMatrixSpec",
     "build_ruijsenaars_matrix",

@@ -11,10 +11,10 @@ toda_to_goldfish diagonalizes X by a unitary group element k and
 transports g into that frame.  The unipotent upper factor separating the
 transported element from the Moser gauge leaves its bottom row alone, so
 ahat is read off that row through its closed form, and the momentum
-equation pins everything else.  goldfish_to_toda runs the Iwasawa split
-of the Moser group element the other way.  Both directions verify their
-defining residuals and raise DualityResidualError instead of returning
-drifted coordinates.
+equation pins everything else.  goldfish_to_toda reads (q, p) back from
+one QR of the bottom rows of the Moser element.  Both directions verify
+their defining residuals and raise DualityResidualError instead of
+returning drifted coordinates.
 
 Two families of invariant functions certify the map: the trailing
 principal minors of g g^dagger (trivial in the Toda gauge, the dual
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DualityResidualError
 from .goldfish import GoldfishPoint, a_from_p, goldfish_hamiltonians, p_from_a
-from .linalg import iwasawa, structured_diagonalize
+from .linalg import bottom_row_qr, structured_diagonalize
 from .moser import (
     MoserPoint,
     build_moser_g,
@@ -123,42 +123,28 @@ def toda_to_goldfish(datum: RootDatum, point: TodaPoint) -> GoldfishPoint:
 def goldfish_to_toda(datum: RootDatum, point: GoldfishPoint) -> TodaPoint:
     """Toda-gauge representative of a dual-system point.
 
-    The Iwasawa split of the Moser group element supplies the positive
-    diagonal (hence q), and conjugating the diagonal X by the compact
-    factor must land exactly on the Lax form (hence p); any leftover is a
-    DualityResidualError.
+    An upper unipotent factor leaves the trailing minors J_k of g g^dagger
+    alone, so the thin QR of the bottom n rows of the Moser element g fixes
+    both tail sums: of pattern(q), half of log J_k = sum_{i<k} log|R_ii|;
+    of pattern(p), its derivative along Xhat, sum_{i<k} psi_i.  The rebuilt
+    Lax spectrum must match pattern(qhat) within DUALITY_RTOL, else
+    DualityResidualError; a zero R_ii raises SingularMatrixError.
     """
     mp = a_from_p(datum, point)
     g = build_moser_g(datum, mp)
-    _, afactor, kfactor = iwasawa(datum, g)
+    order, Q, r = bottom_row_qr(g, datum.algebra.rank)
+    xhat = cartan_pattern(datum, mp.qhat)
+    psi = xhat[order] @ np.abs(Q) ** 2
+    if datum.algebra.family == "A":
+        recovered = TodaPoint(q=np.log(r)[::-1], p=psi[::-1])
+    else:
+        recovered = TodaPoint(q=-np.log(r), p=-psi)
 
-    n = datum.algebra.rank
-    adiag = np.real(np.diagonal(afactor))
-    q = np.log(adiag[:n])
-    pattern_gap = np.max(np.abs(adiag - np.exp(cartan_pattern(datum, q))))
-    if pattern_gap > DUALITY_RTOL * max(1.0, float(np.max(adiag))):
-        raise DualityResidualError(
-            f"Iwasawa diagonal breaks the torus pattern by {pattern_gap:.3e}"
-        )
-
-    Xhat = np.diag(cartan_pattern(datum, mp.qhat)).astype(complex)
-    Xt = kfactor @ Xhat @ kfactor.conj().T
-    scale = max(1.0, float(np.linalg.norm(Xhat, "fro")))
-    if np.linalg.norm(Xt.imag, "fro") > DUALITY_RTOL * scale:
-        raise DualityResidualError("transported Lax matrix is not real")
-    Xr = (Xt.real + Xt.real.T) / 2.0
-
-    # Cartan components through the trace pairing Tr(X h_i) / Tr(h_i h_i).
-    h = datum.cartan
-    num = np.einsum("aij,ji->a", h, Xr)
-    den = np.einsum("aij,aji->a", h, h)
-    p = num / den
-
-    recovered = TodaPoint(q=q, p=p)
-    Xlax = build_lax(datum, recovered)
-    gap = np.linalg.norm(Xr - Xlax, "fro") / scale
+    spectrum = np.linalg.eigvalsh(build_lax(datum, recovered))
+    scale = max(1.0, float(np.max(np.abs(xhat))))
+    gap = float(np.max(np.abs(spectrum - np.sort(xhat)))) / scale
     if gap > DUALITY_RTOL:
-        raise DualityResidualError(f"transported X misses the Lax form by {gap:.3e}")
+        raise DualityResidualError(f"rebuilt Lax spectrum misses pattern(qhat) by {gap:.3e}")
     return recovered
 
 

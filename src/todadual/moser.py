@@ -27,7 +27,7 @@ from .errors import (
     SingularConfigurationError,
     ValidationError,
 )
-from .linalg import extended_solve
+from .linalg import bottom_row_qr, extended_solve
 from .rootsys import RootDatum, cartan_pattern
 
 # Nodes closer than this (absolute, inputs O(1)) count as a pole.
@@ -219,9 +219,10 @@ def moser_momentum_residual(datum: RootDatum, mp: MoserPoint) -> float:
 def minor_oracle_mk(datum: RootDatum, g: np.ndarray, k: int, rtol: float = ORACLE_RTOL) -> float:
     """Bottom-right k x k principal minor of g g^dagger, checked two ways.
 
-    Route one: direct determinant of the Gram block.  Route two: sum of
-    squared moduli of all k-column minors of the bottom k rows of g
-    (Cauchy-Binet).  Disagreement beyond rtol raises OracleMismatchError.
+    Route one: prod |R_ii|^2 from linalg.bottom_row_qr, accurate where a
+    double-precision Gram determinant is not.  Route two: sum of squared
+    moduli of all k-column minors of the bottom k rows of g (Cauchy-Binet).
+    Disagreement beyond rtol raises OracleMismatchError.
     """
     g = np.asarray(g)
     N = datum.size
@@ -230,8 +231,8 @@ def minor_oracle_mk(datum: RootDatum, g: np.ndarray, k: int, rtol: float = ORACL
     if not 1 <= k <= datum.algebra.rank:
         raise ValidationError(f"k must lie in 1..{datum.algebra.rank}, got {k}")
 
-    gram = g @ np.conj(g.T)
-    direct = np.linalg.det(gram[N - k :, N - k :].astype(complex)).real
+    _, _, r = bottom_row_qr(g, k)
+    via_qr = float(np.prod(r**2))
 
     rows = g[N - k :, :]
     subsets = np.array(list(itertools.combinations(range(N), k)))
@@ -239,12 +240,12 @@ def minor_oracle_mk(datum: RootDatum, g: np.ndarray, k: int, rtol: float = ORACL
     dets = np.linalg.det(np.ascontiguousarray(blocks.transpose(1, 0, 2)).astype(complex))
     expanded = float(np.sum(np.abs(dets) ** 2))
 
-    denom = max(abs(direct), abs(expanded), 1.0e-300)
-    if abs(direct - expanded) > rtol * denom:
+    denom = max(abs(via_qr), abs(expanded), 1.0e-300)
+    if abs(via_qr - expanded) > rtol * denom:
         raise OracleMismatchError(
-            f"minor routes disagree at k={k}: {float(direct):.17g} vs {expanded:.17g}"
+            f"minor routes disagree at k={k}: {via_qr:.17g} vs {expanded:.17g}"
         )
-    return float(direct)
+    return via_qr
 
 
 def ruijsenaars_spec_for(datum: RootDatum, point: MoserPoint):

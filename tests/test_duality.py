@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import todadual.duality
 from todadual.duality import (
     duality_jacobian,
     goldfish_to_toda,
@@ -13,9 +14,10 @@ from todadual.duality import (
     toda_to_moser,
     verify_duality_identities,
 )
-from todadual.errors import DegenerateSpectrumError
-from todadual.goldfish import goldfish_hamiltonians
-from todadual.linalg import lower_triangularize, structured_diagonalize
+from todadual.errors import DegenerateSpectrumError, DualityResidualError
+from todadual.goldfish import a_from_p, goldfish_hamiltonians
+from todadual.linalg import iwasawa, lower_triangularize, structured_diagonalize
+from todadual.moser import build_moser_g
 from todadual.rootsys import AlgebraType, build_root_datum, cartan_pattern
 from todadual.sampling import sample_goldfish, sample_toda, spawn_rng
 from todadual.toda import TodaPoint, build_lax, toda_hamiltonians
@@ -68,11 +70,44 @@ def test_moser_representative_is_canonical():
 
 
 def test_high_rank_draws_map_forward():
-    # well-separated spectra whose Moser elements are badly conditioned
+    # well-separated spectra whose Moser elements are badly conditioned;
+    # the bottom-row QR maps every one of them back within the budget
     for fam, n in [("B", 7), ("D", 8)]:
         datum = build_root_datum(AlgebraType(fam, n))
         for j in range(40):
-            toda_to_moser(datum, sample_toda(datum, spawn_rng(0, j)))
+            point = sample_toda(datum, spawn_rng(0, j))
+            back = goldfish_to_toda(datum, toda_to_goldfish(datum, point))
+            err = max(np.max(np.abs(back.q - point.q)), np.max(np.abs(back.p - point.p)))
+            assert err < 1e-7, f"{fam}{n} draw {j} round trip error {err:.3e}"
+
+
+def test_inverse_positions_match_iwasawa_diagonal():
+    # q from the bottom-row QR against the a factor of the full Iwasawa split
+    for fam, n in ALGEBRAS:
+        datum = build_root_datum(AlgebraType(fam, n))
+        for j in range(4):
+            gp = sample_goldfish(datum, spawn_rng(5, 10 * n + j))
+            _, afactor, _ = iwasawa(datum, build_moser_g(datum, a_from_p(datum, gp)))
+            want = np.log(np.real(np.diagonal(afactor))[:n])
+            gap = np.max(np.abs(goldfish_to_toda(datum, gp).q - want))
+            assert gap < 1e-10, f"{fam}{n} q gap {gap:.3e}"
+
+
+def test_inverse_map_rejects_a_perturbed_bottom_row(monkeypatch):
+    # row N-2 off by 1e-6 moves q and so the rebuilt Lax spectrum
+    def perturbed(datum, mp):
+        g = build_moser_g(datum, mp)
+        g[datum.size - 2] *= 1.0 + 1.0e-6
+        return g
+
+    for fam, n in [("A", 3), ("B", 2), ("C", 3), ("D", 3)]:
+        datum = build_root_datum(AlgebraType(fam, n))
+        gp = toda_to_goldfish(datum, sample_toda(datum, spawn_rng(3, n)))
+        goldfish_to_toda(datum, gp)
+        with monkeypatch.context() as patch:
+            patch.setattr(todadual.duality, "build_moser_g", perturbed)
+            with pytest.raises(DualityResidualError, match="rebuilt Lax spectrum"):
+                goldfish_to_toda(datum, gp)
 
 
 def test_round_trip_all_families():

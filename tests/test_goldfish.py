@@ -1,4 +1,6 @@
-"""Closed-form dual Hamiltonians against the Gram-minor oracle."""
+"""Closed-form dual Hamiltonians against the QR/Cauchy-Binet minor oracle."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -112,6 +114,17 @@ def test_closed_forms_match_minor_oracle():
                 oracle = minor_oracle_mk(datum, g, k)
                 closed = goldfish_hamiltonian(datum, gp, k)
                 assert abs(closed - oracle) < 1e-8 * max(1.0, abs(oracle))
+    # rank-8 draws of the seed-0 verify property, whose Gram blocks are so
+    # ill-conditioned that a double-precision determinant loses 8 digits
+    for fam in ("B", "C", "D"):
+        datum = build_root_datum(AlgebraType(fam, 8))
+        for j in range(2):
+            gp = sample_goldfish(datum, spawn_rng(0, 2000 + j))
+            g = build_moser_g(datum, a_from_p(datum, gp))
+            values = goldfish_hamiltonians(datum, gp)
+            for k in range(1, 9):
+                oracle = minor_oracle_mk(datum, g, k)
+                assert abs(values[k - 1] - oracle) < 1e-8 * oracle, f"{fam}8 draw {j} k={k}"
 
 
 def test_d_pairsum_variant_disagrees_at_rank_three():
@@ -140,6 +153,36 @@ def test_signed_form_vs_modulus_form():
         modulus = goldfish_hamiltonian(datum, gp, k)
         assert abs(signed) <= modulus * (1 + 1e-12)
         assert abs(signed - modulus) > 1e-12  # genuinely different values
+
+
+def _cross_product_sum(q, p, k, factor):
+    """sum_{|I|=k} exp(2 sum_I p) prod_{i in I, j notin I} factor(q_i - q_j), term by term."""
+    total = 0.0
+    for I in itertools.combinations(range(q.size), k):
+        term = float(np.exp(2.0 * sum(p[i] for i in I)))
+        for i in I:
+            for j in range(q.size):
+                if j not in I:
+                    term *= factor(q[i] - q[j])
+        total += term
+    return total
+
+
+def test_subset_sums_match_term_by_term_loops():
+    # the masked sign/log product against the plain loop; rounding differs,
+    # so the bound is relative to the sum of the moduli of the terms
+    rng = np.random.default_rng(3)
+    for n in range(1, 7):
+        for _ in range(5):
+            q, p, nu = rng.normal(size=n), rng.normal(size=n), 10.0 ** rng.uniform(-1.0, 3.0)
+            gp = GoldfishPoint(qhat=q, phat=p)
+            for k in range(1, n + 1):
+                signed = _cross_product_sum(q, p, k, lambda d: 1.0 / d)
+                scale = _cross_product_sum(q, p, k, lambda d: 1.0 / abs(d))
+                assert abs(goldfish_hamiltonian_signed_A(gp, k) - signed) < 1e-12 * scale
+                rs = _cross_product_sum(q, p, k, lambda d: (d + nu) / d)
+                scale = _cross_product_sum(q, p, k, lambda d: abs((d + nu) / d))
+                assert abs(rs_hamiltonian_A(gp, RSCoupling(nu=nu), k) - rs) < 1e-12 * scale
 
 
 def test_rs_hamiltonian_strong_coupling_limit():

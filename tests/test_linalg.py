@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from todadual.errors import DegenerateSpectrumError, DualityResidualError, GaussCellError, ValidationError
+from todadual.errors import DegenerateSpectrumError, DualityResidualError, GaussCellError
 from todadual.linalg import (
-    bottom_right_minor,
-    determinant,
     extended_solve,
     iwasawa,
     lower_triangularize,
@@ -17,18 +15,6 @@ from todadual.sampling import sample_toda, spawn_rng
 from todadual.toda import build_lax
 
 ALGEBRAS = [("A", 3), ("A", 5), ("B", 2), ("B", 4), ("C", 3), ("D", 3), ("D", 4)]
-
-
-def test_determinant_basic():
-    assert abs(determinant(np.diag([2.0, 3.0])) - 6.0) < 1e-14
-    with pytest.raises(ValidationError):
-        determinant(np.ones((2, 3)))
-
-
-def test_bottom_right_minor():
-    M = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert abs(bottom_right_minor(M, 1) - 4.0) < 1e-15
-    assert abs(bottom_right_minor(M, 2) - (-2.0)) < 1e-14
 
 
 def test_extended_solve_matches_lapack():

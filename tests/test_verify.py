@@ -2,6 +2,8 @@
 
 import numpy as np
 
+import todadual.verify
+from todadual.errors import SingularMatrixError
 from todadual.rootsys import AlgebraType, build_root_datum
 from todadual.verify import RANK_CAP, SLOTS, TOLERANCES, run_suite
 
@@ -78,11 +80,15 @@ def test_rank_cap_warning_present_beyond_cap():
     assert "rank_cap_warning" in report["header"]
 
 
-def test_singular_iwasawa_split_is_a_residual_failure():
-    # at B8 seed 0 the inverse map of round-trip point 2 meets a numerically
-    # singular Iwasawa split; the suite must still return a report naming it
-    datum = build_root_datum(AlgebraType("B", 8))
-    report = run_suite(datum, seed=0, npoints=3, flow_steps=2)
+def test_singular_matrix_is_a_residual_failure(monkeypatch):
+    # a numerically singular matrix met by a map fails the property and is
+    # named with its point index; it is not a skip, and the report is written
+    def singular(datum, point):
+        raise SingularMatrixError("zero diagonal entry in the bottom-row QR")
+
+    monkeypatch.setattr(todadual.verify, "goldfish_to_toda", singular)
+    report = run_suite(build_root_datum(AlgebraType("C", 2)), seed=0, npoints=3, flow_steps=2)
     record = next(r for r in report["properties"] if r["property"] == "round-trip")
     assert not record["passed"]
-    assert "2: matrix numerically singular" in record["note"]
+    assert "3 residual failure(s)" in record["note"]
+    assert "2: zero diagonal entry" in record["note"]
