@@ -132,9 +132,9 @@ def goldfish_to_toda(datum: RootDatum, point: GoldfishPoint) -> TodaPoint:
     """
     mp = a_from_p(datum, point)
     g = build_moser_g(datum, mp)
-    order, Q, r = bottom_row_qr(g, datum.algebra.rank)
+    Q, r = bottom_row_qr(g, datum.algebra.rank)
     xhat = cartan_pattern(datum, mp.qhat)
-    psi = xhat[order] @ np.abs(Q) ** 2
+    psi = xhat @ np.abs(Q) ** 2
     if datum.algebra.family == "A":
         recovered = TodaPoint(q=np.log(r)[::-1], p=psi[::-1])
     else:

@@ -204,11 +204,14 @@ def goldfish_hamiltonian(datum: RootDatum, point: GoldfishPoint, k: int) -> floa
 def _cross_products(F: np.ndarray, k: int):
     """(masks, sign, log|prod_{i in S, j not in S} F[i, j]|) over the k-subsets S.
 
-    The diagonal of F never enters a product but must be finite and nonzero.
+    A product with a zero factor has log-modulus -inf; the diagonal of F
+    never enters a product but must be finite.
     """
     S = _subset_masks(F.shape[0], k)
     out = 1.0 - S
-    logabs = ((S @ np.log(np.abs(F))) * out).sum(axis=1)
+    zero = F == 0.0
+    logabs = ((S @ np.log(np.where(zero, 1.0, np.abs(F)))) * out).sum(axis=1)
+    logabs[((S @ zero) * out).sum(axis=1) > 0.0] = -np.inf
     flips = ((S @ (F < 0.0)) * out).sum(axis=1)
     return S, 1.0 - 2.0 * (np.rint(flips) % 2.0), logabs
 

@@ -243,13 +243,16 @@ def bottom_row_qr(g, k: int):
     g g^dagger has determinant prod_{i<j} |R_ii|^2.  Rows of M spanning
     many decades are sorted largest modulus first, which keeps Householder
     QR row-wise stable (Cox & Higham 1998); unsorted, the inverse duality
-    map fails on 3 of 40 seed-0 draws at C10.  Returns (order, Q, r) with
-    M[order] = Q R and r = |diag R|; a zero r_i raises SingularMatrixError.
+    map fails on 3 of 40 seed-0 draws at C10.  Returns (Q, r) with M = Q R
+    in the original row order and r = |diag R|; a zero r_i raises
+    SingularMatrixError.
     """
     M = np.asarray(g)[::-1][:k].conj().T
     order = np.argsort(-np.max(np.abs(M), axis=1), kind="stable")
-    Q, R = scipy.linalg.qr(M[order], mode="economic")
+    Qs, R = scipy.linalg.qr(M[order], mode="economic")
     r = np.abs(np.diagonal(R))
     if np.any(r == 0.0):
         raise SingularMatrixError("zero diagonal entry in the bottom-row QR")
-    return order, Q, r
+    Q = np.empty_like(Qs)
+    Q[order] = Qs
+    return Q, r

@@ -231,7 +231,7 @@ def minor_oracle_mk(datum: RootDatum, g: np.ndarray, k: int, rtol: float = ORACL
     if not 1 <= k <= datum.algebra.rank:
         raise ValidationError(f"k must lie in 1..{datum.algebra.rank}, got {k}")
 
-    _, _, r = bottom_row_qr(g, k)
+    _, r = bottom_row_qr(g, k)
     via_qr = float(np.prod(r**2))
 
     rows = g[N - k :, :]

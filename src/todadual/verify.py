@@ -142,7 +142,7 @@ def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 2
         try:
             for k in range(1, n + 1):
                 worst = max(worst, _relative_gap(values[k - 1], minor_oracle_mk(datum, g, k)))
-        except OracleMismatchError as exc:
+        except (OracleMismatchError, SingularMatrixError) as exc:
             worst = float("inf")
             note = f"point {j}: {exc}"
             break

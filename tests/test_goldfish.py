@@ -203,6 +203,17 @@ def test_rs_hamiltonian_top_is_coupling_free():
         assert abs(rs_hamiltonian_A(gp, RSCoupling(nu=nu), 2) - top) < 1e-14
 
 
+def test_rs_hamiltonian_with_positions_spaced_by_the_coupling():
+    # q_j - q_i = nu makes a cross factor exactly zero: those terms vanish
+    # and the top value stays exp(2 sum p), with no log(0) on the way
+    q, p = np.array([0.0, 1.0, 2.0]), np.array([0.3, -0.2, 0.1])
+    gp = GoldfishPoint(qhat=q, phat=p)
+    for k in range(1, 4):
+        rs = _cross_product_sum(q, p, k, lambda d: (d + 1.0) / d)
+        assert abs(rs_hamiltonian_A(gp, RSCoupling(nu=1.0), k) - rs) < 1e-14 * max(1.0, rs)
+    assert rs_hamiltonian_A(gp, RSCoupling(nu=1.0), 3) == pytest.approx(np.exp(2 * p.sum()), rel=1e-15)
+
+
 def test_rs_hamiltonian_rejects_collisions():
     gp = GoldfishPoint(qhat=[0.5, 0.5], phat=[0.0, 0.0])
     with pytest.raises(SingularConfigurationError):

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from todadual.errors import DegenerateSpectrumError, DualityResidualError, GaussCellError
+from todadual.errors import (
+    DegenerateSpectrumError,
+    DualityResidualError,
+    GaussCellError,
+    SingularMatrixError,
+)
 from todadual.linalg import (
+    bottom_row_qr,
     extended_solve,
     iwasawa,
     lower_triangularize,
@@ -24,6 +30,24 @@ def test_extended_solve_matches_lapack():
         B = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
         X = extended_solve(A, B).astype(complex)
         assert np.linalg.norm(A @ X - B) < 1e-12 * np.linalg.norm(B)
+
+
+def test_bottom_row_qr_factors_in_the_original_row_order():
+    # rows spanning many decades are sorted inside the helper; Q comes back
+    # in the row order of M = g[::-1][:k]^dagger, so M = Q (Q^dagger M)
+    rng = np.random.default_rng(7)
+    g = rng.normal(size=(6, 6)) * 10.0 ** rng.uniform(-6.0, 6.0, size=(6, 1))
+    for k in (1, 3, 6):
+        M = g[::-1][:k].T
+        Q, r = bottom_row_qr(g, k)
+        R = Q.conj().T @ M
+        assert np.allclose(Q.conj().T @ Q, np.eye(k), atol=1e-12)
+        assert np.allclose(np.tril(R, -1), 0.0, atol=1e-9 * np.abs(R).max())
+        assert np.allclose(np.abs(np.diag(R)), r, rtol=1e-10)
+        assert np.allclose(Q @ R, M, atol=1e-12 * np.abs(M).max())
+    g[-1] = 0.0
+    with pytest.raises(SingularMatrixError):
+        bottom_row_qr(g, 2)
 
 
 def test_structured_diagonalize_conjugates_to_pattern():

@@ -92,3 +92,16 @@ def test_singular_matrix_is_a_residual_failure(monkeypatch):
     assert not record["passed"]
     assert "3 residual failure(s)" in record["note"]
     assert "2: zero diagonal entry" in record["note"]
+
+
+def test_singular_minor_oracle_is_a_reported_failure(monkeypatch):
+    # a zero pivot in the oracle's bottom-row QR fails closed-form-vs-minor-
+    # oracle with the point index; run_suite still returns its report
+    def singular(datum, g, k):
+        raise SingularMatrixError("zero diagonal entry in the bottom-row QR")
+
+    monkeypatch.setattr(todadual.verify, "minor_oracle_mk", singular)
+    report = run_suite(build_root_datum(AlgebraType("C", 2)), seed=0, npoints=3, flow_steps=2)
+    record = next(r for r in report["properties"] if r["property"] == "closed-form-vs-minor-oracle")
+    assert not record["passed"]
+    assert "point 0: zero diagonal entry" in record["note"]
