@@ -31,6 +31,7 @@ from .rootsys import FAMILIES, AlgebraType, RootDatum, build_root_datum
 from .sampling import sample_flow_toda, sample_toda, spawn_rng
 from .toda import (
     TodaPoint,
+    _lax,
     _trace_hamiltonians,
     build_lax,
     integrate_flow,
@@ -129,9 +130,10 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _datum_for(args) -> RootDatum:
+def _datum_for(args, enumerates_minors: bool = False) -> RootDatum:
+    """Root datum of --type/--rank; warns above RANK_CAP for commands that enumerate minors."""
     datum = build_root_datum(AlgebraType(args.type, args.rank))
-    if args.rank > RANK_CAP:
+    if enumerates_minors and args.rank > RANK_CAP:
         print(
             f"warning: rank {args.rank} exceeds the desk-scale bound {RANK_CAP}; "
             "minor enumeration cost grows combinatorially",
@@ -200,7 +202,7 @@ def cmd_lax(args) -> tuple[int, str]:
 
 def cmd_verify(args) -> tuple[int, str]:
     _require_format(args, ("json",), "verify")
-    datum = _datum_for(args)
+    datum = _datum_for(args, enumerates_minors=True)
     seed = _resolve_seed(args)
     report = run_suite(datum, seed, npoints=args.points, flow_steps=args.flow_steps)
     report["header"] = {
@@ -215,7 +217,7 @@ def cmd_verify(args) -> tuple[int, str]:
 
 def cmd_dual_map(args) -> tuple[int, str]:
     _require_format(args, ("json",), "dual-map")
-    datum = _datum_for(args)
+    datum = _datum_for(args, enumerates_minors=True)
     point, seed = _toda_point(args, datum)
     kmax = args.kmax if args.kmax is not None else datum.algebra.rank
     gp = toda_to_goldfish(datum, point)
@@ -252,6 +254,15 @@ def cmd_integrate(args) -> tuple[int, str]:
     n = datum.algebra.rank
     k = args.hamiltonian if args.hamiltonian is not None else quadratic_index(datum)
     traj = integrate_flow(datum, point, k, args.dt, args.steps)
+    X, _ = _lax(datum, traj[:, :n], traj[:, n:])
+    table = np.column_stack(
+        [
+            np.arange(args.steps + 1) * args.dt,
+            traj,
+            _trace_hamiltonians(datum, X, n),
+            np.linalg.eigvalsh(X)[:, ::-1],  # descending, chamber order
+        ]
+    )
     sep = "," if args.format == "csv" else "\t"
     names = (
         ["t"]
@@ -260,17 +271,8 @@ def cmd_integrate(args) -> tuple[int, str]:
         + [f"H{i}" for i in range(1, n + 1)]
         + [f"lam{i}" for i in range(1, datum.size + 1)]
     )
-    lines = [sep.join(names)]
-    for step, row in enumerate(traj):
-        pt = TodaPoint(q=row[:n], p=row[n:])
-        X = build_lax(datum, pt)
-        hs = _trace_hamiltonians(datum, X, n)
-        lam = np.linalg.eigvalsh(X)[::-1]  # descending, chamber order
-        cells = [_fmt(step * args.dt)]
-        cells += [_fmt(v) for v in row]
-        cells += [_fmt(v) for v in hs]
-        cells += [_fmt(v) for v in lam]
-        lines.append(sep.join(cells))
+    row = sep.join(["%.17g"] * len(names))  # _fmt's format for every cell
+    lines = [sep.join(names)] + [row % tuple(cells) for cells in table.tolist()]
     return EXIT_OK, "\n".join(lines) + "\n"
 
 

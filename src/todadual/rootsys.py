@@ -73,9 +73,18 @@ class RootDatum:
         Diagonal Cartan generators h_1..h_n.
     raising, lowering : ndarray (num_roots, N, N)
         Simple root vectors e_alpha and e_{-alpha}, in the simple-root order.
-    root_sums : ndarray (num_roots, N, N)
-        raising + lowering: the symmetric combinations e_alpha + e_{-alpha}
-        the Lax matrix is built from.
+    cartan_rows : ndarray (rank, N)
+        Row i is the diagonal of h_i, so sum_i v_i h_i has diagonal
+        v @ cartan_rows.
+    root_flat, root_flat_t, root_index : ndarray (m,) of int
+        Index tables of the m nonzero entries of the symmetric combinations
+        e_alpha + e_{-alpha}: entry (i, j) of root root_index sits at flat
+        position root_flat = i * N + j, its transpose at root_flat_t =
+        j * N + i.  The scatter kernel toda._lax builds the Lax matrix by
+        writing the root weights to root_flat; the exact gradient gathers
+        G at root_flat_t.
+    root_sign : ndarray (m,)
+        The +/-1 value of each such entry.
     momentum : ndarray (N, N)
         Sum of the lowering vectors; strictly lower triangular.
     alpha_coeffs : ndarray (num_roots, rank)
@@ -89,7 +98,11 @@ class RootDatum:
     cartan: np.ndarray
     raising: np.ndarray
     lowering: np.ndarray
-    root_sums: np.ndarray
+    cartan_rows: np.ndarray
+    root_flat: np.ndarray
+    root_flat_t: np.ndarray
+    root_index: np.ndarray
+    root_sign: np.ndarray
     momentum: np.ndarray
     alpha_coeffs: np.ndarray
 
@@ -177,6 +190,8 @@ def build_root_datum(algebra: AlgebraType) -> RootDatum:
     lowering = np.stack(lowering) if lowering else np.zeros((0, N, N))
     coeffs = np.stack(coeffs) if coeffs else np.zeros((0, n))
     momentum = lowering.sum(axis=0) if len(lowering) else np.zeros((N, N))
+    root_sums = raising + lowering
+    root_index, rows, cols = np.nonzero(root_sums)
 
     return RootDatum(
         algebra=algebra,
@@ -185,7 +200,11 @@ def build_root_datum(algebra: AlgebraType) -> RootDatum:
         cartan=cartan,
         raising=raising,
         lowering=lowering,
-        root_sums=raising + lowering,
+        cartan_rows=np.diagonal(cartan, axis1=1, axis2=2).copy(),
+        root_flat=rows * N + cols,
+        root_flat_t=cols * N + rows,
+        root_index=root_index,
+        root_sign=root_sums[root_index, rows, cols],
         momentum=momentum,
         alpha_coeffs=coeffs,
     )

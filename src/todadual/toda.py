@@ -15,6 +15,12 @@ G = X^{k-1} for A and G = X^{2k-1} / 2 for B/C/D, paired against the Cartan
 generators and the simple root vectors.  The flow uses the implicit
 midpoint rule, which preserves the quadratic invariants of the exact flow
 to the iteration tolerance.
+
+Each simple-root term fills at most four entries of X, so no dense
+(rank, N, N) stack is touched: one scatter kernel, `_lax`, writes the
+diagonal p @ cartan_rows and the root weights at the index tables of
+`RootDatum` (root_flat, root_index, root_sign), for one point or a stack
+of points, and the gradient gathers G at root_flat_t and sums per root.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepFailureError, ValidationError
-from .rootsys import RootDatum, cartan_pattern, project_lower_nilpotent, simple_root_pairings
+from .rootsys import RootDatum, cartan_pattern, project_lower_nilpotent
 
 # Fixed-point iteration control for the implicit midpoint rule.
 MIDPOINT_TOL = 1.0e-12
@@ -45,7 +51,7 @@ class TodaPoint:
         object.__setattr__(self, "p", p)
         if q.ndim != 1 or q.shape != p.shape:
             raise ValidationError(f"q and p must be equal-length vectors, got {q.shape} and {p.shape}")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+        if not (np.isfinite(q).all() and np.isfinite(p).all()):
             raise ValidationError("non-finite coordinates")
 
 
@@ -69,16 +75,31 @@ class SymplecticForm:
         return out
 
 
-def build_lax(datum: RootDatum, point: TodaPoint) -> np.ndarray:
-    """Real symmetric Lax matrix at a phase-space point."""
+def _check_rank(datum: RootDatum, point: TodaPoint) -> None:
     n = datum.algebra.rank
     if point.q.shape != (n,):
         raise ValidationError(f"point rank {point.q.shape} does not match algebra rank {n}")
-    X = np.diag(cartan_pattern(datum, point.p))
-    if datum.num_roots:
-        weights = np.exp(simple_root_pairings(datum, point.q))
-        X = X + np.tensordot(weights, datum.root_sums, axes=1)
-    return X
+
+
+def _lax(datum: RootDatum, q: np.ndarray, p: np.ndarray):
+    """Lax matrices X (..., N, N) and root weights w = exp((alpha, q)) (..., num_roots).
+
+    q and p have shape (n,) or (..., n); no validation.  X is zero but for
+    the scattered diagonal p @ cartan_rows and the entries +/- w of the
+    simple roots.
+    """
+    N = datum.size
+    w = np.exp(q @ datum.alpha_coeffs.T)
+    X = np.zeros(q.shape[:-1] + (N * N,))
+    X[..., :: N + 1] = p @ datum.cartan_rows
+    X[..., datum.root_flat] = w[..., datum.root_index] * datum.root_sign
+    return X.reshape(q.shape[:-1] + (N, N)), w
+
+
+def build_lax(datum: RootDatum, point: TodaPoint) -> np.ndarray:
+    """Real symmetric Lax matrix at a phase-space point."""
+    _check_rank(datum, point)
+    return _lax(datum, point.q, point.p)[0]
 
 
 def toda_group_element(datum: RootDatum, point: TodaPoint) -> np.ndarray:
@@ -110,21 +131,17 @@ def quadratic_index(datum: RootDatum) -> int:
 
 
 def _trace_hamiltonians(datum: RootDatum, X: np.ndarray, kmax: int) -> np.ndarray:
-    """Trace powers (H_1, ..., H_kmax) of an already built Lax matrix X."""
-    values = np.empty(kmax)
+    """Trace powers (H_1, ..., H_kmax) of built Lax matrices X (..., N, N), shape (..., kmax)."""
+    values = np.empty(X.shape[:-2] + (kmax,))
     if datum.algebra.family == "A":
-        P = X.copy()
-        values[0] = np.trace(P)
-        for k in range(2, kmax + 1):
-            P = P @ X
-            values[k - 1] = np.trace(P) / k
+        P, step, scale = X, X, 1.0
     else:
-        X2 = X @ X
-        P = X2.copy()
-        values[0] = np.trace(P) / 4.0
-        for k in range(2, kmax + 1):
-            P = P @ X2
-            values[k - 1] = np.trace(P) / (4.0 * k)
+        P = step = X @ X
+        scale = 4.0
+    values[..., 0] = np.trace(P, axis1=-2, axis2=-1) / scale
+    for k in range(2, kmax + 1):
+        P = P @ step
+        values[..., k - 1] = np.trace(P, axis1=-2, axis2=-1) / (scale * k)
     return values
 
 
@@ -150,19 +167,25 @@ def equations_of_motion(datum: RootDatum, point: TodaPoint, k: int):
     Exact gradient of the trace power: dH_k = Tr(G dX) with G = X^{k-1}
     (A) or X^{2k-1} / 2 (B/C/D), so dH/dp_i = Tr(G h_i) and
     dH/dq = alpha_coeffs^T (w * Tr(G (e_alpha + e_-alpha))) with
-    w = exp((alpha, q)); divided by the per-family Poisson scale.
+    w = exp((alpha, q)); divided by the per-family Poisson scale.  Both
+    traces are gathers: the diagonal of G against cartan_rows, and G at
+    root_flat_t summed per root with the entry signs.
     """
     if not 1 <= k <= datum.algebra.rank:
         raise ValidationError(f"k must lie in 1..{datum.algebra.rank}, got {k}")
-    X = build_lax(datum, point)
+    _check_rank(datum, point)
+    X, w = _lax(datum, point.q, point.p)
     if datum.algebra.family == "A":
         G = np.linalg.matrix_power(X, k - 1)
     else:
         G = 0.5 * np.linalg.matrix_power(X, 2 * k - 1)
+    G = G.ravel()
     s = float(symplectic_scale(datum))
-    dH_dp = np.einsum("ijk,kj->i", datum.cartan, G)
-    w = np.exp(simple_root_pairings(datum, point.q))
-    dH_dq = datum.alpha_coeffs.T @ (w * np.einsum("ijk,kj->i", datum.root_sums, G))
+    dH_dp = datum.cartan_rows @ G[:: datum.size + 1]
+    root_traces = np.bincount(
+        datum.root_index, weights=datum.root_sign * G[datum.root_flat_t], minlength=datum.num_roots
+    )
+    dH_dq = datum.alpha_coeffs.T @ (w * root_traces)
     return dH_dp / s, -dH_dq / s
 
 
@@ -179,8 +202,9 @@ def integrate_flow(
 
     Returns an array of shape (steps + 1, 2n); each row is (q, p) at one
     time.  Every step solves z' = z + dt * f((z + z')/2) by fixed-point
-    iteration to `tol` in the sup norm; non-convergence within `max_iter`
-    raises StepFailureError.
+    iteration to `tol` in the sup norm; non-convergence within `max_iter`,
+    or a floating-point overflow or invalid value (a diverging flow),
+    raises StepFailureError naming the step.
     """
     if steps < 0:
         raise ValidationError(f"steps must be non-negative, got {steps}")
@@ -195,16 +219,20 @@ def integrate_flow(
     traj = np.empty((steps + 1, 2 * n))
     z = np.concatenate([point.q, point.p])
     traj[0] = z
-    for step in range(1, steps + 1):
-        w = z + dt * field(z)
-        for _ in range(max_iter):
-            w_next = z + dt * field((z + w) / 2.0)
-            delta = float(np.max(np.abs(w_next - w)))
-            w = w_next
-            if delta <= tol:
-                break
-        else:
-            raise StepFailureError(f"midpoint iteration stalled at step {step} (delta {delta:.3e})")
-        z = w
-        traj[step] = z
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for step in range(1, steps + 1):
+                w = z + dt * field(z)
+                for _ in range(max_iter):
+                    w_next = z + dt * field((z + w) / 2.0)
+                    delta = float(np.max(np.abs(w_next - w)))
+                    w = w_next
+                    if delta <= tol:
+                        break
+                else:
+                    raise StepFailureError(f"midpoint iteration stalled at step {step} (delta {delta:.3e})")
+                z = w
+                traj[step] = z
+    except FloatingPointError as exc:
+        raise StepFailureError(f"flow diverged at step {step}: {exc}") from None
     return traj

@@ -5,7 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from todadual import cli
 from todadual.cli import main
+from todadual.rootsys import AlgebraType, build_root_datum
+from todadual.sampling import sample_flow_toda, spawn_rng
+from todadual.toda import TodaPoint, _trace_hamiltonians, build_lax, integrate_flow, quadratic_index
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +132,55 @@ def test_integrate_zero_dt_rows_constant(capsys):
     lines = out.strip().split("\n")
     body = {ln.split("\t", 1)[1] for ln in lines[1:]}  # drop the t column
     assert len(body) == 1
+
+
+@pytest.mark.parametrize(
+    "fam,n,extra",
+    [("A", 1, ("--hamiltonian", "1")), ("B", 1, ()), ("C", 2, ()), ("D", 4, ()), ("A", 5, ())],
+)
+@pytest.mark.parametrize("steps", [0, 7])
+@pytest.mark.parametrize("fmt", ["csv", "tsv"])
+def test_integrate_table_matches_per_row_reference(capsys, fam, n, extra, steps, fmt):
+    seed, dt = 4, 1e-2
+    code, out, _ = run_cli(
+        capsys, "integrate", "--type", fam, "--rank", str(n), "--seed", str(seed),
+        "--dt", repr(dt), "--steps", str(steps), "--format", fmt, *extra,
+    )
+    assert code == 0
+    # Reference: one row at a time from the public Lax build.
+    datum = build_root_datum(AlgebraType(fam, n))
+    k = int(extra[1]) if extra else quadratic_index(datum)
+    traj = integrate_flow(datum, sample_flow_toda(datum, spawn_rng(seed, 0)), k, dt, steps)
+    sep = "," if fmt == "csv" else "\t"
+    lines = out.split("\n")
+    assert len(lines) == steps + 3 and lines[-1] == ""
+    for step, row in enumerate(traj):
+        X = build_lax(datum, TodaPoint(q=row[:n], p=row[n:]))
+        cells = [step * dt, *row, *_trace_hamiltonians(datum, X, n), *np.linalg.eigvalsh(X)[::-1]]
+        assert lines[step + 1] == sep.join(cli._fmt(v) for v in cells)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--type", "A", "--rank", "3", "--seed", "1", "--dt", "50", "--steps", "20"),
+        ("--type", "C", "--rank", "2", "--dt", "5", "--steps", "50"),
+    ],
+)
+def test_diverging_flow_is_a_step_failure(capsys, argv):
+    code, out, err = run_cli(capsys, "integrate", *argv)
+    assert code == 1
+    assert out == ""
+    assert "step" in err
+    assert "usage error" not in err
+
+
+def test_rank_cap_warning_only_where_minors_are_enumerated(capsys):
+    _, _, err = run_cli(capsys, "integrate", "--type", "A", "--rank", "9", "--steps", "2")
+    assert "minor enumeration" not in err
+    _, _, err = run_cli(capsys, "dual-map", "--type", "A", "--rank", "9")
+    assert "minor enumeration cost grows combinatorially" in err
 
 
 def test_integrate_rejects_json(capsys):

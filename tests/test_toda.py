@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from todadual.errors import StepFailureError, ValidationError
-from todadual.rootsys import AlgebraType, algebra_residual, build_root_datum
+from todadual.rootsys import AlgebraType, algebra_residual, build_root_datum, cartan_pattern
 from todadual.sampling import sample_flow_toda, sample_toda, spawn_rng
 from todadual.toda import (
     SymplecticForm,
@@ -21,6 +21,29 @@ from todadual.toda import (
 )
 
 ALGEBRAS = [("A", 2), ("A", 4), ("B", 1), ("B", 3), ("C", 2), ("C", 4), ("D", 2), ("D", 3)]
+# Every family at ranks 1-8 (D from 2); A1 has no simple roots.
+ALL_TO_EIGHT = [(fam, n) for fam in "ABCD" for n in range(1, 9) if not (fam == "D" and n < 2)]
+
+
+def dense_lax(datum, point):
+    """Reference Lax matrix from the dense (rank, N, N) root stack."""
+    weights = np.exp(datum.alpha_coeffs @ point.q)
+    root_sums = datum.raising + datum.lowering
+    return np.diag(cartan_pattern(datum, point.p)) + np.tensordot(weights, root_sums, axes=1)
+
+
+def dense_equations_of_motion(datum, point, k):
+    """Reference vector field: the traces Tr(G h_i) and Tr(G (e_alpha + e_-alpha)) as dense einsums."""
+    X = dense_lax(datum, point)
+    if datum.algebra.family == "A":
+        G = np.linalg.matrix_power(X, k - 1)
+    else:
+        G = 0.5 * np.linalg.matrix_power(X, 2 * k - 1)
+    s = float(symplectic_scale(datum))
+    dH_dp = np.einsum("ijk,kj->i", datum.cartan, G)
+    w = np.exp(datum.alpha_coeffs @ point.q)
+    dH_dq = datum.alpha_coeffs.T @ (w * np.einsum("ijk,kj->i", datum.raising + datum.lowering, G))
+    return dH_dp / s, -dH_dq / s
 
 
 def test_point_validation():
@@ -68,6 +91,26 @@ def test_lax_is_symmetric_algebra_element():
         X = build_lax(datum, point)
         assert np.max(np.abs(X - X.T)) == 0.0
         assert algebra_residual(datum, X) < 1e-13
+
+
+def test_build_lax_equals_the_dense_definition():
+    for fam, n in ALL_TO_EIGHT:
+        datum = build_root_datum(AlgebraType(fam, n))
+        for j in range(4):
+            point = sample_toda(datum, spawn_rng(71, 10 * n + j))
+            assert np.array_equal(build_lax(datum, point), dense_lax(datum, point)), (fam, n, j)
+
+
+def test_equations_of_motion_match_the_dense_einsum_form():
+    # Only the summation order of the per-root traces differs.
+    for fam, n in ALL_TO_EIGHT:
+        datum = build_root_datum(AlgebraType(fam, n))
+        for j in range(3):
+            point = sample_toda(datum, spawn_rng(73, 10 * n + j))
+            for k in range(1, n + 1):
+                got = np.concatenate(equations_of_motion(datum, point, k))
+                want = np.concatenate(dense_equations_of_motion(datum, point, k))
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (fam, n, j, k)
 
 
 def test_lax_rank_mismatch():
@@ -241,3 +284,11 @@ def test_flow_validation_and_step_failure():
     # one iteration cannot reach the fixed point from the Euler predictor
     with pytest.raises(StepFailureError):
         integrate_flow(datum, point, 2, dt=1e-2, steps=1, max_iter=1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverging_flow_raises_step_failure():
+    datum = build_root_datum(AlgebraType("C", 2))
+    point = sample_flow_toda(datum, spawn_rng(0, 0))
+    with pytest.raises(StepFailureError, match="diverged at step"):
+        integrate_flow(datum, point, 1, dt=5.0, steps=50)
