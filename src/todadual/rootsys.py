@@ -273,11 +273,3 @@ def cartan_pattern(datum: RootDatum, values: np.ndarray) -> np.ndarray:
     if fam == "B":
         return np.concatenate([v, [0.0], -v[::-1]])
     return np.concatenate([v, -v[::-1]])
-
-
-def simple_root_pairings(datum: RootDatum, q: np.ndarray) -> np.ndarray:
-    """Values (alpha_i, q) for every simple root."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (datum.algebra.rank,):
-        raise ValidationError(f"expected {datum.algebra.rank} coordinates, got shape {q.shape}")
-    return datum.alpha_coeffs @ q

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .duality import (
+    JACOBIAN_STEP,
     _relative_gap,
     goldfish_to_toda,
     symplectomorphism_check,
@@ -236,9 +237,9 @@ def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 2
     sigmas = []
     skipped, broken = [], []
     for j in range(min(npoints, 3)):
-        pt = sample_toda(datum, _rng(seed, name, j))
+        gp = sample_goldfish(datum, _rng(seed, name, j))
         try:
-            residual, sigma = symplectomorphism_check(datum, pt)
+            residual, sigma = symplectomorphism_check(datum, gp)
         except (DualityResidualError, SingularMatrixError) as exc:
             broken.append((j, str(exc)))
             continue
@@ -249,7 +250,7 @@ def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 2
         sigmas.append(sigma)
     if broken or not sigmas:
         worst = float("inf")
-    note = f"sigma values {sorted(set(sigmas))}"
+    note = f"sigma values {sorted(set(sigmas))}; inverse-map central stencil h={JACOBIAN_STEP:g}"
     extra = _point_notes(skipped, broken)
     if extra:
         note += "; " + extra

@@ -269,7 +269,7 @@ def test_criterion_10_antisymplectic_certificate():
     for fam, n in [("A", 2), ("A", 3), ("C", 2)]:
         datum = build_root_datum(AlgebraType(fam, n))
         for j in range(5):
-            point = sample_toda(datum, spawn_rng(53, 100 * n + j))
+            point = sample_goldfish(datum, spawn_rng(53, 100 * n + j))
             residual, sigma = symplectomorphism_check(datum, point)
             worst = max(worst, residual)
             sigmas.add(sigma)

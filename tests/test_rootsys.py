@@ -15,7 +15,6 @@ from todadual.rootsys import (
     momentum_value,
     project_compact,
     project_lower_nilpotent,
-    simple_root_pairings,
 )
 
 SIZES = {"A": 3, "B": 7, "C": 6, "D": 6}  # at rank 3
@@ -67,7 +66,7 @@ def test_raising_lowering_are_root_vectors():
         datum = build_root_datum(AlgebraType(fam, n))
         v = rng.uniform(-1.0, 1.0, size=n)
         H = np.einsum("a,aij->ij", v, datum.cartan)
-        pair = simple_root_pairings(datum, v)
+        pair = datum.alpha_coeffs @ v
         for i in range(datum.num_roots):
             e = datum.raising[i]
             f = datum.lowering[i]
