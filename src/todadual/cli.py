@@ -119,15 +119,16 @@ def _parse_vector(text: str, rank: int, flag: str) -> np.ndarray:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return int(args.seed)
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(f"{SEED_ENV} must be an integer, got {env!r}") from None
-    return 0
+    source, text = "--seed", args.seed
+    if text is None:
+        source, text = SEED_ENV, os.environ.get(SEED_ENV, "0")
+    try:
+        seed = int(text)
+    except ValueError:
+        raise ValidationError(f"{source} must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise ValidationError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _datum_for(args, enumerates_minors: bool = False) -> RootDatum:
@@ -279,7 +280,7 @@ def cmd_integrate(args) -> tuple[int, str]:
 def _add_common(sub: argparse.ArgumentParser, default_format: str) -> None:
     sub.add_argument("--type", required=True, choices=list(FAMILIES), help="algebra family")
     sub.add_argument("--rank", required=True, type=int, help="rank n")
-    sub.add_argument("--seed", type=int, default=None, help=f"sampler seed (default: ${SEED_ENV} or 0)")
+    sub.add_argument("--seed", type=int, default=None, help=f"non-negative sampler seed (default: ${SEED_ENV} or 0)")
     sub.add_argument("--format", default=default_format, choices=["json", "csv", "tsv"], help="output format")
     sub.add_argument("--out", default=None, metavar="PATH", help="output file (default: stdout)")
 

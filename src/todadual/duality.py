@@ -42,6 +42,7 @@ from .moser import (
     momentum_equation_residual,
     ruijsenaars_spec_for,
 )
+from .poisson import central_difference
 from .rootsys import RootDatum, cartan_pattern
 from .toda import SymplecticForm, TodaPoint, build_lax, symplectic_scale, toda_hamiltonians
 
@@ -211,22 +212,16 @@ def verify_duality_identities(
     )
 
 
-def duality_jacobian(datum: RootDatum, point: GoldfishPoint, step: float = JACOBIAN_STEP) -> np.ndarray:
+def duality_jacobian(datum: RootDatum, point: GoldfishPoint) -> np.ndarray:
     """Central-difference Jacobian of the inverse map (phat, qhat) -> (p, q)."""
     n = datum.algebra.rank
-    z0 = np.concatenate([point.phat, point.qhat])
 
     def image(z: np.ndarray) -> np.ndarray:
         tp = goldfish_to_toda(datum, GoldfishPoint(qhat=z[n:], phat=z[:n]))
         return np.concatenate([tp.p, tp.q])
 
-    cols = []
-    for j in range(2 * n):
-        zp, zm = z0.copy(), z0.copy()
-        zp[j] += step
-        zm[j] -= step
-        cols.append((image(zp) - image(zm)) / (2.0 * step))
-    return np.stack(cols, axis=1)
+    z0 = np.concatenate([point.phat, point.qhat])
+    return central_difference(image, z0, JACOBIAN_STEP).T
 
 
 def symplectomorphism_check(datum: RootDatum, point: GoldfishPoint) -> tuple[float, float]:

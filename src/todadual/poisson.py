@@ -3,11 +3,14 @@
 Both Hamiltonian families live on a phase space with the bracket
 {f, g} = s^{-1} sum_i (df/dq_i dg/dp_i - df/dp_i dg/dq_i), where s is the
 per-family symplectic scale (1 for A, 2 for B/C/D).  Derivatives are
-central finite differences on the flat vector z = (momenta, positions);
-a Richardson pass combines steps h and h/2 to cancel the h^2 error term,
-which is what the tighter commutativity tolerances need.  The
-commutativity matrix differentiates the whole Hamiltonian vector with one
-stencil and takes every pairing from the resulting Jacobian.
+central finite differences on the flat vector z = (momenta, positions),
+one pass at BRACKET_STEP.  The stencil's error is truncation, O(h^2); at
+this width the worst normalized bracket of either commuting family sits
+several decades under the commutativity tolerance, so no extrapolation is
+run.  The commutativity matrix differentiates the whole Hamiltonian vector
+with one stencil and takes every pairing from the resulting Jacobian.
+central_difference is the package's one finite-difference routine; the
+duality Jacobian runs on it too.
 """
 
 from __future__ import annotations
@@ -22,6 +25,10 @@ from .goldfish import GoldfishPoint, goldfish_hamiltonian, goldfish_hamiltonians
 from .rootsys import AlgebraType, RootDatum
 from .toda import TodaPoint, symplectic_scale, toda_hamiltonian, toda_hamiltonians
 
+# Width of the one central stencil.  Over every family at ranks 1-8, seeds
+# 0-4 and the four verify draws per seed, the worst normalized bracket was
+# 6.9e-10 (D8 goldfish) at this width, 1.05e-9 at 2e-5 (truncation, h^2)
+# and 2.0e-9 at 5e-6 (the D-family goldfish rounding floor).
 BRACKET_STEP = 1.0e-5
 
 OBSERVABLE_FAMILIES = ("toda", "goldfish")
@@ -70,7 +77,7 @@ def observable_value(datum: RootDatum, handle: ObservableHandle, point) -> float
     return observable_function(datum, handle)(flatten_point(point))
 
 
-def _gradient(f: Callable[[np.ndarray], np.ndarray], z: np.ndarray, step: float) -> np.ndarray:
+def central_difference(f: Callable[[np.ndarray], np.ndarray], z: np.ndarray, step: float) -> np.ndarray:
     """Central differences of f at z; row j is df/dz_j, a scalar or a vector."""
     rows = []
     for j in range(z.size):
@@ -91,29 +98,18 @@ def poisson_bracket_functions(
     f: Callable[[np.ndarray], float],
     g: Callable[[np.ndarray], float],
     z: np.ndarray,
-    step: float = BRACKET_STEP,
-    richardson: bool = False,
 ) -> float:
     """Bracket of two scalar functions of the flat phase vector."""
     s = float(symplectic_scale(datum))
     z = np.asarray(z, dtype=float)
     if z.size != 2 * datum.algebra.rank:
         raise ValidationError(f"phase vector must have length {2 * datum.algebra.rank}")
-    value = _pairing(s, _gradient(f, z, step), _gradient(g, z, step))
-    if not richardson:
-        return value
-    half = _pairing(s, _gradient(f, z, step / 2.0), _gradient(g, z, step / 2.0))
-    return (4.0 * half - value) / 3.0
+    gf = central_difference(f, z, BRACKET_STEP)
+    gg = central_difference(g, z, BRACKET_STEP)
+    return _pairing(s, gf, gg)
 
 
-def poisson_bracket(
-    datum: RootDatum,
-    f: ObservableHandle,
-    g: ObservableHandle,
-    point,
-    step: float = BRACKET_STEP,
-    richardson: bool = False,
-) -> float:
+def poisson_bracket(datum: RootDatum, f: ObservableHandle, g: ObservableHandle, point) -> float:
     """Bracket of two observables of the same family at a point.
 
     {H, H} returns exactly 0.0 (antisymmetry short-circuit, no stencil
@@ -125,9 +121,7 @@ def poisson_bracket(
         return 0.0
     ff = observable_function(datum, f)
     gg = observable_function(datum, g)
-    return poisson_bracket_functions(
-        datum, ff, gg, flatten_point(point), step=step, richardson=richardson
-    )
+    return poisson_bracket_functions(datum, ff, gg, flatten_point(point))
 
 
 def commutativity_matrix(datum: RootDatum, family: str, point) -> np.ndarray:
@@ -137,7 +131,7 @@ def commutativity_matrix(datum: RootDatum, family: str, point) -> np.ndarray:
     integrability certificate is scale-free; the diagonal is exactly zero.
     One stencil differentiates the whole vector (H_1, ..., H_n) into a
     Jacobian J (rows H_k, columns (p, q)); the brackets are the pairing
-    J_q J_p^T - J_p J_q^T, Richardson-extrapolated over steps h and h/2.
+    (J_q J_p^T - J_p J_q^T) / s, and the norms are the rows of the same J.
     """
     family = ObservableHandle(family, 1, datum.algebra).family
     n = datum.algebra.rank
@@ -147,14 +141,9 @@ def commutativity_matrix(datum: RootDatum, family: str, point) -> np.ndarray:
         vector = lambda z: goldfish_hamiltonians(datum, GoldfishPoint(qhat=z[n:], phat=z[:n]))
     z = flatten_point(point)
     s = float(symplectic_scale(datum))
-
-    def pairings(step: float):
-        J = _gradient(vector, z, step).T
-        return J, (J[:, n:] @ J[:, :n].T - J[:, :n] @ J[:, n:].T) / s
-
-    J, value = pairings(BRACKET_STEP)
-    _, half = pairings(BRACKET_STEP / 2.0)
+    J = central_difference(vector, z, BRACKET_STEP).T
+    brackets = (J[:, n:] @ J[:, :n].T - J[:, :n] @ J[:, n:].T) / s
     norms = np.maximum(np.linalg.norm(J, axis=1), 1.0e-300)
-    out = np.abs(4.0 * half - value) / 3.0 / np.outer(norms, norms)
+    out = np.abs(brackets) / np.outer(norms, norms)
     np.fill_diagonal(out, 0.0)
     return out

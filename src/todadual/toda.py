@@ -81,6 +81,11 @@ def _check_rank(datum: RootDatum, point: TodaPoint) -> None:
         raise ValidationError(f"point rank {point.q.shape} does not match algebra rank {n}")
 
 
+def _check_index(datum: RootDatum, k: int) -> None:
+    if not 1 <= k <= datum.algebra.rank:
+        raise ValidationError(f"k must lie in 1..{datum.algebra.rank}, got {k}")
+
+
 def _lax(datum: RootDatum, q: np.ndarray, p: np.ndarray):
     """Lax matrices X (..., N, N) and root weights w = exp((alpha, q)) (..., num_roots).
 
@@ -156,8 +161,7 @@ def toda_hamiltonians(datum: RootDatum, point: TodaPoint, kmax: int | None = Non
 
 def toda_hamiltonian(datum: RootDatum, point: TodaPoint, k: int) -> float:
     """Single trace-power Hamiltonian H_k."""
-    if not 1 <= k <= datum.algebra.rank:
-        raise ValidationError(f"k must lie in 1..{datum.algebra.rank}, got {k}")
+    _check_index(datum, k)
     return float(toda_hamiltonians(datum, point, kmax=k)[k - 1])
 
 
@@ -171,8 +175,7 @@ def equations_of_motion(datum: RootDatum, point: TodaPoint, k: int):
     traces are gathers: the diagonal of G against cartan_rows, and G at
     root_flat_t summed per root with the entry signs.
     """
-    if not 1 <= k <= datum.algebra.rank:
-        raise ValidationError(f"k must lie in 1..{datum.algebra.rank}, got {k}")
+    _check_index(datum, k)
     _check_rank(datum, point)
     X, w = _lax(datum, point.q, point.p)
     if datum.algebra.family == "A":
@@ -208,6 +211,7 @@ def integrate_flow(
     """
     if steps < 0:
         raise ValidationError(f"steps must be non-negative, got {steps}")
+    _check_index(datum, k)
     if not np.isfinite(dt):
         raise ValidationError("dt must be finite")
     n = datum.algebra.rank

@@ -28,10 +28,11 @@ from .errors import (
     NonGenericPointError,
     OracleMismatchError,
     SingularMatrixError,
+    ValidationError,
 )
 from .goldfish import a_from_p, d_h1_pairsum_variant, goldfish_hamiltonians
 from .moser import build_moser_g, minor_oracle_mk, moser_momentum_residual
-from .poisson import commutativity_matrix
+from .poisson import BRACKET_STEP, commutativity_matrix
 from .rootsys import RootDatum
 from .sampling import (
     SEED_SCHEME,
@@ -116,6 +117,10 @@ def _point_notes(skipped: list, broken: list) -> str:
 
 def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 200) -> dict:
     """Run every property for one algebra; returns the JSON-ready report."""
+    if npoints < 1:
+        raise ValidationError(f"npoints must be at least 1, got {npoints}")
+    if flow_steps < 1:
+        raise ValidationError(f"flow_steps must be at least 1, got {flow_steps}")
     fam, n = datum.algebra.family, datum.algebra.rank
     properties = []
 
@@ -203,14 +208,14 @@ def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 2
     for j in range(min(npoints, 4)):
         pt = sample_toda(datum, _rng(seed, name, j))
         worst = max(worst, float(commutativity_matrix(datum, "toda", pt).max()))
-    properties.append(_record(name, worst))
+    properties.append(_record(name, worst, note=f"central stencil h={BRACKET_STEP:g}"))
 
     name = "goldfish-commutativity"
     worst = 0.0
     for j in range(min(npoints, 4)):
         gp = sample_goldfish(datum, _rng(seed, name, j))
         worst = max(worst, float(commutativity_matrix(datum, "goldfish", gp).max()))
-    properties.append(_record(name, worst))
+    properties.append(_record(name, worst, note=f"central stencil h={BRACKET_STEP:g}"))
 
     name = "flow-conservation"
     k_flow = 2 if n >= 2 else 1

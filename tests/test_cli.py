@@ -250,6 +250,32 @@ def test_env_seed_and_flag_priority(capsys, monkeypatch):
     assert json.loads(fallback)["header"]["seed"] == 0
 
 
+def test_negative_seed_is_usage_error(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "dual-map", "--type", "A", "--rank", "2", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "--seed must be a non-negative integer" in err
+    monkeypatch.setenv("TODADUAL_SEED", "-5")
+    code, out, err = run_cli(capsys, "lax", "--type", "A", "--rank", "2")
+    assert code == 2 and out == ""
+    assert "TODADUAL_SEED must be a non-negative integer" in err
+
+
+@pytest.mark.parametrize("flag", ["--points", "--flow-steps"])
+def test_verify_empty_sample_is_usage_error(capsys, flag):
+    code, out, err = run_cli(capsys, "verify", "--type", "A", "--rank", "2", flag, "0")
+    assert code == 2 and out == ""
+    assert "must be at least 1" in err
+
+
+def test_integrate_checks_the_hamiltonian_index_at_zero_steps(capsys):
+    for steps in ("0", "1"):
+        code, out, err = run_cli(
+            capsys, "integrate", "--type", "A", "--rank", "2", "--steps", steps, "--hamiltonian", "99"
+        )
+        assert code == 2 and out == "", f"--steps {steps}"
+        assert "k must lie in 1..2" in err
+
+
 def test_out_file_writing(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(

@@ -18,6 +18,7 @@ from todadual.errors import DegenerateSpectrumError, DualityResidualError
 from todadual.goldfish import GoldfishPoint, a_from_p, goldfish_hamiltonians
 from todadual.linalg import iwasawa, lower_triangularize, structured_diagonalize
 from todadual.moser import build_moser_g
+from todadual.poisson import central_difference
 from todadual.rootsys import AlgebraType, build_root_datum, cartan_pattern
 from todadual.sampling import sample_goldfish, sample_toda, spawn_rng
 from todadual.toda import TodaPoint, build_lax, toda_hamiltonians
@@ -211,10 +212,9 @@ def test_forward_stencil_inverts_the_inverse_map_jacobian():
         for j in range(3):
             point = sample_toda(datum, spawn_rng(67, 10 * n + j))
             z0 = np.concatenate([point.p, point.q])
-            eye = np.eye(2 * n)
-            forward = np.stack([(image(z0 + h * e) - image(z0 - h * e)) / (2.0 * h) for e in eye], axis=1)
+            forward = central_difference(image, z0, h).T
             inverse = duality_jacobian(datum, toda_to_goldfish(datum, point))
-            gap = float(np.max(np.abs(forward @ inverse - eye)))
+            gap = float(np.max(np.abs(forward @ inverse - np.eye(2 * n))))
             assert gap < 1e-5, f"{fam}{n} draw {j}: {gap:.3e}"
 
 

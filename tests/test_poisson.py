@@ -8,7 +8,7 @@ from todadual.goldfish import GoldfishPoint
 from todadual.poisson import (
     BRACKET_STEP,
     ObservableHandle,
-    _gradient,
+    central_difference,
     commutativity_matrix,
     flatten_point,
     observable_function,
@@ -91,14 +91,14 @@ def test_leibniz_identity():
     g = lambda w: float(w[n])  # q_1
     h = lambda w: float(w[1] ** 2 + w[n])  # p_2^2 + q_1
     gh = lambda w: g(w) * h(w)
-    lhs = poisson_bracket_functions(datum, f, gh, z, richardson=True)
-    rhs = poisson_bracket_functions(datum, f, g, z, richardson=True) * h(z)
-    rhs += g(z) * poisson_bracket_functions(datum, f, h, z, richardson=True)
+    lhs = poisson_bracket_functions(datum, f, gh, z)
+    rhs = poisson_bracket_functions(datum, f, g, z) * h(z)
+    rhs += g(z) * poisson_bracket_functions(datum, f, h, z)
     assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
 
 
 def test_chain_hamiltonians_commute():
-    for fam, n in [("A", 3), ("B", 2), ("C", 3), ("D", 3)]:
+    for fam, n in [("A", 3), ("B", 2), ("C", 3), ("D", 3), ("A", 8), ("B", 8), ("C", 8), ("D", 8)]:
         datum = build_root_datum(AlgebraType(fam, n))
         tp = sample_toda(datum, spawn_rng(43, n))
         M = commutativity_matrix(datum, "toda", tp)
@@ -108,7 +108,7 @@ def test_chain_hamiltonians_commute():
 
 
 def test_dual_hamiltonians_commute():
-    for fam, n in [("A", 3), ("B", 2), ("C", 2), ("D", 3)]:
+    for fam, n in [("A", 3), ("B", 2), ("C", 2), ("D", 3), ("A", 8), ("B", 8), ("C", 8), ("D", 8)]:
         datum = build_root_datum(AlgebraType(fam, n))
         gp = sample_goldfish(datum, spawn_rng(43, 100 + n))
         M = commutativity_matrix(datum, "goldfish", gp)
@@ -127,26 +127,15 @@ def test_commutativity_matrix_matches_pairwise_brackets():
             handles = [ObservableHandle(family, k, datum.algebra) for k in range(1, n + 1)]
             z = flatten_point(point)
             norms = [
-                np.linalg.norm(_gradient(observable_function(datum, h), z, BRACKET_STEP))
+                np.linalg.norm(central_difference(observable_function(datum, h), z, BRACKET_STEP))
                 for h in handles
             ]
             M = commutativity_matrix(datum, family, point)
             for j in range(n):
                 for k in range(n):
-                    bracket = poisson_bracket(datum, handles[j], handles[k], point, richardson=True)
+                    bracket = poisson_bracket(datum, handles[j], handles[k], point)
                     want = abs(bracket) / (norms[j] * norms[k])
                     assert abs(M[j, k] - want) < 1e-12, f"{fam}{n} {family} ({j}, {k})"
-
-
-def test_richardson_tightens_bracket():
-    # pick a pair whose plain-stencil bracket is visibly off zero
-    datum = build_root_datum(AlgebraType("C", 3))
-    tp = sample_toda(datum, spawn_rng(43, 3))
-    f = ObservableHandle("toda", 1, datum.algebra)
-    g = ObservableHandle("toda", 3, datum.algebra)
-    plain = abs(poisson_bracket(datum, f, g, tp, richardson=False))
-    tight = abs(poisson_bracket(datum, f, g, tp, richardson=True))
-    assert tight <= plain
 
 
 def test_bad_phase_vector_length():

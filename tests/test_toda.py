@@ -281,6 +281,9 @@ def test_flow_validation_and_step_failure():
         integrate_flow(datum, point, 2, dt=1e-3, steps=-1)
     with pytest.raises(ValidationError):
         integrate_flow(datum, point, 2, dt=np.nan, steps=1)
+    # the index is checked even when no step runs
+    with pytest.raises(ValidationError, match="k must lie"):
+        integrate_flow(datum, point, 3, dt=1e-3, steps=0)
     # one iteration cannot reach the fixed point from the Euler predictor
     with pytest.raises(StepFailureError):
         integrate_flow(datum, point, 2, dt=1e-2, steps=1, max_iter=1)

@@ -1,9 +1,10 @@
 """End-to-end property suite: pass/fail records, logs, reproducibility."""
 
 import numpy as np
+import pytest
 
 import todadual.verify
-from todadual.errors import SingularMatrixError
+from todadual.errors import SingularMatrixError, ValidationError
 from todadual.rootsys import AlgebraType, build_root_datum
 from todadual.verify import RANK_CAP, SLOTS, TOLERANCES, run_suite
 
@@ -35,6 +36,17 @@ def test_suite_passes_on_small_algebras():
         assert report["header"]["family"] == fam
         assert report["header"]["rank"] == n
         assert "rank_cap_warning" not in report["header"]
+        notes = {rec["property"]: rec.get("note") for rec in report["properties"]}
+        assert notes["toda-commutativity"] == "central stencil h=1e-05"
+        assert notes["goldfish-commutativity"] == "central stencil h=1e-05"
+
+
+def test_empty_samples_are_rejected():
+    datum = build_root_datum(AlgebraType("A", 2))
+    with pytest.raises(ValidationError, match="npoints"):
+        run_suite(datum, seed=0, npoints=0)
+    with pytest.raises(ValidationError, match="flow_steps"):
+        run_suite(datum, seed=0, flow_steps=0)
 
 
 def test_odd_trace_property_only_for_bcd():
