@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from todadual import toda
 from todadual.errors import StepFailureError, ValidationError
 from todadual.rootsys import AlgebraType, algebra_residual, build_root_datum, cartan_pattern
 from todadual.sampling import sample_flow_toda, sample_toda, spawn_rng
 from todadual.toda import (
+    MIDPOINT_MAX_ITER,
+    MIDPOINT_TOL,
     SymplecticForm,
     TodaPoint,
     build_lax,
@@ -23,6 +26,8 @@ from todadual.toda import (
 ALGEBRAS = [("A", 2), ("A", 4), ("B", 1), ("B", 3), ("C", 2), ("C", 4), ("D", 2), ("D", 3)]
 # Every family at ranks 1-8 (D from 2); A1 has no simple roots.
 ALL_TO_EIGHT = [(fam, n) for fam in "ABCD" for n in range(1, 9) if not (fam == "D" and n < 2)]
+# Every family with a quadratic flow at ranks up to 8 (A from 2).
+FLOWS_TO_EIGHT = [(fam, n) for fam, n in ALL_TO_EIGHT if (fam, n) != ("A", 1)]
 
 
 def dense_lax(datum, point):
@@ -44,6 +49,32 @@ def dense_equations_of_motion(datum, point, k):
     w = np.exp(datum.alpha_coeffs @ point.q)
     dH_dq = datum.alpha_coeffs.T @ (w * np.einsum("ijk,kj->i", datum.raising + datum.lowering, G))
     return dH_dp / s, -dH_dq / s
+
+
+def euler_start_flow(datum, point, k, dt, steps):
+    """Reference midpoint loop: every step iterates from the Euler guess z + dt * f(z)."""
+    n = datum.algebra.rank
+
+    def field(z):
+        dq, dp = equations_of_motion(datum, TodaPoint(q=z[:n], p=z[n:]), k)
+        return np.concatenate([dq, dp])
+
+    traj = np.empty((steps + 1, 2 * n))
+    z = np.concatenate([point.q, point.p])
+    traj[0] = z
+    for step in range(1, steps + 1):
+        w = z + dt * field(z)
+        for _ in range(MIDPOINT_MAX_ITER):
+            w_next = z + dt * field((z + w) / 2.0)
+            delta = np.max(np.abs(w_next - w))
+            w = w_next
+            if delta <= MIDPOINT_TOL:
+                break
+        else:
+            raise AssertionError(f"reference iteration stalled at step {step}")
+        z = w
+        traj[step] = z
+    return traj
 
 
 def test_point_validation():
@@ -287,6 +318,64 @@ def test_flow_validation_and_step_failure():
     # one iteration cannot reach the fixed point from the Euler predictor
     with pytest.raises(StepFailureError):
         integrate_flow(datum, point, 2, dt=1e-2, steps=1, max_iter=1)
+
+
+def test_flow_checks_point_rank():
+    datum = build_root_datum(AlgebraType("B", 3))
+    point = TodaPoint(q=[0.0, 0.1], p=[0.2, 0.3])
+    for steps in (0, 3):
+        with pytest.raises(ValidationError, match="does not match algebra rank"):
+            integrate_flow(datum, point, 1, dt=1e-3, steps=steps)
+
+
+def test_flow_rejects_bad_iteration_controls():
+    datum = build_root_datum(AlgebraType("A", 2))
+    point = TodaPoint(q=[0.0, 0.0], p=[0.1, -0.1])
+    for max_iter in (0, -1):
+        with pytest.raises(ValidationError, match="max_iter"):
+            integrate_flow(datum, point, 2, dt=1e-3, steps=1, max_iter=max_iter)
+    for tol in (0.0, -1e-12, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="tol"):
+            integrate_flow(datum, point, 2, dt=1e-3, steps=1, tol=tol)
+
+
+@pytest.mark.parametrize("fam,n", FLOWS_TO_EIGHT)
+def test_midpoint_steps_solve_the_midpoint_equation(fam, n):
+    # Oracle: each sampled row pair (z, z') satisfies the midpoint equation
+    # z' = z + dt * f((z + z')/2) to the iteration tolerance, and the whole
+    # trajectory matches the Euler-start reference loop.
+    datum = build_root_datum(AlgebraType(fam, n))
+    k = quadratic_index(datum)
+    dt = 1e-3
+    sampled = [*range(1, 10), *range(10, 1001, 10)]
+    for j in range(3):
+        point = sample_flow_toda(datum, spawn_rng(61, 10 * n + j))
+        traj = integrate_flow(datum, point, k, dt=dt, steps=1000)
+        for step in sampled:
+            z, z_next = traj[step - 1], traj[step]
+            mid = (z + z_next) / 2.0
+            f = np.concatenate(equations_of_motion(datum, TodaPoint(q=mid[:n], p=mid[n:]), k))
+            assert np.max(np.abs(z_next - z - dt * f)) <= MIDPOINT_TOL
+        reference = euler_start_flow(datum, point, k, dt, 1000)
+        assert np.max(np.abs(traj - reference)) <= 1e-11
+
+
+def test_predictor_settles_a_step_in_one_field_evaluation(monkeypatch):
+    calls = 0
+    field = toda.equations_of_motion
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return field(*args, **kwargs)
+
+    monkeypatch.setattr(toda, "equations_of_motion", counted)
+    for fam, n in [("A", 4), ("A", 8), ("B", 4), ("C", 6), ("D", 5), ("D", 8)]:
+        datum = build_root_datum(AlgebraType(fam, n))
+        point = sample_flow_toda(datum, spawn_rng(67, n))
+        calls = 0
+        integrate_flow(datum, point, quadratic_index(datum), dt=1e-3, steps=1000)
+        assert calls <= 1.1 * 1000, f"{fam}{n}: {calls} field evaluations over 1000 steps"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
