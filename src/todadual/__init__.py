@@ -15,7 +15,6 @@ from .errors import (
     ChamberError,
     GaussCellError,
     DegenerateSpectrumError,
-    OracleMismatchError,
     DualityResidualError,
     StepFailureError,
 )
@@ -67,7 +66,7 @@ from .duality import (
     duality_jacobian,
     symplectomorphism_check,
 )
-from .poisson import ObservableHandle, observable_value, poisson_bracket, commutativity_matrix
+from .poisson import commutativity_matrix
 from .sampling import spawn_rng, sample_chamber, sample_goldfish, sample_moser, sample_toda
 from .verify import run_suite, TOLERANCES
 
@@ -80,7 +79,6 @@ __all__ = [
     "ChamberError",
     "GaussCellError",
     "DegenerateSpectrumError",
-    "OracleMismatchError",
     "DualityResidualError",
     "StepFailureError",
     "AlgebraType",
@@ -130,9 +128,6 @@ __all__ = [
     "verify_duality_identities",
     "duality_jacobian",
     "symplectomorphism_check",
-    "ObservableHandle",
-    "observable_value",
-    "poisson_bracket",
     "commutativity_matrix",
     "spawn_rng",
     "sample_chamber",

@@ -43,10 +43,6 @@ class SingularMatrixError(TodaDualError):
     """Matrix numerically singular where an inverse/decomposition is needed."""
 
 
-class OracleMismatchError(TodaDualError):
-    """Two independent evaluation routes disagree beyond tolerance."""
-
-
 class DualityResidualError(TodaDualError):
     """A duality-map consistency residual exceeded its tolerance."""
 

@@ -17,8 +17,9 @@ invariant of family D, whose bottom n rows start with the fused-root row;
 each maximal minor there is a Laplace expansion along that row against the
 product-form (n-1)-minors below it.
 
-The values are verified against an independent minor oracle (a QR of the
-bottom rows and a Cauchy-Binet sum of dense determinants) in the tests.
+The values are verified against an independent minor oracle,
+moser.minor_oracle_mk (the Gram minors of the bottom rows from their QR), in
+the tests and in `todadual verify`.
 """
 
 from __future__ import annotations

@@ -16,24 +16,16 @@ which is what makes the dual Hamiltonians explicit.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ChamberError,
-    OracleMismatchError,
-    SingularConfigurationError,
-    ValidationError,
-)
+from .errors import ChamberError, SingularConfigurationError, ValidationError
 from .linalg import bottom_row_qr, extended_solve
 from .rootsys import RootDatum, cartan_pattern
 
 # Nodes closer than this (absolute, inputs O(1)) count as a pole.
 POLE_TOL = 1.0e-8
-# Relative disagreement allowed between the two minor-evaluation routes.
-ORACLE_RTOL = 1.0e-8
 
 
 @dataclass(frozen=True)
@@ -216,13 +208,14 @@ def moser_momentum_residual(datum: RootDatum, mp: MoserPoint) -> float:
     return momentum_equation_residual(datum, build_moser_g(datum, mp), mp.qhat)
 
 
-def minor_oracle_mk(datum: RootDatum, g: np.ndarray, k: int, rtol: float = ORACLE_RTOL) -> float:
-    """Bottom-right k x k principal minor of g g^dagger, checked two ways.
+def minor_oracle_mk(datum: RootDatum, g: np.ndarray, k: int) -> float:
+    """Bottom-right k x k principal minor of g g^dagger, from a QR.
 
-    Route one: prod |R_ii|^2 from linalg.bottom_row_qr, accurate where a
-    double-precision Gram determinant is not.  Route two: sum of squared
-    moduli of all k-column minors of the bottom k rows of g (Cauchy-Binet).
-    Disagreement beyond rtol raises OracleMismatchError.
+    The minor is the Gram determinant of the bottom k rows of g, which is
+    prod |R_ii|^2 of linalg.bottom_row_qr; the row-sorted QR keeps the
+    digits a double-precision Gram determinant loses.  It shares no code
+    with the product-form minors behind the closed-form dual Hamiltonians,
+    so it serves as their independent oracle.
     """
     g = np.asarray(g)
     N = datum.size
@@ -230,22 +223,7 @@ def minor_oracle_mk(datum: RootDatum, g: np.ndarray, k: int, rtol: float = ORACL
         raise ValidationError(f"expected shape {(N, N)}, got {g.shape}")
     if not 1 <= k <= datum.algebra.rank:
         raise ValidationError(f"k must lie in 1..{datum.algebra.rank}, got {k}")
-
-    _, r = bottom_row_qr(g, k)
-    via_qr = float(np.prod(r**2))
-
-    rows = g[N - k :, :]
-    subsets = np.array(list(itertools.combinations(range(N), k)))
-    blocks = rows[:, subsets]  # (k, num_subsets, k)
-    dets = np.linalg.det(np.ascontiguousarray(blocks.transpose(1, 0, 2)).astype(complex))
-    expanded = float(np.sum(np.abs(dets) ** 2))
-
-    denom = max(abs(via_qr), abs(expanded), 1.0e-300)
-    if abs(via_qr - expanded) > rtol * denom:
-        raise OracleMismatchError(
-            f"minor routes disagree at k={k}: {via_qr:.17g} vs {expanded:.17g}"
-        )
-    return via_qr
+    return float(np.prod(bottom_row_qr(g, k)[1] ** 2))
 
 
 def ruijsenaars_spec_for(datum: RootDatum, point: MoserPoint):

@@ -7,11 +7,19 @@ record per property, a discrepancy log holding printed-form-vs-oracle
 gaps (family D first Hamiltonian) and convention notes (the halved second
 minor of the rank-2 C chain), and the overall verdict.
 
+Every sampled property runs through one per-point loop with one failure
+policy: a non-generic draw is skipped, a residual failure or a singular
+matrix marks its point broken, and either is named in the record's note by
+its point index.  The closed-form dual Hamiltonians are checked against
+moser.minor_oracle_mk, the QR route to the same Gram minors.
+
 Counters are allocated as 1000 * property_slot + point_index, so any
 reported point can be resampled in isolation.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -23,13 +31,7 @@ from .duality import (
     toda_to_goldfish,
     verify_duality_identities,
 )
-from .errors import (
-    DualityResidualError,
-    NonGenericPointError,
-    OracleMismatchError,
-    SingularMatrixError,
-    ValidationError,
-)
+from .errors import DualityResidualError, NonGenericPointError, SingularMatrixError, ValidationError
 from .goldfish import a_from_p, d_h1_pairsum_variant, goldfish_hamiltonians
 from .moser import build_moser_g, minor_oracle_mk, moser_momentum_residual
 from .poisson import BRACKET_STEP, commutativity_matrix
@@ -82,7 +84,7 @@ def _rng(seed: int, name: str, j: int):
     return spawn_rng(seed, COUNTER_STRIDE * SLOTS[name] + j)
 
 
-def _record(name: str, worst: float, note: str = "") -> dict:
+def _record(name: str, worst: float, *notes: str) -> dict:
     tol = TOLERANCES[name]
     rec = {
         "property": name,
@@ -90,13 +92,14 @@ def _record(name: str, worst: float, note: str = "") -> dict:
         "tolerance": tol,
         "passed": bool(worst < tol),
     }
+    note = "; ".join(part for part in notes if part)
     if note:
         rec["note"] = note
     return rec
 
 
 def _point_notes(skipped: list, broken: list) -> str:
-    """Summarize per-point exceptions raised by the duality maps.
+    """Summarize per-point exceptions raised while measuring a property.
 
     Non-generic draws (degenerate spectrum, chamber wall, chamber margin
     below the pole tolerance) are a legitimate sampler outcome at larger
@@ -115,6 +118,28 @@ def _point_notes(skipped: list, broken: list) -> str:
     return "; ".join(parts)
 
 
+def _per_point(datum: RootDatum, seed: int, name: str, count: int, sample, measure):
+    """Worst measure(sample(datum, rng_j)) over points j < count, and its note.
+
+    A non-generic point is skipped; a residual failure or a singular matrix
+    marks the point broken.  The worst residual is inf if any point broke
+    or every point was skipped.
+    """
+    worst = 0.0
+    skipped, broken = [], []
+    for j in range(count):
+        point = sample(datum, _rng(seed, name, j))
+        try:
+            worst = max(worst, measure(point))
+        except (DualityResidualError, SingularMatrixError) as exc:
+            broken.append((j, str(exc)))
+        except NonGenericPointError as exc:
+            skipped.append((j, str(exc)))
+    if broken or len(skipped) == count:
+        worst = float("inf")
+    return worst, _point_notes(skipped, broken)
+
+
 def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 200) -> dict:
     """Run every property for one algebra; returns the JSON-ready report."""
     if npoints < 1:
@@ -124,98 +149,46 @@ def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 2
     fam, n = datum.algebra.family, datum.algebra.rank
     properties = []
 
-    name = "toda-momentum-residual"
-    worst = 0.0
-    for j in range(npoints):
-        pt = sample_toda(datum, _rng(seed, name, j))
-        worst = max(worst, toda_momentum_residual(datum, pt))
-    properties.append(_record(name, worst))
+    def per_point(name, count, sample, measure, note=""):
+        worst, extra = _per_point(datum, seed, name, count, sample, measure)
+        properties.append(_record(name, worst, note, extra))
 
-    name = "moser-momentum-residual"
-    worst = 0.0
-    for j in range(npoints):
-        mp = sample_moser(datum, _rng(seed, name, j))
-        worst = max(worst, moser_momentum_residual(datum, mp))
-    properties.append(_record(name, worst))
-
-    name = "closed-form-vs-minor-oracle"
-    worst = 0.0
-    note = ""
-    for j in range(npoints):
-        gp = sample_goldfish(datum, _rng(seed, name, j))
+    def minor_gap(gp):
         values = goldfish_hamiltonians(datum, gp)
         g = build_moser_g(datum, a_from_p(datum, gp))
-        try:
-            for k in range(1, n + 1):
-                worst = max(worst, _relative_gap(values[k - 1], minor_oracle_mk(datum, g, k)))
-        except (OracleMismatchError, SingularMatrixError) as exc:
-            worst = float("inf")
-            note = f"point {j}: {exc}"
-            break
-    properties.append(_record(name, worst, note=note))
+        return max(_relative_gap(values[k - 1], minor_oracle_mk(datum, g, k)) for k in range(1, n + 1))
 
+    def round_trip(pt):
+        back = goldfish_to_toda(datum, toda_to_goldfish(datum, pt))
+        return float(max(np.max(np.abs(back.q - pt.q)), np.max(np.abs(back.p - pt.p))))
+
+    def commutativity(point):
+        return float(commutativity_matrix(datum, point).max())
+
+    def odd_trace(pt):
+        # largest scaled |tr X^m| over the odd powers m = 1, 3, ..., 2n + 1
+        X = build_lax(datum, pt)
+        scale = max(1.0, float(np.linalg.norm(X, "fro")))
+        P = X.copy()
+        worst = abs(np.trace(P)) / scale
+        for m in range(3, 2 * n + 2, 2):
+            P = P @ X @ X
+            worst = max(worst, abs(np.trace(P)) / scale**m)
+        return worst
+
+    def duality_mismatch(pt):
+        return verify_duality_identities(datum, pt).max_relative_mismatch
+
+    per_point("toda-momentum-residual", npoints, sample_toda, partial(toda_momentum_residual, datum))
+    per_point("moser-momentum-residual", npoints, sample_moser, partial(moser_momentum_residual, datum))
+    per_point("closed-form-vs-minor-oracle", npoints, sample_goldfish, minor_gap)
     if fam != "A":
-        name = "odd-trace-vanishing"
-        worst = 0.0
-        for j in range(npoints):
-            X = build_lax(datum, sample_toda(datum, _rng(seed, name, j)))
-            scale = max(1.0, float(np.linalg.norm(X, "fro")))
-            P = X.copy()
-            worst = max(worst, abs(np.trace(P)) / scale)
-            for m in range(3, 2 * n + 2, 2):
-                P = P @ X @ X
-                worst = max(worst, abs(np.trace(P)) / scale**m)
-        properties.append(_record(name, worst))
-
-    name = "duality-identities"
-    worst = 0.0
-    skipped, broken = [], []
-    for j in range(npoints):
-        pt = sample_toda(datum, _rng(seed, name, j))
-        try:
-            worst = max(worst, verify_duality_identities(datum, pt).max_relative_mismatch)
-        except (DualityResidualError, SingularMatrixError) as exc:
-            broken.append((j, str(exc)))
-        except NonGenericPointError as exc:
-            skipped.append((j, str(exc)))
-    if broken or len(skipped) == npoints:
-        worst = float("inf")
-    properties.append(_record(name, worst, note=_point_notes(skipped, broken)))
-
-    name = "round-trip"
-    worst = 0.0
-    skipped, broken = [], []
-    for j in range(npoints):
-        pt = sample_toda(datum, _rng(seed, name, j))
-        try:
-            back = goldfish_to_toda(datum, toda_to_goldfish(datum, pt))
-        except (DualityResidualError, SingularMatrixError) as exc:
-            broken.append((j, str(exc)))
-            continue
-        except NonGenericPointError as exc:
-            skipped.append((j, str(exc)))
-            continue
-        worst = max(
-            worst,
-            float(max(np.max(np.abs(back.q - pt.q)), np.max(np.abs(back.p - pt.p)))),
-        )
-    if broken or len(skipped) == npoints:
-        worst = float("inf")
-    properties.append(_record(name, worst, note=_point_notes(skipped, broken)))
-
-    name = "toda-commutativity"
-    worst = 0.0
-    for j in range(min(npoints, 4)):
-        pt = sample_toda(datum, _rng(seed, name, j))
-        worst = max(worst, float(commutativity_matrix(datum, "toda", pt).max()))
-    properties.append(_record(name, worst, note=f"central stencil h={BRACKET_STEP:g}"))
-
-    name = "goldfish-commutativity"
-    worst = 0.0
-    for j in range(min(npoints, 4)):
-        gp = sample_goldfish(datum, _rng(seed, name, j))
-        worst = max(worst, float(commutativity_matrix(datum, "goldfish", gp).max()))
-    properties.append(_record(name, worst, note=f"central stencil h={BRACKET_STEP:g}"))
+        per_point("odd-trace-vanishing", npoints, sample_toda, odd_trace)
+    per_point("duality-identities", npoints, sample_toda, duality_mismatch)
+    per_point("round-trip", npoints, sample_toda, round_trip)
+    stencil = f"central stencil h={BRACKET_STEP:g}"
+    per_point("toda-commutativity", min(npoints, 4), sample_toda, commutativity, stencil)
+    per_point("goldfish-commutativity", min(npoints, 4), sample_goldfish, commutativity, stencil)
 
     name = "flow-conservation"
     k_flow = 2 if n >= 2 else 1
@@ -233,33 +206,19 @@ def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 2
     lamT = np.linalg.eigvalsh(build_lax(datum, final))
     worst = float(np.max(np.abs(hT - h0))) / h_scale
     worst = max(worst, float(np.max(np.abs(lamT - lam0))) / spectral_scale)
-    properties.append(
-        _record(name, worst, note=f"flow of H_{k_flow}, dt=1e-3, {flow_steps} steps")
-    )
+    properties.append(_record(name, worst, f"flow of H_{k_flow}, dt=1e-3, {flow_steps} steps"))
+
+    sigmas = []
+
+    def symplectic_residual(gp):
+        residual, sigma = symplectomorphism_check(datum, gp)
+        sigmas.append(sigma)
+        return residual
 
     name = "symplectomorphism"
-    worst = 0.0
-    sigmas = []
-    skipped, broken = [], []
-    for j in range(min(npoints, 3)):
-        gp = sample_goldfish(datum, _rng(seed, name, j))
-        try:
-            residual, sigma = symplectomorphism_check(datum, gp)
-        except (DualityResidualError, SingularMatrixError) as exc:
-            broken.append((j, str(exc)))
-            continue
-        except NonGenericPointError as exc:
-            skipped.append((j, str(exc)))
-            continue
-        worst = max(worst, residual)
-        sigmas.append(sigma)
-    if broken or not sigmas:
-        worst = float("inf")
+    worst, extra = _per_point(datum, seed, name, min(npoints, 3), sample_goldfish, symplectic_residual)
     note = f"sigma values {sorted(set(sigmas))}; inverse-map central stencil h={JACOBIAN_STEP:g}"
-    extra = _point_notes(skipped, broken)
-    if extra:
-        note += "; " + extra
-    properties.append(_record(name, worst, note=note))
+    properties.append(_record(name, worst, note, extra))
 
     log = []
     if fam == "D":

@@ -210,9 +210,9 @@ def test_criterion_07_commuting_families():
             datum = build_root_datum(AlgebraType(fam, n))
             for j in range(per + (1 if idx < extra else 0)):
                 tp = sample_toda(datum, spawn_rng(41, 100 * n + j))
-                worst = max(worst, float(commutativity_matrix(datum, "toda", tp).max()))
+                worst = max(worst, float(commutativity_matrix(datum, tp).max()))
                 gp = sample_goldfish(datum, spawn_rng(41, 5000 + 100 * n + j))
-                worst = max(worst, float(commutativity_matrix(datum, "goldfish", gp).max()))
+                worst = max(worst, float(commutativity_matrix(datum, gp).max()))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-5
     _report(7, ok, f"all pairs both families, worst normalized {worst:.3e}", elapsed, 60.0)

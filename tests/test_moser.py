@@ -1,12 +1,12 @@
 """Moser-gauge layer: the canonical lower-triangular g, momentum equation,
-rational matrix minors, and the two-route minor oracle."""
+rational matrix minors, and the QR minor oracle."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from todadual.errors import ChamberError, OracleMismatchError, ValidationError
+from todadual.errors import ChamberError, ValidationError
 from todadual.goldfish import a_from_p
 from todadual.moser import (
     MoserPoint,
@@ -138,14 +138,27 @@ def test_bottom_rows_match_ruijsenaars_matrix():
             assert gap.max() < 1e-10 * max(1.0, np.abs(M[i]).max())
 
 
+def cauchy_binet_minor(g, k):
+    """Bottom-right k x k principal minor of g g^dagger as the sum of the
+    squared moduli of every k-column minor of the bottom k rows of g."""
+    N = g.shape[0]
+    subsets = np.array(list(itertools.combinations(range(N), k)))
+    blocks = g[N - k :, :][:, subsets]  # (k, num_subsets, k)
+    dets = np.linalg.det(np.ascontiguousarray(blocks.transpose(1, 0, 2)).astype(complex))
+    return float(np.sum(np.abs(dets) ** 2))
+
+
 def test_minor_oracle_two_routes_agree():
+    # the QR oracle against a dense Cauchy-Binet sum of determinants
     for fam, n in ALGEBRAS:
         datum = build_root_datum(AlgebraType(fam, n))
         gp = sample_goldfish(datum, spawn_rng(777, n))
         g = build_moser_g(datum, a_from_p(datum, gp))
         for k in range(1, n + 1):
             value = minor_oracle_mk(datum, g, k)
+            dense = cauchy_binet_minor(g, k)
             assert value > 0.0  # principal minors of a Gram matrix
+            assert abs(value - dense) < 1e-8 * max(value, dense), f"{fam}{n} k={k}"
 
 
 def test_minor_oracle_rejects_inconsistent_matrix():

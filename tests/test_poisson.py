@@ -3,34 +3,29 @@
 import numpy as np
 import pytest
 
+import todadual.poisson
 from todadual.errors import ValidationError
-from todadual.goldfish import GoldfishPoint
-from todadual.poisson import (
-    BRACKET_STEP,
-    ObservableHandle,
-    central_difference,
-    commutativity_matrix,
-    flatten_point,
-    observable_function,
-    observable_value,
-    poisson_bracket,
-    poisson_bracket_functions,
-)
+from todadual.goldfish import GoldfishPoint, goldfish_hamiltonian
+from todadual.poisson import BRACKET_STEP, central_difference, commutativity_matrix, flatten_point
 from todadual.rootsys import AlgebraType, build_root_datum
 from todadual.sampling import sample_goldfish, sample_toda, spawn_rng
-from todadual.toda import TodaPoint, toda_hamiltonian
+from todadual.toda import TodaPoint, symplectic_scale, toda_hamiltonian
 
 
-def test_handle_validation():
-    alg = AlgebraType("C", 2)
-    with pytest.raises(ValidationError):
-        ObservableHandle("fourier", 1, alg)
-    with pytest.raises(ValidationError):
-        ObservableHandle("toda", 3, alg)
-    with pytest.raises(ValidationError):
-        ObservableHandle("toda", 0, alg)
-    # family string is case-normalized
-    assert ObservableHandle("Toda", 1, alg).family == "toda"
+def bracket(datum, f, g, z):
+    """{f, g} at the flat phase vector z (momenta first), by central differences."""
+    n = datum.algebra.rank
+    gf = central_difference(f, z, BRACKET_STEP)
+    gg = central_difference(g, z, BRACKET_STEP)
+    return float(gf[n:] @ gg[:n] - gf[:n] @ gg[n:]) / float(symplectic_scale(datum))
+
+
+def hamiltonian(datum, point, k):
+    """H_k of the point's family as a function of the flat phase vector."""
+    n = datum.algebra.rank
+    if isinstance(point, TodaPoint):
+        return lambda z: toda_hamiltonian(datum, TodaPoint(q=z[n:], p=z[:n]), k)
+    return lambda z: goldfish_hamiltonian(datum, GoldfishPoint(qhat=z[n:], phat=z[:n]), k)
 
 
 def test_flatten_point_order():
@@ -42,32 +37,6 @@ def test_flatten_point_order():
         flatten_point(np.zeros(4))
 
 
-def test_observable_value_dispatch():
-    datum = build_root_datum(AlgebraType("C", 2))
-    tp = sample_toda(datum, spawn_rng(19, 0))
-    h = ObservableHandle("toda", 1, datum.algebra)
-    assert observable_value(datum, h, tp) == toda_hamiltonian(datum, tp, 1)
-    other = build_root_datum(AlgebraType("C", 3))
-    with pytest.raises(ValidationError):
-        observable_value(other, h, tp)
-
-
-def test_self_bracket_is_exactly_zero():
-    datum = build_root_datum(AlgebraType("B", 2))
-    tp = sample_toda(datum, spawn_rng(19, 1))
-    h = ObservableHandle("toda", 1, datum.algebra)
-    assert poisson_bracket(datum, h, h, tp) == 0.0
-
-
-def test_mixed_family_bracket_rejected():
-    datum = build_root_datum(AlgebraType("B", 2))
-    tp = sample_toda(datum, spawn_rng(19, 2))
-    f = ObservableHandle("toda", 1, datum.algebra)
-    g = ObservableHandle("goldfish", 2, datum.algebra)
-    with pytest.raises(ValidationError):
-        poisson_bracket(datum, f, g, tp)
-
-
 def test_coordinate_brackets_carry_family_scale():
     # {q_i, p_j} = delta_ij / s on the flat layout (p first, q second)
     for fam, want in [("A", 1.0), ("C", 0.5)]:
@@ -77,7 +46,7 @@ def test_coordinate_brackets_carry_family_scale():
             for j in range(2):
                 qi = lambda w, i=i: float(w[2 + i])
                 pj = lambda w, j=j: float(w[j])
-                got = poisson_bracket_functions(datum, qi, pj, z)
+                got = bracket(datum, qi, pj, z)
                 expect = want if i == j else 0.0
                 assert abs(got - expect) < 1e-9
 
@@ -91,17 +60,24 @@ def test_leibniz_identity():
     g = lambda w: float(w[n])  # q_1
     h = lambda w: float(w[1] ** 2 + w[n])  # p_2^2 + q_1
     gh = lambda w: g(w) * h(w)
-    lhs = poisson_bracket_functions(datum, f, gh, z)
-    rhs = poisson_bracket_functions(datum, f, g, z) * h(z)
-    rhs += g(z) * poisson_bracket_functions(datum, f, h, z)
+    lhs = bracket(datum, f, gh, z)
+    rhs = bracket(datum, f, g, z) * h(z)
+    rhs += g(z) * bracket(datum, f, h, z)
     assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
+
+
+def test_self_bracket_is_exactly_zero():
+    # the diagonal of either family's commutativity matrix is set, not measured
+    datum = build_root_datum(AlgebraType("B", 2))
+    for point in [sample_toda(datum, spawn_rng(19, 1)), sample_goldfish(datum, spawn_rng(19, 1))]:
+        assert np.all(np.diag(commutativity_matrix(datum, point)) == 0.0)
 
 
 def test_chain_hamiltonians_commute():
     for fam, n in [("A", 3), ("B", 2), ("C", 3), ("D", 3), ("A", 8), ("B", 8), ("C", 8), ("D", 8)]:
         datum = build_root_datum(AlgebraType(fam, n))
         tp = sample_toda(datum, spawn_rng(43, n))
-        M = commutativity_matrix(datum, "toda", tp)
+        M = commutativity_matrix(datum, tp)
         assert M.shape == (n, n)
         assert np.max(np.abs(np.diag(M))) == 0.0
         assert M.max() < 1e-6, f"{fam}{n}: {M.max():.3e}"
@@ -111,7 +87,7 @@ def test_dual_hamiltonians_commute():
     for fam, n in [("A", 3), ("B", 2), ("C", 2), ("D", 3), ("A", 8), ("B", 8), ("C", 8), ("D", 8)]:
         datum = build_root_datum(AlgebraType(fam, n))
         gp = sample_goldfish(datum, spawn_rng(43, 100 + n))
-        M = commutativity_matrix(datum, "goldfish", gp)
+        M = commutativity_matrix(datum, gp)
         assert M.max() < 1e-6, f"{fam}{n}: {M.max():.3e}"
 
 
@@ -119,26 +95,43 @@ def test_commutativity_matrix_matches_pairwise_brackets():
     # the one-stencil Jacobian pairing reproduces every normalized bracket
     for fam, n in [("A", 3), ("B", 2), ("C", 3), ("D", 3)]:
         datum = build_root_datum(AlgebraType(fam, n))
-        points = {
-            "toda": sample_toda(datum, spawn_rng(47, n)),
-            "goldfish": sample_goldfish(datum, spawn_rng(47, 100 + n)),
-        }
-        for family, point in points.items():
-            handles = [ObservableHandle(family, k, datum.algebra) for k in range(1, n + 1)]
+        points = [sample_toda(datum, spawn_rng(47, n)), sample_goldfish(datum, spawn_rng(47, 100 + n))]
+        for point in points:
+            fs = [hamiltonian(datum, point, k) for k in range(1, n + 1)]
             z = flatten_point(point)
-            norms = [
-                np.linalg.norm(central_difference(observable_function(datum, h), z, BRACKET_STEP))
-                for h in handles
-            ]
-            M = commutativity_matrix(datum, family, point)
+            norms = [np.linalg.norm(central_difference(f, z, BRACKET_STEP)) for f in fs]
+            M = commutativity_matrix(datum, point)
+            kind = type(point).__name__
             for j in range(n):
+                assert M[j, j] == 0.0
                 for k in range(n):
-                    bracket = poisson_bracket(datum, handles[j], handles[k], point)
-                    want = abs(bracket) / (norms[j] * norms[k])
-                    assert abs(M[j, k] - want) < 1e-12, f"{fam}{n} {family} ({j}, {k})"
+                    if k != j:
+                        want = abs(bracket(datum, fs[j], fs[k], z)) / (norms[j] * norms[k])
+                        assert abs(M[j, k] - want) < 1e-12, f"{fam}{n} {kind} ({j}, {k})"
 
+
+def test_commutativity_matrix_dispatches_on_point_type(monkeypatch):
+    # the family comes from the point: a TodaPoint at goldfish coordinates
+    # is differentiated through the trace Hamiltonians only, a GoldfishPoint
+    # through the dual ones only, and anything else is rejected
+    calls = []
+    for fn in ("toda_hamiltonians", "goldfish_hamiltonians"):
+        real = getattr(todadual.poisson, fn)
+        spy = lambda *args, fn=fn, real=real: calls.append(fn) or real(*args)
+        monkeypatch.setattr(todadual.poisson, fn, spy)
+    datum = build_root_datum(AlgebraType("C", 3))
+    gp = sample_goldfish(datum, spawn_rng(0, 1))
+    commutativity_matrix(datum, TodaPoint(q=gp.qhat, p=gp.phat))
+    assert set(calls) == {"toda_hamiltonians"}
+    calls.clear()
+    commutativity_matrix(datum, gp)
+    assert set(calls) == {"goldfish_hamiltonians"}
+    with pytest.raises(ValidationError):
+        commutativity_matrix(datum, flatten_point(gp))
 
 def test_bad_phase_vector_length():
     datum = build_root_datum(AlgebraType("A", 2))
-    with pytest.raises(ValidationError):
-        poisson_bracket_functions(datum, lambda z: 0.0, lambda z: 0.0, np.zeros(3))
+    with pytest.raises(ValidationError, match="length 4"):
+        commutativity_matrix(datum, TodaPoint(q=np.zeros(3), p=np.zeros(3)))
+    with pytest.raises(ValidationError, match="length 4"):
+        commutativity_matrix(datum, GoldfishPoint(qhat=[3.0, 2.0, 1.0], phat=np.zeros(3)))

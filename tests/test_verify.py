@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import todadual.verify
-from todadual.errors import SingularMatrixError, ValidationError
+from todadual.errors import ChamberError, SingularMatrixError, ValidationError
 from todadual.rootsys import AlgebraType, build_root_datum
 from todadual.verify import RANK_CAP, SLOTS, TOLERANCES, run_suite
 
@@ -107,8 +107,8 @@ def test_singular_matrix_is_a_residual_failure(monkeypatch):
 
 
 def test_singular_minor_oracle_is_a_reported_failure(monkeypatch):
-    # a zero pivot in the oracle's bottom-row QR fails closed-form-vs-minor-
-    # oracle with the point index; run_suite still returns its report
+    # a zero pivot in the oracle's bottom-row QR breaks every point of
+    # closed-form-vs-minor-oracle; run_suite still returns its report
     def singular(datum, g, k):
         raise SingularMatrixError("zero diagonal entry in the bottom-row QR")
 
@@ -116,4 +116,35 @@ def test_singular_minor_oracle_is_a_reported_failure(monkeypatch):
     report = run_suite(build_root_datum(AlgebraType("C", 2)), seed=0, npoints=3, flow_steps=2)
     record = next(r for r in report["properties"] if r["property"] == "closed-form-vs-minor-oracle")
     assert not record["passed"]
-    assert "point 0: zero diagonal entry" in record["note"]
+    assert "3 residual failure(s)" in record["note"]
+    assert "0: zero diagonal entry" in record["note"]
+
+
+def _chamber_error_at(monkeypatch, points):
+    # moser-momentum-residual meets a chamber wall at the given point indices
+    real = todadual.verify.moser_momentum_residual
+    calls = []
+
+    def residual(datum, mp):
+        calls.append(mp)
+        if len(calls) - 1 in points:
+            raise ChamberError("qhat on a chamber wall")
+        return real(datum, mp)
+
+    monkeypatch.setattr(todadual.verify, "moser_momentum_residual", residual)
+    report = run_suite(build_root_datum(AlgebraType("C", 2)), seed=0, npoints=3, flow_steps=2)
+    return next(r for r in report["properties"] if r["property"] == "moser-momentum-residual")
+
+
+def test_non_generic_point_is_skipped(monkeypatch):
+    record = _chamber_error_at(monkeypatch, {1})
+    assert record["passed"]
+    assert 0.0 < record["worst_residual"] < record["tolerance"]
+    assert record["note"] == "1 non-generic draw(s) skipped (1: qhat on a chamber wall)"
+
+
+def test_every_point_skipped_fails(monkeypatch):
+    record = _chamber_error_at(monkeypatch, {0, 1, 2})
+    assert record["worst_residual"] == float("inf")
+    assert not record["passed"]
+    assert record["note"].startswith("3 non-generic draw(s) skipped (0: qhat on a chamber wall")
