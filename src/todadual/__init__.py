@@ -39,6 +39,7 @@ from .goldfish import (
     p_from_a,
     goldfish_hamiltonian,
     goldfish_hamiltonians,
+    goldfish_gradients,
     goldfish_hamiltonian_signed_A,
     rs_hamiltonian_A,
 )
@@ -52,6 +53,7 @@ from .toda import (
     toda_momentum_residual,
     toda_hamiltonian,
     toda_hamiltonians,
+    toda_gradients,
     equations_of_motion,
     integrate_flow,
 )
@@ -106,6 +108,7 @@ __all__ = [
     "p_from_a",
     "goldfish_hamiltonian",
     "goldfish_hamiltonians",
+    "goldfish_gradients",
     "goldfish_hamiltonian_signed_A",
     "rs_hamiltonian_A",
     "TodaPoint",
@@ -117,6 +120,7 @@ __all__ = [
     "toda_momentum_residual",
     "toda_hamiltonian",
     "toda_hamiltonians",
+    "toda_gradients",
     "equations_of_motion",
     "integrate_flow",
     "DualityReport",

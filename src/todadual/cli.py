@@ -18,6 +18,7 @@ Output conventions
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -290,7 +291,9 @@ def _add_point_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--q", default=None, help="comma-separated positions (with --p)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="todadual",
         description="Open Toda chains of types A-D, their rational goldfish duals, "

@@ -15,7 +15,9 @@ matrix of moser.ruijsenaars_spec_for, whose minors factor in product form
 sum over the subsets of the columns.  The only exception is the top
 invariant of family D, whose bottom n rows start with the fused-root row;
 each maximal minor there is a Laplace expansion along that row against the
-product-form (n-1)-minors below it.
+product-form (n-1)-minors below it.  goldfish_gradients differentiates the
+same sums exactly, through the log-minor gradients of
+moser.log_minor_gradients and the spec's dependence on (phat, qhat).
 
 The values are verified against an independent minor oracle,
 moser.minor_oracle_mk (the Gram minors of the bottom rows from their QR), in
@@ -31,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ChamberError, SingularConfigurationError, ValidationError
-from .moser import MoserPoint, check_chamber, ruijsenaars_spec_for, signed_log_minors
+from .moser import MoserPoint, check_chamber, log_minor_gradients, ruijsenaars_spec_for, signed_log_minors
 from .rootsys import RootDatum
 
 
@@ -112,6 +114,45 @@ def p_from_a(datum: RootDatum, point: MoserPoint) -> GoldfishPoint:
     return GoldfishPoint(qhat=point.qhat, phat=np.log(point.ahat) - 0.5 * np.log(F))
 
 
+def _log_weight_jacobian(datum: RootDatum, qhat: np.ndarray) -> np.ndarray:
+    """d log ahat / d(phat, qhat), shape (n, 2n): log ahat = phat + log F(qhat) / 2.
+
+    Each factor of chamber_factors contributes d log|u| = du / u: the
+    differences q_i - q_j with sign +1 for j > i and -1 for j < i, the sums
+    q_i + q_k (B, C, D), and 1/q_i for the B/C factor 2 q_i and B's q_i.
+    """
+    q = np.asarray(qhat, dtype=float)
+    n = q.size
+    fam = datum.algebra.family
+    off = ~np.eye(n, dtype=bool)
+    order = np.sign(np.arange(n)[None, :] - np.arange(n)[:, None])
+    W = np.where(off, order / np.where(off, q[:, None] - q[None, :], 1.0), 0.0)
+    dlogF = np.diag(W.sum(axis=1)) - W
+    if fam != "A":
+        P = np.where(off, 1.0 / np.where(off, q[:, None] + q[None, :], 1.0), 0.0)
+        dlogF += P + np.diag(P.sum(axis=1))
+    if fam in ("B", "C"):
+        dlogF += np.diag((2.0 if fam == "B" else 1.0) / q)
+    return np.hstack([np.eye(n), 0.5 * dlogF])
+
+
+def _spec_jacobian(datum: RootDatum, qhat: np.ndarray, dL: np.ndarray) -> np.ndarray:
+    """d(log|b|, x) / d(phat, qhat) of ruijsenaars_spec_for, shape (2 spec.size, 2n).
+
+    dL is _log_weight_jacobian at the same qhat.
+    """
+    n = qhat.size
+    fam = datum.algebra.family
+    dq = np.hstack([np.zeros((n, n)), np.eye(n)])
+    if fam == "A":
+        return np.vstack([dL, dq])
+    first = dL.copy()
+    if fam == "D":  # first-half weights carry the factor 2 qhat_j
+        first[:, n:] += np.diag(1.0 / qhat)
+    middle = np.zeros((1 if fam == "B" else 0, 2 * n))  # B's fixed b = 1, x = 0
+    return np.vstack([first, middle, -dL[::-1], -dq, middle, dq[::-1]])
+
+
 @lru_cache(maxsize=None)
 def _subset_masks(n: int, k: int) -> np.ndarray:
     """(num_subsets, n) 0/1 rows, one per size-k subset of range(n)."""
@@ -169,6 +210,25 @@ def _fused_root_row(mp: MoserPoint) -> np.ndarray:
     return row * np.concatenate([mp.ahat, 1.0 / mp.ahat[::-1]])
 
 
+def _fused_row_log_jacobian(qhat: np.ndarray, dL: np.ndarray) -> np.ndarray:
+    """d log|row_c| / d(phat, qhat) of _fused_root_row, shape (2n, 2n).
+
+    dL is _log_weight_jacobian at the same qhat; rows of the row's zero
+    entries are zero.
+    """
+    n = qhat.size
+    head = qhat[: n - 1]
+    later = np.triu(np.ones((n - 1, n - 1)), k=1) > 0.0
+    inv = np.where(later, 1.0 / np.where(later, head[:, None] - head[None, :], 1.0), 0.0)
+    fused = 1.0 / (head + qhat[-1])
+    out = np.zeros((2 * n, 2 * n))
+    out[: n - 1] = dL[: n - 1]
+    out[: n - 1, n : 2 * n - 1] += inv - np.diag(inv.sum(axis=1) + fused)
+    out[: n - 1, -1] -= fused
+    out[n] = -dL[n - 1]
+    return out
+
+
 def goldfish_hamiltonians(datum: RootDatum, point: GoldfishPoint, kmax: int | None = None) -> np.ndarray:
     """Dual Hamiltonians (H-hat_1, ..., H-hat_kmax) = m_k(g g^dagger); kmax defaults to the rank.
 
@@ -200,6 +260,39 @@ def goldfish_hamiltonian(datum: RootDatum, point: GoldfishPoint, k: int) -> floa
     if not 1 <= k <= n:
         raise ValidationError(f"k must lie in 1..{n}, got {k}")
     return float(goldfish_hamiltonians(datum, point, k)[k - 1])
+
+
+def goldfish_gradients(datum: RootDatum, point: GoldfishPoint) -> np.ndarray:
+    """Exact gradients of (H-hat_1, ..., H-hat_n): row k-1 is dH-hat_k in (phat, qhat) order.
+
+    The same minor evaluation as goldfish_hamiltonians: each H-hat_k is a
+    sum of squared minors exp(2 l_S), so dH-hat_k = sum_S 2 exp(2 l_S) dl_S,
+    with dl_S from moser.log_minor_gradients chained through the spec's
+    dependence on (phat, qhat).  The D top invariant sum_T M_T^2, with
+    M_T the Laplace sum of row_c times the (n-1)-minors below, takes
+    dM_T term by term as (row_c minor) (d log|row_c| + dl_rest).
+    """
+    n = datum.algebra.rank
+    mp = a_from_p(datum, point)
+    spec, _ = ruijsenaars_spec_for(datum, mp)
+    fused = datum.algebra.family == "D"
+    masks, starts = _stacked_masks(spec.size, n - 1 if fused else n)
+    sign, logabs = signed_log_minors(spec, masks)
+    dl = log_minor_gradients(spec, masks)
+    spec_grads = np.add.reduceat(2.0 * np.exp(2.0 * logabs)[:, None] * dl, starts)
+    dL = _log_weight_jacobian(datum, point.qhat)
+    if not fused:
+        return spec_grads @ _spec_jacobian(datum, point.qhat, dL)
+    cols, parity, rest = _laplace_tables(spec.size, n)
+    below = starts[-1]
+    terms = parity * _fused_root_row(mp)[cols] * sign[rest + below] * np.exp(logabs[rest + below])
+    u = 2.0 * terms.sum(axis=1, keepdims=True) * terms  # 2 M_T times each Laplace term
+    rest_weights = np.bincount(rest.ravel(), weights=u.ravel(), minlength=masks.shape[0] - below)
+    spec_grads = np.vstack([spec_grads, rest_weights @ dl[below:]])
+    out = spec_grads @ _spec_jacobian(datum, point.qhat, dL)
+    col_weights = np.bincount(cols.ravel(), weights=u.ravel(), minlength=spec.size)
+    out[-1] += col_weights @ _fused_row_log_jacobian(point.qhat, dL)
+    return out
 
 
 def _cross_products(F: np.ndarray, k: int):

@@ -140,6 +140,21 @@ def signed_log_minors(spec: RuijsenaarsMatrixSpec, masks: np.ndarray):
     return 1.0 - 2.0 * (np.rint(flips) % 2.0), logabs
 
 
+def log_minor_gradients(spec: RuijsenaarsMatrixSpec, masks: np.ndarray) -> np.ndarray:
+    """Exact d log|minor| / d(log|b|, x) of signed_log_minors, one row per mask.
+
+    The first spec.size columns are the mask itself (d/d log|b_c| = S_c);
+    the rest are d/dx_m = -S_m sum_{j>m} (1-S_j)/(x_m-x_j)
+    + (1-S_m) sum_{c<m} S_c/(x_c-x_m).
+    """
+    S = np.asarray(masks, dtype=float)
+    diff = spec.x[:, None] - spec.x[None, :]
+    later = np.triu(np.ones(diff.shape, dtype=bool), k=1)  # pairs j > c
+    U = np.where(later, 1.0 / np.where(later, diff, 1.0), 0.0)
+    out = 1.0 - S
+    return np.hstack([S, out * (S @ U) - S * (out @ U.T)])
+
+
 def closed_form_minor(spec: RuijsenaarsMatrixSpec, cols) -> float:
     """Minor of the bottom k rows of the matrix against columns `cols`."""
     cols = tuple(cols)

@@ -1,16 +1,13 @@
-"""Finite-difference commutativity certificates for both Hamiltonian families.
+"""Exact commutativity certificates for both Hamiltonian families.
 
 Both families live on a phase space with the bracket
 {f, g} = s^{-1} sum_i (df/dq_i dg/dp_i - df/dp_i dg/dq_i), where s is the
-per-family symplectic scale (1 for A, 2 for B/C/D).  Derivatives are
-central finite differences on the flat vector z = (momenta, positions),
-one pass at BRACKET_STEP.  The stencil's error is truncation, O(h^2); at
-this width the worst normalized bracket of either commuting family sits
-several decades under the commutativity tolerance, so no extrapolation is
-run.  The commutativity matrix differentiates the whole Hamiltonian vector
-with one stencil and takes every pairing from the resulting Jacobian.
-central_difference is the package's one finite-difference routine; the
-duality Jacobian runs on it too.
+per-family symplectic scale (1 for A, 2 for B/C/D).  The commutativity
+matrix pairs exact gradients of the whole Hamiltonian vector, one engine
+call per point: toda.toda_gradients differentiates the trace powers
+through the Lax power chain, goldfish.goldfish_gradients the closed-form
+minors.  central_difference, the package's one finite-difference routine,
+serves only the duality Jacobian.
 """
 
 from __future__ import annotations
@@ -20,15 +17,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .goldfish import GoldfishPoint, goldfish_hamiltonians
+from .goldfish import GoldfishPoint, goldfish_gradients
 from .rootsys import RootDatum
-from .toda import TodaPoint, symplectic_scale, toda_hamiltonians
-
-# Width of the one central stencil.  Over every family at ranks 1-8, seeds
-# 0-4 and the four verify draws per seed, the worst normalized bracket was
-# 6.9e-10 (D8 goldfish) at this width, 1.05e-9 at 2e-5 (truncation, h^2)
-# and 2.0e-9 at 5e-6 (the D-family goldfish rounding floor).
-BRACKET_STEP = 1.0e-5
+from .toda import TodaPoint, symplectic_scale, toda_gradients
 
 
 def flatten_point(point) -> np.ndarray:
@@ -58,20 +49,19 @@ def commutativity_matrix(datum: RootDatum, point) -> np.ndarray:
     Hamiltonians; any other point raises ValidationError.  Entry (j, k) is
     |{H_j+1, H_k+1}| / (|grad H_j+1| |grad H_k+1|) so the integrability
     certificate is scale-free; the diagonal is exactly zero.
-    One stencil differentiates the whole vector (H_1, ..., H_n) into a
-    Jacobian J (rows H_k, columns (p, q)); the brackets are the pairing
-    (J_q J_p^T - J_p J_q^T) / s, and the norms are the rows of the same J.
+    The exact Jacobian J of (H_1, ..., H_n) (rows H_k, columns (p, q))
+    gives the brackets as the pairing (J_q J_p^T - J_p J_q^T) / s and the
+    norms as its rows.
     """
     z = flatten_point(point)
     n = datum.algebra.rank
     if z.size != 2 * n:
         raise ValidationError(f"phase vector must have length {2 * n}, got {z.size}")
     if isinstance(point, TodaPoint):
-        vector = lambda z: toda_hamiltonians(datum, TodaPoint(q=z[n:], p=z[:n]))
+        J = toda_gradients(datum, point)
     else:
-        vector = lambda z: goldfish_hamiltonians(datum, GoldfishPoint(qhat=z[n:], phat=z[:n]))
+        J = goldfish_gradients(datum, point)
     s = float(symplectic_scale(datum))
-    J = central_difference(vector, z, BRACKET_STEP).T
     brackets = (J[:, n:] @ J[:, :n].T - J[:, :n] @ J[:, n:].T) / s
     norms = np.maximum(np.linalg.norm(J, axis=1), 1.0e-300)
     out = np.abs(brackets) / np.outer(norms, norms)

@@ -12,7 +12,8 @@ B/C/D.  The Poisson structure carries a per-family scale s (1 for A, 2 for
 B/C/D): {q_i, p_j} = delta_ij / s, so Hamilton's equations read
 dz/dt = s^{-1} (dH/dp, -dH/dq).  Gradients are exact: dH_k = Tr(G dX) with
 G = X^{k-1} for A and G = X^{2k-1} / 2 for B/C/D, paired against the Cartan
-generators and the simple root vectors.  The flow uses the implicit
+generators and the simple root vectors; toda_gradients returns every
+dH_k at once from the same gathers.  The flow uses the implicit
 midpoint rule, which preserves the quadratic invariants of the exact flow
 to the iteration tolerance.  Each step solves its midpoint equation by
 fixed-point sweeps until two consecutive iterates agree to MIDPOINT_TOL
@@ -197,6 +198,35 @@ def equations_of_motion(datum: RootDatum, point: TodaPoint, k: int):
     )
     dH_dq = datum.alpha_coeffs.T @ (w * root_traces)
     return dH_dp / s, -dH_dq / s
+
+
+def toda_gradients(datum: RootDatum, point: TodaPoint) -> np.ndarray:
+    """Exact gradients of (H_1, ..., H_n): row k-1 is dH_k in (p, q) order.
+
+    The power chain G_k = X^{k-1} (A) or X^{2k-1} / 2 (B/C/D) goes through
+    equations_of_motion's two gathers for every k at once; rows are not
+    divided by the Poisson scale.
+    """
+    _check_rank(datum, point)
+    n, N = datum.algebra.rank, datum.size
+    X, w = _lax(datum, point.q, point.p)
+    if datum.algebra.family == "A":
+        P, step, scale = np.eye(N), X, 1.0
+    else:
+        P, step, scale = X, X @ X, 0.5
+    G = np.empty((n, N * N))
+    for k in range(n):
+        G[k] = scale * P.ravel()
+        P = P @ step
+    dH_dp = G[:, :: N + 1] @ datum.cartan_rows.T
+    rows = np.arange(n)[:, None] * datum.num_roots
+    root_traces = np.bincount(
+        (rows + datum.root_index).ravel(),
+        weights=(datum.root_sign * G[:, datum.root_flat_t]).ravel(),
+        minlength=n * datum.num_roots,
+    ).reshape(n, datum.num_roots)
+    dH_dq = (w * root_traces) @ datum.alpha_coeffs
+    return np.hstack([dH_dp, dH_dq])
 
 
 def integrate_flow(

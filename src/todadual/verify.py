@@ -10,8 +10,11 @@ minor of the rank-2 C chain), and the overall verdict.
 Every sampled property runs through one per-point loop with one failure
 policy: a non-generic draw is skipped, a residual failure or a singular
 matrix marks its point broken, and either is named in the record's note by
-its point index.  The closed-form dual Hamiltonians are checked against
-moser.minor_oracle_mk, the QR route to the same Gram minors.
+its point index; a non-finite residual breaks its point too.  The
+closed-form dual Hamiltonians are checked against moser.minor_oracle_mk,
+the QR route to the same Gram minors.  Both commutativity properties pair
+exact gradients (poisson.commutativity_matrix); the one finite-difference
+stencil left is the symplectomorphism check's inverse-map Jacobian.
 
 Counters are allocated as 1000 * property_slot + point_index, so any
 reported point can be resampled in isolation.
@@ -34,7 +37,7 @@ from .duality import (
 from .errors import DualityResidualError, NonGenericPointError, SingularMatrixError, ValidationError
 from .goldfish import a_from_p, d_h1_pairsum_variant, goldfish_hamiltonians
 from .moser import build_moser_g, minor_oracle_mk, moser_momentum_residual
-from .poisson import BRACKET_STEP, commutativity_matrix
+from .poisson import commutativity_matrix
 from .rootsys import RootDatum
 from .sampling import (
     SEED_SCHEME,
@@ -121,16 +124,20 @@ def _point_notes(skipped: list, broken: list) -> str:
 def _per_point(datum: RootDatum, seed: int, name: str, count: int, sample, measure):
     """Worst measure(sample(datum, rng_j)) over points j < count, and its note.
 
-    A non-generic point is skipped; a residual failure or a singular matrix
-    marks the point broken.  The worst residual is inf if any point broke
-    or every point was skipped.
+    A non-generic point is skipped; a residual failure, a singular matrix
+    or a non-finite residual marks the point broken.  The worst residual is
+    inf if any point broke or every point was skipped.
     """
     worst = 0.0
     skipped, broken = [], []
     for j in range(count):
         point = sample(datum, _rng(seed, name, j))
         try:
-            worst = max(worst, measure(point))
+            value = measure(point)
+            if np.isfinite(value):
+                worst = max(worst, value)
+            else:
+                broken.append((j, f"non-finite residual {value}"))
         except (DualityResidualError, SingularMatrixError) as exc:
             broken.append((j, str(exc)))
         except NonGenericPointError as exc:
@@ -186,9 +193,8 @@ def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 2
         per_point("odd-trace-vanishing", npoints, sample_toda, odd_trace)
     per_point("duality-identities", npoints, sample_toda, duality_mismatch)
     per_point("round-trip", npoints, sample_toda, round_trip)
-    stencil = f"central stencil h={BRACKET_STEP:g}"
-    per_point("toda-commutativity", min(npoints, 4), sample_toda, commutativity, stencil)
-    per_point("goldfish-commutativity", min(npoints, 4), sample_goldfish, commutativity, stencil)
+    per_point("toda-commutativity", min(npoints, 4), sample_toda, commutativity, "exact gradients")
+    per_point("goldfish-commutativity", min(npoints, 4), sample_goldfish, commutativity, "exact gradients")
 
     name = "flow-conservation"
     k_flow = 2 if n >= 2 else 1
@@ -204,8 +210,8 @@ def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 2
     final = TodaPoint(q=trajectory[-1][:n], p=trajectory[-1][n:])
     hT = toda_hamiltonians(datum, final)
     lamT = np.linalg.eigvalsh(build_lax(datum, final))
-    worst = float(np.max(np.abs(hT - h0))) / h_scale
-    worst = max(worst, float(np.max(np.abs(lamT - lam0))) / spectral_scale)
+    drifts = [float(np.max(np.abs(hT - h0))) / h_scale, float(np.max(np.abs(lamT - lam0))) / spectral_scale]
+    worst = max(drifts) if np.all(np.isfinite(drifts)) else float("inf")
     properties.append(_record(name, worst, f"flow of H_{k_flow}, dt=1e-3, {flow_steps} steps"))
 
     sigmas = []

@@ -239,6 +239,23 @@ def test_byte_determinism(capsys):
     assert first == second
 
 
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    # one process, one parser: verify, dual-map, a usage error, then the same
+    # dual-map again must print the same bytes
+    assert cli.build_parser() is cli.build_parser()
+    dual = ("dual-map", "--type", "B", "--rank", "3", "--seed", "4")
+    code, _, _ = run_cli(capsys, "verify", "--type", "A", "--rank", "2", "--seed", "3", "--points", "1", "--flow-steps", "2")
+    assert code == 0
+    code, first, _ = run_cli(capsys, *dual)
+    assert code == 0
+    code, out, err = run_cli(capsys, "dual-map", "--type", "B", "--kmax", "2")
+    assert code == 2 and out == ""
+    assert "--rank" in err
+    code, second, _ = run_cli(capsys, *dual)
+    assert code == 0
+    assert first == second
+
+
 def test_env_seed_and_flag_priority(capsys, monkeypatch):
     monkeypatch.setenv("TODADUAL_SEED", "21")
     _, from_env, _ = run_cli(capsys, "lax", "--type", "A", "--rank", "2")

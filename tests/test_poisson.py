@@ -1,15 +1,22 @@
-"""Finite-difference brackets: canonical pairs, Leibniz, commuting families."""
+"""Brackets: canonical pairs, Leibniz, exact gradients against the stencil, commuting families."""
 
 import numpy as np
 import pytest
 
 import todadual.poisson
 from todadual.errors import ValidationError
-from todadual.goldfish import GoldfishPoint, goldfish_hamiltonian
-from todadual.poisson import BRACKET_STEP, central_difference, commutativity_matrix, flatten_point
+from todadual.goldfish import GoldfishPoint, goldfish_gradients, goldfish_hamiltonian, goldfish_hamiltonians
+from todadual.poisson import central_difference, commutativity_matrix, flatten_point
 from todadual.rootsys import AlgebraType, build_root_datum
 from todadual.sampling import sample_goldfish, sample_toda, spawn_rng
-from todadual.toda import TodaPoint, symplectic_scale, toda_hamiltonian
+from todadual.toda import TodaPoint, symplectic_scale, toda_gradients, toda_hamiltonian, toda_hamiltonians
+
+# Width of the central-difference oracle.  Its truncation error (h^2) and
+# the D-family goldfish rounding floor both sit near 1e-9 relative here.
+BRACKET_STEP = 1.0e-5
+
+# Every family at every rank the library certifies.
+ALGEBRAS = [(fam, n) for fam in "ABC" for n in range(1, 9)] + [("D", n) for n in range(2, 9)]
 
 
 def bracket(datum, f, g, z):
@@ -26,6 +33,27 @@ def hamiltonian(datum, point, k):
     if isinstance(point, TodaPoint):
         return lambda z: toda_hamiltonian(datum, TodaPoint(q=z[n:], p=z[:n]), k)
     return lambda z: goldfish_hamiltonian(datum, GoldfishPoint(qhat=z[n:], phat=z[:n]), k)
+
+
+def stencil_jacobian(datum, point):
+    """Central-difference Jacobian of the point's whole Hamiltonian vector, rows H_k."""
+    n = datum.algebra.rank
+    if isinstance(point, TodaPoint):
+        vector = lambda z: toda_hamiltonians(datum, TodaPoint(q=z[n:], p=z[:n]))
+    else:
+        vector = lambda z: goldfish_hamiltonians(datum, GoldfishPoint(qhat=z[n:], phat=z[:n]))
+    return central_difference(vector, flatten_point(point), BRACKET_STEP).T
+
+
+def exact_jacobian(datum, point):
+    if isinstance(point, TodaPoint):
+        return toda_gradients(datum, point)
+    return goldfish_gradients(datum, point)
+
+
+def row_gaps(J, oracle):
+    """Relative distance of each row of J from the same row of the oracle."""
+    return np.linalg.norm(J - oracle, axis=1) / np.linalg.norm(oracle, axis=1)
 
 
 def test_flatten_point_order():
@@ -91,43 +119,74 @@ def test_dual_hamiltonians_commute():
         assert M.max() < 1e-6, f"{fam}{n}: {M.max():.3e}"
 
 
+@pytest.mark.parametrize("fam, n", ALGEBRAS)
+def test_exact_gradients_match_the_stencil(fam, n):
+    # both gradient routes agree with the central-difference oracle row by row,
+    # and the exact brackets sit at rounding level
+    datum = build_root_datum(AlgebraType(fam, n))
+    for seed in range(3):
+        for point in [sample_toda(datum, spawn_rng(seed, n)), sample_goldfish(datum, spawn_rng(seed, 100 + n))]:
+            J = exact_jacobian(datum, point)
+            assert J.shape == (n, 2 * n)
+            gaps = row_gaps(J, stencil_jacobian(datum, point))
+            kind = type(point).__name__
+            assert gaps.max() < 1e-7, f"{fam}{n} {kind} seed {seed}: {gaps}"
+            assert commutativity_matrix(datum, point).max() < 1e-13, f"{fam}{n} {kind} seed {seed}"
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_d_top_invariant_gradient_matches_the_stencil(n):
+    # the fused-root Laplace sum's row, checked against the stencil of H-hat_n alone
+    datum = build_root_datum(AlgebraType("D", n))
+    for seed in range(3):
+        gp = sample_goldfish(datum, spawn_rng(seed, 200 + n))
+        oracle = central_difference(hamiltonian(datum, gp, n), flatten_point(gp), BRACKET_STEP)
+        gap = np.linalg.norm(goldfish_gradients(datum, gp)[-1] - oracle) / np.linalg.norm(oracle)
+        assert gap < 1e-7, f"D{n} seed {seed}: {gap:.3e}"
+
+
 def test_commutativity_matrix_matches_pairwise_brackets():
-    # the one-stencil Jacobian pairing reproduces every normalized bracket
+    # the exact Jacobian pairing reproduces every normalized bracket of the
+    # stencil oracle, and the exact Jacobian is the oracle's within 1e-7
     for fam, n in [("A", 3), ("B", 2), ("C", 3), ("D", 3)]:
         datum = build_root_datum(AlgebraType(fam, n))
         points = [sample_toda(datum, spawn_rng(47, n)), sample_goldfish(datum, spawn_rng(47, 100 + n))]
         for point in points:
             fs = [hamiltonian(datum, point, k) for k in range(1, n + 1)]
             z = flatten_point(point)
-            norms = [np.linalg.norm(central_difference(f, z, BRACKET_STEP)) for f in fs]
-            M = commutativity_matrix(datum, point)
+            oracle = np.array([central_difference(f, z, BRACKET_STEP) for f in fs])
             kind = type(point).__name__
+            assert row_gaps(exact_jacobian(datum, point), oracle).max() < 1e-7, f"{fam}{n} {kind}"
+            norms = np.linalg.norm(oracle, axis=1)
+            M = commutativity_matrix(datum, point)
             for j in range(n):
                 assert M[j, j] == 0.0
                 for k in range(n):
                     if k != j:
                         want = abs(bracket(datum, fs[j], fs[k], z)) / (norms[j] * norms[k])
-                        assert abs(M[j, k] - want) < 1e-12, f"{fam}{n} {kind} ({j}, {k})"
+                        assert want < 1e-8, f"{fam}{n} {kind} ({j}, {k}) oracle {want:.3e}"
+                        assert M[j, k] < 1e-13, f"{fam}{n} {kind} ({j}, {k}) exact {M[j, k]:.3e}"
 
 
 def test_commutativity_matrix_dispatches_on_point_type(monkeypatch):
     # the family comes from the point: a TodaPoint at goldfish coordinates
-    # is differentiated through the trace Hamiltonians only, a GoldfishPoint
+    # is differentiated through the trace gradients only, a GoldfishPoint
     # through the dual ones only, and anything else is rejected
     calls = []
-    for fn in ("toda_hamiltonians", "goldfish_hamiltonians"):
+    for fn in ("toda_gradients", "goldfish_gradients"):
         real = getattr(todadual.poisson, fn)
         spy = lambda *args, fn=fn, real=real: calls.append(fn) or real(*args)
         monkeypatch.setattr(todadual.poisson, fn, spy)
     datum = build_root_datum(AlgebraType("C", 3))
     gp = sample_goldfish(datum, spawn_rng(0, 1))
     commutativity_matrix(datum, TodaPoint(q=gp.qhat, p=gp.phat))
-    assert set(calls) == {"toda_hamiltonians"}
+    assert calls == ["toda_gradients"]
     calls.clear()
     commutativity_matrix(datum, gp)
-    assert set(calls) == {"goldfish_hamiltonians"}
+    assert calls == ["goldfish_gradients"]
     with pytest.raises(ValidationError):
         commutativity_matrix(datum, flatten_point(gp))
+
 
 def test_bad_phase_vector_length():
     datum = build_root_datum(AlgebraType("A", 2))

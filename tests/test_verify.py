@@ -37,8 +37,8 @@ def test_suite_passes_on_small_algebras():
         assert report["header"]["rank"] == n
         assert "rank_cap_warning" not in report["header"]
         notes = {rec["property"]: rec.get("note") for rec in report["properties"]}
-        assert notes["toda-commutativity"] == "central stencil h=1e-05"
-        assert notes["goldfish-commutativity"] == "central stencil h=1e-05"
+        assert notes["toda-commutativity"] == "exact gradients"
+        assert notes["goldfish-commutativity"] == "exact gradients"
 
 
 def test_empty_samples_are_rejected():
@@ -118,6 +118,33 @@ def test_singular_minor_oracle_is_a_reported_failure(monkeypatch):
     assert not record["passed"]
     assert "3 residual failure(s)" in record["note"]
     assert "0: zero diagonal entry" in record["note"]
+
+
+def test_non_finite_residual_breaks_its_point(monkeypatch):
+    # max() drops NaN, so a NaN residual must break its point rather than fold
+    monkeypatch.setattr(todadual.verify, "moser_momentum_residual", lambda datum, mp: float("nan"))
+    report = run_suite(build_root_datum(AlgebraType("C", 2)), seed=0, npoints=3, flow_steps=2)
+    record = next(r for r in report["properties"] if r["property"] == "moser-momentum-residual")
+    assert not record["passed"]
+    assert record["worst_residual"] == float("inf")
+    assert record["note"].startswith("3 residual failure(s) (0: non-finite residual nan")
+    assert not report["all_passed"]
+
+
+def test_non_finite_flow_drift_is_inf(monkeypatch):
+    # NaN invariants at the end of the flow read as an infinite drift
+    real = todadual.verify.toda_hamiltonians
+    calls = []
+
+    def hamiltonians(datum, point):
+        calls.append(point)
+        return real(datum, point) * (np.nan if len(calls) == 2 else 1.0)
+
+    monkeypatch.setattr(todadual.verify, "toda_hamiltonians", hamiltonians)
+    report = run_suite(build_root_datum(AlgebraType("C", 2)), seed=0, npoints=1, flow_steps=2)
+    record = next(r for r in report["properties"] if r["property"] == "flow-conservation")
+    assert record["worst_residual"] == float("inf")
+    assert not record["passed"]
 
 
 def _chamber_error_at(monkeypatch, points):
