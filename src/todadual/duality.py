@@ -7,11 +7,11 @@ positive leading-block diagonal).  The map between them is a change of
 canonical coordinates: Toda (q, p) on one side, spectral (qhat, phat) on
 the other.
 
-toda_to_goldfish diagonalizes X by a unitary group element k and
-transports g into that frame.  The unipotent upper factor separating the
-transported element from the Moser gauge leaves its bottom row alone, so
-ahat is read off that row through its closed form, and the momentum
-equation pins everything else.  goldfish_to_toda reads (q, p) back from
+toda_to_goldfish diagonalizes the real symmetric X by a real orthogonal
+group element k and transports g into that frame.  The unipotent upper
+factor separating the transported element from the Moser gauge leaves its
+bottom row alone, so ahat is read off that row through its closed form,
+and the momentum equation pins everything else.  goldfish_to_toda reads (q, p) back from
 one QR of the bottom rows of the Moser element.  Both directions verify
 their defining residuals and raise DualityResidualError instead of
 returning drifted coordinates.
@@ -103,11 +103,11 @@ def toda_to_moser(datum: RootDatum, point: TodaPoint) -> MoserPoint:
     the read).
     """
     X = build_lax(datum, point)
-    kunitary, qhat = structured_diagonalize(datum, X)
+    k, qhat = structured_diagonalize(datum, X)
     gdiag = np.exp(cartan_pattern(datum, point.q))
-    # Moduli of the bottom row of diag(gdiag) k^dagger: g transported into
-    # the frame where X is diagonal.
-    row = np.abs(gdiag[-1] * kunitary[:, -1])
+    # Moduli of the bottom row of diag(gdiag) k^T: g transported into the
+    # frame where X is diagonal.
+    row = np.abs(gdiag[-1] * k[:, -1])
 
     n = datum.algebra.rank
     spec, _ = ruijsenaars_spec_for(datum, MoserPoint(qhat=qhat, ahat=np.ones(n)))

@@ -229,6 +229,31 @@ def _fused_row_log_jacobian(qhat: np.ndarray, dL: np.ndarray) -> np.ndarray:
     return out
 
 
+def _minor_terms(datum: RootDatum, point: GoldfishPoint, kmax: int):
+    """The evaluation goldfish_hamiltonians sums and goldfish_gradients chains.
+
+    Returns (spec, masks, starts, logabs, laplace): the product-form log
+    minors of the spec over every column subset of sizes 1..kmax (at most
+    n-1 for family D), stacked as in _stacked_masks.  For the D top
+    invariant (kmax = n), laplace = (cols, rest, terms), where terms[t, i]
+    is the i-th term of the expansion of maximal minor t along the
+    fused-root row and rest indexes the (n-1)-subset block; else None.
+    """
+    n = datum.algebra.rank
+    mp = a_from_p(datum, point)
+    spec, _ = ruijsenaars_spec_for(datum, mp)
+    fused = datum.algebra.family == "D"
+    masks, starts = _stacked_masks(spec.size, min(kmax, n - 1) if fused else kmax)
+    sign, logabs = signed_log_minors(spec, masks)
+    laplace = None
+    if fused and kmax == n:
+        cols, parity, rest = _laplace_tables(spec.size, n)
+        below = starts[-1]
+        terms = parity * _fused_root_row(mp)[cols] * sign[rest + below] * np.exp(logabs[rest + below])
+        laplace = (cols, rest, terms)
+    return spec, masks, starts, logabs, laplace
+
+
 def goldfish_hamiltonians(datum: RootDatum, point: GoldfishPoint, kmax: int | None = None) -> np.ndarray:
     """Dual Hamiltonians (H-hat_1, ..., H-hat_kmax) = m_k(g g^dagger); kmax defaults to the rank.
 
@@ -240,17 +265,10 @@ def goldfish_hamiltonians(datum: RootDatum, point: GoldfishPoint, kmax: int | No
     kmax = n if kmax is None else int(kmax)
     if not 1 <= kmax <= n:
         raise ValidationError(f"kmax must lie in 1..{n}, got {kmax}")
-    mp = a_from_p(datum, point)
-    spec, _ = ruijsenaars_spec_for(datum, mp)
-    fused = datum.algebra.family == "D"
-    masks, starts = _stacked_masks(spec.size, min(kmax, n - 1) if fused else kmax)
-    sign, logabs = signed_log_minors(spec, masks)
+    _, _, starts, logabs, laplace = _minor_terms(datum, point, kmax)
     values = np.add.reduceat(np.exp(2.0 * logabs), starts)
-    if fused and kmax == n:
-        cols, parity, rest = _laplace_tables(spec.size, n)
-        rest = rest + starts[-1]
-        maximal = (parity * _fused_root_row(mp)[cols] * sign[rest] * np.exp(logabs[rest])).sum(axis=1)
-        values = np.append(values, np.sum(maximal**2))
+    if laplace is not None:
+        values = np.append(values, np.sum(laplace[2].sum(axis=1) ** 2))
     return values
 
 
@@ -272,20 +290,14 @@ def goldfish_gradients(datum: RootDatum, point: GoldfishPoint) -> np.ndarray:
     M_T the Laplace sum of row_c times the (n-1)-minors below, takes
     dM_T term by term as (row_c minor) (d log|row_c| + dl_rest).
     """
-    n = datum.algebra.rank
-    mp = a_from_p(datum, point)
-    spec, _ = ruijsenaars_spec_for(datum, mp)
-    fused = datum.algebra.family == "D"
-    masks, starts = _stacked_masks(spec.size, n - 1 if fused else n)
-    sign, logabs = signed_log_minors(spec, masks)
+    spec, masks, starts, logabs, laplace = _minor_terms(datum, point, datum.algebra.rank)
     dl = log_minor_gradients(spec, masks)
     spec_grads = np.add.reduceat(2.0 * np.exp(2.0 * logabs)[:, None] * dl, starts)
     dL = _log_weight_jacobian(datum, point.qhat)
-    if not fused:
+    if laplace is None:
         return spec_grads @ _spec_jacobian(datum, point.qhat, dL)
-    cols, parity, rest = _laplace_tables(spec.size, n)
+    cols, rest, terms = laplace
     below = starts[-1]
-    terms = parity * _fused_root_row(mp)[cols] * sign[rest + below] * np.exp(logabs[rest + below])
     u = 2.0 * terms.sum(axis=1, keepdims=True) * terms  # 2 M_T times each Laplace term
     rest_weights = np.bincount(rest.ravel(), weights=u.ravel(), minlength=masks.shape[0] - below)
     spec_grads = np.vstack([spec_grads, rest_weights @ dl[below:]])

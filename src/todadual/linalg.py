@@ -1,7 +1,8 @@
 """Matrix factorizations of the duality layer.
 
-* structured_diagonalize: conjugate a Hermitian algebra element into the
-  canonical diagonal pattern by a unitary group element.
+* structured_diagonalize: conjugate a real symmetric algebra element (the
+  Lax matrix) into the canonical diagonal pattern by a real orthogonal
+  group element.
 * bottom_row_qr: row-sorted thin QR of the bottom rows of g; its R
   diagonal gives the trailing principal minors of g g^dagger.
 * lower_triangularize: split g = nplus * glow with nplus unipotent upper
@@ -12,7 +13,7 @@
 
 Factorizations and eigensolves delegate to LAPACK via numpy/scipy; the
 structure-preserving logic (eigenvector pairing through the bilinear form,
-phase conventions, determinant normalization in the orthogonal families)
+sign conventions, determinant normalization in the orthogonal families)
 lives here.
 """
 
@@ -81,86 +82,71 @@ def extended_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X[:, 0] if squeeze else X
 
 
-def _phase_fixed(v: np.ndarray) -> np.ndarray:
-    """Rotate a unit vector so its largest-modulus entry is real positive."""
-    j = int(np.argmax(np.abs(v)))
-    ph = v[j] / abs(v[j])
-    return v * np.conj(ph)
+def structured_diagonalize(datum: RootDatum, X):
+    """Diagonalize a real symmetric algebra element by a real orthogonal group element.
 
-
-def structured_diagonalize(datum: RootDatum, X, gap_tol: float = DEFAULT_GAP_TOL):
-    """Diagonalize a Hermitian algebra element by a unitary group element.
-
-    Returns (k, qhat) with k X k^dagger equal to the canonical diagonal
-    pattern built from qhat (descending; positive half first for B/C/D).
-    The eigenvectors of the mirrored eigenvalues are derived from the
-    positive-half eigenvectors through the bilinear form, which makes k a
-    group element by construction; in family D a leftover sign of det(k)
-    is absorbed by flipping the last chamber coordinate, in family B by
-    re-phasing the kernel column.
+    Returns (k, qhat), k float64 with k X k^T equal to the canonical
+    diagonal pattern built from qhat (descending; positive half first for
+    B/C/D).  Each eigenvector's largest-modulus entry is made positive, and
+    the eigenvectors of the mirrored eigenvalues are derived from the
+    positive-half ones through the bilinear form, which makes k a group
+    element by construction; in family D a leftover sign of det(k) is
+    absorbed by flipping the last chamber coordinate, in family B by
+    flipping the kernel column.  That column needs no other fix: X
+    anticommutes with Omega, so it maps the (n+1)-dimensional +1 eigenspace
+    of Omega into the n-dimensional -1 eigenspace, and a simple kernel
+    vector u of X lies in the former, Omega u = u.
 
     Raises DegenerateSpectrumError when any eigenvalue gap falls below
-    gap_tol, ValidationError for a non-Hermitian input, and
-    AlgebraMembershipError when X fails the algebra relation.
+    DEFAULT_GAP_TOL, ValidationError for a complex or non-symmetric input,
+    and AlgebraMembershipError when X fails the algebra relation.
     """
-    X = _as_square(X, "X").astype(complex)
+    X = _as_square(X, "X")
+    if np.iscomplexobj(X):
+        raise ValidationError("X must be real")
+    X = X.astype(float)
     N = datum.size
     if X.shape != (N, N):
         raise ValidationError(f"expected shape {(N, N)}, got {X.shape}")
     scale = max(1.0, float(np.linalg.norm(X, "fro")))
-    if np.linalg.norm(X - X.conj().T, "fro") > 1.0e-10 * scale:
-        raise ValidationError("X is not Hermitian")
+    if np.linalg.norm(X - X.T, "fro") > 1.0e-10 * scale:
+        raise ValidationError("X is not symmetric")
     if algebra_residual(datum, X) > 1.0e-8 * scale:
         raise AlgebraMembershipError("X fails the algebra relation")
 
-    w, U = np.linalg.eigh(X)  # ascending
-    if N > 1 and np.min(np.diff(w)) < gap_tol:
-        raise DegenerateSpectrumError(f"eigenvalue gap below {gap_tol:.1e}")
+    w, U = np.linalg.eigh(X)
+    w, U = w[::-1], U[:, ::-1]  # descending
+    if N > 1 and np.min(-np.diff(w)) < DEFAULT_GAP_TOL:
+        raise DegenerateSpectrumError(f"eigenvalue gap below {DEFAULT_GAP_TOL:.1e}")
+    U = U * np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(N)])
 
     fam, n = datum.algebra.family, datum.algebra.rank
-    omega = datum.omega
-
     if fam == "A":
-        qhat = w[::-1].copy()
-        V = np.empty((N, N), dtype=complex)
-        for i in range(N):
-            V[:, i] = _phase_fixed(U[:, N - 1 - i])
-        k = V.conj().T
+        qhat = w.copy()
     else:
-        qhat = w[::-1][:n].copy()
-        V = np.empty((N, N), dtype=complex)
-        mirror_sign = -1.0 if fam == "C" else 1.0
-        for i in range(n):
-            v = _phase_fixed(U[:, N - 1 - i])
-            V[:, i] = v
-            V[:, N - 1 - i] = mirror_sign * (omega @ v.conj())
-        if fam == "B":
-            if abs(w[n]) > gap_tol:
-                raise DegenerateSpectrumError("middle eigenvalue does not vanish")
-            u = _phase_fixed(U[:, n])
-            # kernel column must satisfy v = Omega conj(v); Omega conj(u) = c u
-            c = complex(np.vdot(u, omega @ u.conj()))
-            V[:, n] = u * np.exp(0.5j * np.angle(c))
-        if fam == "D":
-            if np.linalg.det(V).real < 0.0:
-                V[:, [n - 1, n]] = V[:, [n, n - 1]]
+        qhat = w[:n].copy()
+        U[:, N - n :] = (-1.0 if fam == "C" else 1.0) * (datum.omega @ U[:, n - 1 :: -1])
+        if fam == "B" and abs(w[n]) > DEFAULT_GAP_TOL:
+            raise DegenerateSpectrumError("middle eigenvalue does not vanish")
+        if fam != "C" and np.linalg.det(U) < 0.0:
+            if fam == "D":
+                U[:, [n - 1, n]] = U[:, [n, n - 1]]
                 qhat[n - 1] = -qhat[n - 1]
-        if fam == "B":
-            if np.linalg.det(V).real < 0.0:
-                V[:, n] = -V[:, n]
-        k = V.conj().T
+            else:
+                U[:, n] = -U[:, n]
+    k = U.T
 
     pattern = cartan_pattern(datum, qhat) if fam != "A" else qhat
-    res = np.linalg.norm(k @ X @ k.conj().T - np.diag(pattern), "fro")
-    uni = np.linalg.norm(k @ k.conj().T - np.eye(N), "fro")
-    if res > 1.0e-8 * scale or uni > 1.0e-10 * N:
+    res = np.linalg.norm(k @ X @ k.T - np.diag(pattern), "fro")
+    orth = np.linalg.norm(k @ k.T - np.eye(N), "fro")
+    if res > 1.0e-8 * scale or orth > 1.0e-10 * N:
         raise SingularMatrixError(
-            f"diagonalization residuals too large (conj {res:.3e}, unitary {uni:.3e})"
+            f"diagonalization residuals too large (conj {res:.3e}, orthogonal {orth:.3e})"
         )
     return k, qhat
 
 
-def lower_triangularize(datum: RootDatum, g, pivot_rtol: float = PIVOT_RTOL):
+def lower_triangularize(datum: RootDatum, g):
     """Split g = nplus * glow, nplus unipotent upper, glow lower triangular.
 
     Implemented as an LU factorization of the index-reversed matrix without
@@ -184,8 +170,8 @@ def lower_triangularize(datum: RootDatum, g, pivot_rtol: float = PIVOT_RTOL):
     A = gext[::-1, ::-1].copy()  # reversal swaps trailing and leading minors
     for k in range(N):
         piv = A[k, k]
-        if float(abs(piv)) < pivot_rtol * gnorm:
-            raise GaussCellError(f"Gauss pivot {abs(piv):.3e} below {pivot_rtol:.1e} * |g|")
+        if float(abs(piv)) < PIVOT_RTOL * gnorm:
+            raise GaussCellError(f"Gauss pivot {abs(piv):.3e} below {PIVOT_RTOL:.1e} * |g|")
         if k + 1 < N:
             A[k + 1 :, k] /= piv
             A[k + 1 :, k + 1 :] -= np.outer(A[k + 1 :, k], A[k, k + 1 :])

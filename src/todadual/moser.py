@@ -50,14 +50,14 @@ class MoserPoint:
             raise ValidationError("ahat entries must be positive")
 
 
-def check_chamber(datum: RootDatum, qhat: np.ndarray, pole_tol: float = POLE_TOL) -> np.ndarray:
+def check_chamber(datum: RootDatum, qhat: np.ndarray) -> np.ndarray:
     """Validate the open-chamber constraints; return the full diagonal pattern.
 
     Chamber conditions: A needs qhat strictly decreasing; B and C
     additionally need qhat_n > 0; D needs qhat_1 > .. > qhat_{n-1} >
     |qhat_n| > 0 (the last coordinate may be negative).  Ordering
     violations raise ChamberError; a satisfied ordering whose margin falls
-    below pole_tol raises SingularConfigurationError.
+    below POLE_TOL raises SingularConfigurationError.
     """
     qhat = np.asarray(qhat, dtype=float)
     n = datum.algebra.rank
@@ -75,8 +75,8 @@ def check_chamber(datum: RootDatum, qhat: np.ndarray, pole_tol: float = POLE_TOL
         )
     if margins.size and np.any(margins <= 0.0):
         raise ChamberError(f"chamber ordering violated: qhat {qhat}")
-    if margins.size and np.any(margins < pole_tol):
-        raise SingularConfigurationError(f"chamber margin below {pole_tol:.1e}: qhat {qhat}")
+    if margins.size and np.any(margins < POLE_TOL):
+        raise SingularConfigurationError(f"chamber margin below {POLE_TOL:.1e}: qhat {qhat}")
     return cartan_pattern(datum, qhat)
 
 

@@ -22,12 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlgebraMembershipError, ValidationError
+from .errors import ValidationError
 
 FAMILIES = ("A", "B", "C", "D")
-
-# Relative tolerance for the algebra-membership gate in project_compact.
-MEMBERSHIP_RTOL = 1.0e-8
 
 
 @dataclass(frozen=True)
@@ -210,11 +207,6 @@ def build_root_datum(algebra: AlgebraType) -> RootDatum:
     )
 
 
-def momentum_value(datum: RootDatum) -> np.ndarray:
-    """The principal lowering element (the momentum-map target). Copy."""
-    return datum.momentum.copy()
-
-
 def project_lower_nilpotent(M: np.ndarray) -> np.ndarray:
     """Strictly lower triangular part of M."""
     M = np.asarray(M)
@@ -241,22 +233,6 @@ def group_residual(datum: RootDatum, g: np.ndarray) -> float:
     if datum.algebra.family == "A":
         return 0.0
     return float(np.linalg.norm(g @ datum.omega @ g.T - datum.omega, "fro"))
-
-
-def project_compact(datum: RootDatum, M: np.ndarray) -> np.ndarray:
-    """Anti-Hermitian part (M - M^dagger)/2, gated on algebra membership.
-
-    Raises AlgebraMembershipError when M fails the defining relation of the
-    algebra beyond MEMBERSHIP_RTOL relative to its norm.
-    """
-    M = np.asarray(M, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(M, "fro")))
-    res = algebra_residual(datum, M)
-    if res > MEMBERSHIP_RTOL * scale:
-        raise AlgebraMembershipError(
-            f"matrix fails the algebra relation: residual {res:.3e} > {MEMBERSHIP_RTOL:.1e} * {scale:.3e}"
-        )
-    return (M - M.conj().T) / 2.0
 
 
 def cartan_pattern(datum: RootDatum, values: np.ndarray) -> np.ndarray:

@@ -229,27 +229,19 @@ def toda_gradients(datum: RootDatum, point: TodaPoint) -> np.ndarray:
     return np.hstack([dH_dp, dH_dq])
 
 
-def integrate_flow(
-    datum: RootDatum,
-    point: TodaPoint,
-    k: int,
-    dt: float,
-    steps: int,
-    tol: float = MIDPOINT_TOL,
-    max_iter: int = MIDPOINT_MAX_ITER,
-) -> np.ndarray:
+def integrate_flow(datum: RootDatum, point: TodaPoint, k: int, dt: float, steps: int) -> np.ndarray:
     """Implicit-midpoint trajectory of the H_k flow.
 
     Returns an array of shape (steps + 1, 2n); each row is (q, p) at one
     time.  Every step solves z' = z + dt * f((z + z')/2) by fixed-point
-    iteration, stopping once two consecutive iterates agree to `tol` in
-    the sup norm.  The iteration starts from the degree-4 extrapolation
+    iteration, stopping once two consecutive iterates agree to MIDPOINT_TOL
+    in the sup norm.  The iteration starts from the degree-4 extrapolation
     5z_0 - 10z_{-1} + 10z_{-2} - 5z_{-3} + z_{-4} of the trajectory's last
     five rows (the first five steps start from the Euler guess
     z + dt * f(z)), so one field evaluation usually settles a step.
-    Non-convergence within `max_iter` sweeps, or a floating-point overflow
-    or invalid value (a diverging flow), raises StepFailureError naming
-    the step.
+    Non-convergence within MIDPOINT_MAX_ITER sweeps, or a floating-point
+    overflow or invalid value (a diverging flow), raises StepFailureError
+    naming the step.
     """
     if steps < 0:
         raise ValidationError(f"steps must be non-negative, got {steps}")
@@ -257,10 +249,6 @@ def integrate_flow(
     _check_rank(datum, point)
     if not np.isfinite(dt):
         raise ValidationError("dt must be finite")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValidationError(f"tol must be finite and positive, got {tol}")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
     n = datum.algebra.rank
     traj = np.empty((steps + 1, 2 * n))
     traj[0, :n], traj[0, n:] = point.q, point.p
@@ -284,11 +272,11 @@ def integrate_flow(
                     w = PREDICTOR @ traj[step - PREDICTOR.size : step]
                 else:
                     w = sweep(z, z)
-                for _ in range(max_iter):
+                for _ in range(MIDPOINT_MAX_ITER):
                     w_next = sweep(z, w)
                     delta = float(np.max(np.abs(w_next - w)))
                     w = w_next
-                    if delta <= tol:
+                    if delta <= MIDPOINT_TOL:
                         break
                 else:
                     raise StepFailureError(f"midpoint iteration stalled at step {step} (delta {delta:.3e})")

@@ -52,7 +52,7 @@ def _gauss_split_ahat(datum, point):
     its modulus alone, so ahat is that modulus."""
     X = build_lax(datum, point)
     k, _ = structured_diagonalize(datum, X)
-    gtilde = np.exp(cartan_pattern(datum, point.q))[:, None] * k.conj().T
+    gtilde = np.exp(cartan_pattern(datum, point.q))[:, None] * k.T
     _, glow = lower_triangularize(datum, gtilde)
     n = datum.algebra.rank
     return np.abs(np.diagonal(glow)[:n])

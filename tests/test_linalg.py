@@ -8,6 +8,7 @@ from todadual.errors import (
     DualityResidualError,
     GaussCellError,
     SingularMatrixError,
+    ValidationError,
 )
 from todadual.linalg import (
     bottom_row_qr,
@@ -51,15 +52,17 @@ def test_bottom_row_qr_factors_in_the_original_row_order():
 
 
 def test_structured_diagonalize_conjugates_to_pattern():
-    for fam, n in ALGEBRAS:
+    extremes = [("A", 1), ("A", 8), ("B", 1), ("B", 8), ("C", 1), ("C", 8), ("D", 2), ("D", 8)]
+    for fam, n in ALGEBRAS + extremes:
         datum = build_root_datum(AlgebraType(fam, n))
         for j in range(6):
             X = build_lax(datum, sample_toda(datum, spawn_rng(100 + j, j)))
             k, qhat = structured_diagonalize(datum, X)
+            assert k.dtype == np.float64
             target = np.diag(cartan_pattern(datum, qhat))
-            assert np.linalg.norm(k @ X @ k.conj().T - target) < 1e-10
-            # k is unitary and (for B/C/D) preserves the bilinear form
-            assert np.linalg.norm(k @ k.conj().T - np.eye(datum.size)) < 1e-12
+            assert np.linalg.norm(k @ X @ k.T - target) < 1e-10
+            # k is real orthogonal and (for B/C/D) preserves the bilinear form
+            assert np.linalg.norm(k @ k.T - np.eye(datum.size)) < 1e-12
             assert group_residual(datum, k) < 1e-10
 
 
@@ -74,6 +77,9 @@ def test_structured_diagonalize_rejects_collisions():
     datum = build_root_datum(AlgebraType("A", 2))
     with pytest.raises(DegenerateSpectrumError):
         structured_diagonalize(datum, np.eye(2))
+    # the Lax matrix is real symmetric; a complex input is refused, not cast
+    with pytest.raises(ValidationError, match="real"):
+        structured_diagonalize(datum, np.diag([1.0, -1.0]).astype(complex))
 
 
 def test_lower_triangularize_splits_group_element():
@@ -108,7 +114,7 @@ def test_lower_triangularize_reports_lost_precision():
     datum = build_root_datum(AlgebraType("B", 7))
     point = sample_toda(datum, spawn_rng(0, 0))
     k, _ = structured_diagonalize(datum, build_lax(datum, point))
-    gtilde = np.exp(cartan_pattern(datum, point.q))[:, None] * k.conj().T
+    gtilde = np.exp(cartan_pattern(datum, point.q))[:, None] * k.T
     with pytest.raises(DualityResidualError, match="upper residue"):
         lower_triangularize(datum, gtilde)
 

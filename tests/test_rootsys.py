@@ -12,8 +12,6 @@ from todadual.rootsys import (
     cartan_pattern,
     group_residual,
     matrix_size,
-    momentum_value,
-    project_compact,
     project_lower_nilpotent,
 )
 
@@ -79,12 +77,9 @@ def test_raising_lowering_are_root_vectors():
 def test_momentum_is_sum_of_lowering_and_strictly_lower():
     for fam in FAMILIES:
         datum = build_root_datum(AlgebraType(fam, 4 if fam != "D" else 3))
-        lam = momentum_value(datum)
+        lam = datum.momentum
         assert np.allclose(lam, datum.lowering.sum(axis=0))
         assert np.allclose(np.triu(lam), 0.0)
-        # momentum_value hands out a copy, not the cached array
-        lam[0, 0] = 99.0
-        assert datum.momentum[0, 0] != 99.0
 
 
 def test_project_lower_nilpotent():
@@ -125,21 +120,3 @@ def test_group_residual_zero_for_pattern_exponentials():
         datum = build_root_datum(AlgebraType(fam, 3))
         g = np.diag(np.exp(cartan_pattern(datum, rng.uniform(-1, 1, size=3))))
         assert group_residual(datum, g) < 1e-12
-
-
-def test_project_compact_returns_antihermitian():
-    datum = build_root_datum(AlgebraType("C", 2))
-    rng = np.random.default_rng(3)
-    # random algebra element: spanned by cartan + root vectors and their brackets
-    M = np.einsum("a,aij->ij", rng.normal(size=2), datum.cartan).astype(complex)
-    M += 0.3 * (datum.raising[0] + datum.lowering[0])
-    K = project_compact(datum, M)
-    assert np.linalg.norm(K + K.conj().T) < 1e-14
-
-
-def test_project_compact_rejects_non_members():
-    from todadual.errors import AlgebraMembershipError
-
-    datum = build_root_datum(AlgebraType("C", 2))
-    with pytest.raises(AlgebraMembershipError):
-        project_compact(datum, np.eye(datum.size))  # identity is not in sp(4)
