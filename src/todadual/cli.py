@@ -180,8 +180,8 @@ def _require_format(args, allowed: tuple, what: str) -> None:
 def cmd_lax(args) -> tuple[int, str]:
     datum = _datum_for(args)
     point, seed = _toda_point(args, datum)
-    g = toda_group_element(datum, point)
     X = build_lax(datum, point)
+    g = toda_group_element(datum, point)
     if args.format == "json":
         payload = {
             "header": _header(args, "lax", seed),

@@ -70,18 +70,15 @@ class RootDatum:
         Diagonal Cartan generators h_1..h_n.
     raising, lowering : ndarray (num_roots, N, N)
         Simple root vectors e_alpha and e_{-alpha}, in the simple-root order.
-    cartan_rows : ndarray (rank, N)
-        Row i is the diagonal of h_i, so sum_i v_i h_i has diagonal
-        v @ cartan_rows.
-    root_flat, root_flat_t, root_index : ndarray (m,) of int
-        Index tables of the m nonzero entries of the symmetric combinations
-        e_alpha + e_{-alpha}: entry (i, j) of root root_index sits at flat
-        position root_flat = i * N + j, its transpose at root_flat_t =
-        j * N + i.  The scatter kernel toda._lax builds the Lax matrix by
-        writing the root weights to root_flat; the exact gradient gathers
-        G at root_flat_t.
-    root_sign : ndarray (m,)
-        The +/-1 value of each such entry.
+    lax_basis : ndarray (rank + num_roots, N * N)
+        The flattened symmetric generators of the Lax matrix: rows h_1..h_n,
+        then e_alpha + e_{-alpha} per simple root.  X = sum_i p_i h_i +
+        sum_alpha w_alpha (e_alpha + e_{-alpha}) is [p, w] @ lax_basis, and
+        since every row is symmetric, lax_basis @ vec(G) holds the traces
+        Tr(G h_i) and Tr(G (e_alpha + e_{-alpha})).
+    lax_gram : ndarray (rank + num_roots, rank + num_roots)
+        lax_basis @ lax_basis.T: the traces against X itself are
+        lax_gram @ [p, w].
     momentum : ndarray (N, N)
         Sum of the lowering vectors; strictly lower triangular.
     alpha_coeffs : ndarray (num_roots, rank)
@@ -95,11 +92,8 @@ class RootDatum:
     cartan: np.ndarray
     raising: np.ndarray
     lowering: np.ndarray
-    cartan_rows: np.ndarray
-    root_flat: np.ndarray
-    root_flat_t: np.ndarray
-    root_index: np.ndarray
-    root_sign: np.ndarray
+    lax_basis: np.ndarray
+    lax_gram: np.ndarray
     momentum: np.ndarray
     alpha_coeffs: np.ndarray
 
@@ -187,8 +181,7 @@ def build_root_datum(algebra: AlgebraType) -> RootDatum:
     lowering = np.stack(lowering) if lowering else np.zeros((0, N, N))
     coeffs = np.stack(coeffs) if coeffs else np.zeros((0, n))
     momentum = lowering.sum(axis=0) if len(lowering) else np.zeros((N, N))
-    root_sums = raising + lowering
-    root_index, rows, cols = np.nonzero(root_sums)
+    lax_basis = np.concatenate([cartan, raising + lowering]).reshape(-1, N * N)
 
     return RootDatum(
         algebra=algebra,
@@ -197,11 +190,8 @@ def build_root_datum(algebra: AlgebraType) -> RootDatum:
         cartan=cartan,
         raising=raising,
         lowering=lowering,
-        cartan_rows=np.diagonal(cartan, axis1=1, axis2=2).copy(),
-        root_flat=rows * N + cols,
-        root_flat_t=cols * N + rows,
-        root_index=root_index,
-        root_sign=root_sums[root_index, rows, cols],
+        lax_basis=lax_basis,
+        lax_gram=lax_basis @ lax_basis.T,
         momentum=momentum,
         alpha_coeffs=coeffs,
     )

@@ -10,22 +10,25 @@ in the algebra.  The commuting Hamiltonians are trace powers,
 and the physical (quadratic) Hamiltonian is H_2 for family A and H_1 for
 B/C/D.  The Poisson structure carries a per-family scale s (1 for A, 2 for
 B/C/D): {q_i, p_j} = delta_ij / s, so Hamilton's equations read
-dz/dt = s^{-1} (dH/dp, -dH/dq).  Gradients are exact: dH_k = Tr(G dX) with
-G = X^{k-1} for A and G = X^{2k-1} / 2 for B/C/D, paired against the Cartan
-generators and the simple root vectors; toda_gradients returns every
-dH_k at once from the same gathers.  The flow uses the implicit
-midpoint rule, which preserves the quadratic invariants of the exact flow
-to the iteration tolerance.  Each step solves its midpoint equation by
+dz/dt = s^{-1} (dH/dp, -dH/dq).  The flow uses the implicit midpoint rule,
+which preserves the quadratic invariants of the exact flow to the
+iteration tolerance.  Each step solves its midpoint equation by
 fixed-point sweeps until two consecutive iterates agree to MIDPOINT_TOL
 (at most MIDPOINT_MAX_ITER sweeps), starting from the degree-4
 extrapolation of the trajectory's last five rows; at dt = 1e-3 one field
 evaluation settles almost every step.
 
-Each simple-root term fills at most four entries of X, so no dense
-(rank, N, N) stack is touched: one scatter kernel, `_lax`, writes the
-diagonal p @ cartan_rows and the root weights at the index tables of
-`RootDatum` (root_flat, root_index, root_sign), for one point or a stack
-of points, and the gradient gathers G at root_flat_t and sums per root.
+X is linear in the coordinates [p, w], w = exp((alpha, q)), over the
+flattened symmetric generators in RootDatum.lax_basis (the h_i, then
+e_alpha + e_{-alpha}), so one product [p, w] @ lax_basis builds X for one
+point or a whole trajectory.  The same table reads gradients: dH_k =
+Tr(G dX) with G = X^{k-1} (A) or X^{2k-1} / 2 (B/C/D), and because every
+generator is symmetric, t = lax_basis @ vec(G) holds the traces of G
+against the generators; dH/dp = t[:n] and dH/dq = alpha_coeffs^T (w * t[n:]).
+toda_gradients reads every H_k at once from the stacked power chain.
+For the physical Hamiltonian G is linear in X, t is lax_gram @ [p, w] up
+to the factor, and no N x N matrix is built.  A root weight past the
+float64 range raises ValidationError naming the root.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ MIDPOINT_MAX_ITER = 100
 # Weights of the degree-4 extrapolation that starts each midpoint iteration,
 # applied to the trajectory's last five rows, oldest first.
 PREDICTOR = np.array([1.0, -5.0, 10.0, -10.0, 5.0])
+# Largest x with exp(x) finite in float64.
+MAX_EXPONENT = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -94,18 +99,34 @@ def _check_index(datum: RootDatum, k: int) -> None:
         raise ValidationError(f"k must lie in 1..{datum.algebra.rank}, got {k}")
 
 
-def _lax(datum: RootDatum, q: np.ndarray, p: np.ndarray):
-    """Lax matrices X (..., N, N) and root weights w = exp((alpha, q)) (..., num_roots).
+def _root_weights(datum: RootDatum, q: np.ndarray) -> np.ndarray:
+    """Root weights w = exp((alpha, q)), shape (..., num_roots); no shape validation.
 
-    q and p have shape (n,) or (..., n); no validation.  X is zero but for
-    the scattered diagonal p @ cartan_rows and the entries +/- w of the
-    simple roots.
+    An exponent past MAX_EXPONENT raises ValidationError naming the root
+    before np.exp can overflow: an infinite weight times a zero of the
+    basis would be NaN.
+    """
+    a = np.dot(q, datum.alpha_coeffs.T)
+    # A finite q gives no NaN here (no root pairs two overflowing terms),
+    # and a Python max of the few exponents is cheaper than a.max().
+    if a.size and not max(a.ravel().tolist()) <= MAX_EXPONENT:
+        flat = int(np.argmax(~(a <= MAX_EXPONENT)))
+        i = flat % datum.num_roots + 1
+        raise ValidationError(
+            f"Lax root weight exp((alpha_{i}, q)) overflows float64: (alpha_{i}, q) = {a.flat[flat]:.6g}"
+        )
+    return np.exp(a)
+
+
+def _lax(datum: RootDatum, q: np.ndarray, p: np.ndarray):
+    """Lax matrices X (..., N, N) and root weights w (..., num_roots).
+
+    q and p have shape (n,) or (..., n); X = [p, w] @ lax_basis, which is
+    exact: every entry of X receives one nonzero term.
     """
     N = datum.size
-    w = np.exp(q @ datum.alpha_coeffs.T)
-    X = np.zeros(q.shape[:-1] + (N * N,))
-    X[..., :: N + 1] = p @ datum.cartan_rows
-    X[..., datum.root_flat] = w[..., datum.root_index] * datum.root_sign
+    w = _root_weights(datum, q)
+    X = np.dot(np.concatenate([p, w], axis=-1), datum.lax_basis)
     return X.reshape(q.shape[:-1] + (N, N)), w
 
 
@@ -117,7 +138,10 @@ def build_lax(datum: RootDatum, point: TodaPoint) -> np.ndarray:
 
 def toda_group_element(datum: RootDatum, point: TodaPoint) -> np.ndarray:
     """Diagonal group element exp(sum_i q_i h_i) paired with the Lax matrix."""
-    return np.diag(np.exp(cartan_pattern(datum, point.q)))
+    x = cartan_pattern(datum, point.q)
+    if not x.max() <= MAX_EXPONENT:
+        raise ValidationError(f"group element exp(sum_i q_i h_i) overflows float64: largest exponent {x.max():.6g}")
+    return np.diag(np.exp(x))
 
 
 def toda_momentum_residual(datum: RootDatum, point: TodaPoint) -> float:
@@ -177,56 +201,51 @@ def equations_of_motion(datum: RootDatum, point: TodaPoint, k: int):
     """Hamiltonian vector field of H_k: (dq/dt, dp/dt).
 
     Exact gradient of the trace power: dH_k = Tr(G dX) with G = X^{k-1}
-    (A) or X^{2k-1} / 2 (B/C/D), so dH/dp_i = Tr(G h_i) and
-    dH/dq = alpha_coeffs^T (w * Tr(G (e_alpha + e_-alpha))) with
-    w = exp((alpha, q)); divided by the per-family Poisson scale.  Both
-    traces are gathers: the diagonal of G against cartan_rows, and G at
-    root_flat_t summed per root with the entry signs.
+    (A) or X^{2k-1} / 2 (B/C/D).  The traces t = lax_basis @ vec(G) of G
+    against the symmetric generators give dH/dp = t[:n] and dH/dq =
+    alpha_coeffs^T (w * t[n:]) with w = exp((alpha, q)); both are divided
+    by the per-family Poisson scale.  For the physical Hamiltonian G is
+    linear in X, so t = lax_gram @ [p, w] up to the factor and X is never
+    built.
     """
     _check_index(datum, k)
     _check_rank(datum, point)
-    X, w = _lax(datum, point.q, point.p)
+    n = datum.algebra.rank
     if datum.algebra.family == "A":
-        G = np.linalg.matrix_power(X, k - 1)
+        power, factor = k - 1, 1.0
     else:
-        G = 0.5 * np.linalg.matrix_power(X, 2 * k - 1)
-    G = G.ravel()
-    s = float(symplectic_scale(datum))
-    dH_dp = datum.cartan_rows @ G[:: datum.size + 1]
-    root_traces = np.bincount(
-        datum.root_index, weights=datum.root_sign * G[datum.root_flat_t], minlength=datum.num_roots
-    )
-    dH_dq = datum.alpha_coeffs.T @ (w * root_traces)
-    return dH_dp / s, -dH_dq / s
+        power, factor = 2 * k - 1, 0.5
+    w = _root_weights(datum, point.q)
+    coords = np.concatenate([point.p, w])
+    if power == 1:
+        t = np.dot(datum.lax_gram, coords)
+    else:
+        X = np.dot(coords, datum.lax_basis).reshape(datum.size, datum.size)
+        t = np.dot(datum.lax_basis, np.linalg.matrix_power(X, power).ravel())
+    t *= factor / symplectic_scale(datum)
+    return t[:n], -np.dot(datum.alpha_coeffs.T, w * t[n:])
 
 
 def toda_gradients(datum: RootDatum, point: TodaPoint) -> np.ndarray:
     """Exact gradients of (H_1, ..., H_n): row k-1 is dH_k in (p, q) order.
 
-    The power chain G_k = X^{k-1} (A) or X^{2k-1} / 2 (B/C/D) goes through
-    equations_of_motion's two gathers for every k at once; rows are not
-    divided by the Poisson scale.
+    The power chain G_k = X^{k-1} (A) or X^{2k-1} / 2 (B/C/D) is stacked
+    flat, and G @ lax_basis.T holds the traces of every G_k against the
+    generators at once; rows are not divided by the Poisson scale.
     """
     _check_rank(datum, point)
     n, N = datum.algebra.rank, datum.size
     X, w = _lax(datum, point.q, point.p)
     if datum.algebra.family == "A":
-        P, step, scale = np.eye(N), X, 1.0
+        P, step, factor = np.eye(N), X, 1.0
     else:
-        P, step, scale = X, X @ X, 0.5
+        P, step, factor = X, X @ X, 0.5
     G = np.empty((n, N * N))
     for k in range(n):
-        G[k] = scale * P.ravel()
+        G[k] = P.ravel()
         P = P @ step
-    dH_dp = G[:, :: N + 1] @ datum.cartan_rows.T
-    rows = np.arange(n)[:, None] * datum.num_roots
-    root_traces = np.bincount(
-        (rows + datum.root_index).ravel(),
-        weights=(datum.root_sign * G[:, datum.root_flat_t]).ravel(),
-        minlength=n * datum.num_roots,
-    ).reshape(n, datum.num_roots)
-    dH_dq = (w * root_traces) @ datum.alpha_coeffs
-    return np.hstack([dH_dp, dH_dq])
+    t = factor * (G @ datum.lax_basis.T)
+    return np.hstack([t[:, :n], (w * t[:, n:]) @ datum.alpha_coeffs])
 
 
 def integrate_flow(datum: RootDatum, point: TodaPoint, k: int, dt: float, steps: int) -> np.ndarray:
@@ -239,9 +258,10 @@ def integrate_flow(datum: RootDatum, point: TodaPoint, k: int, dt: float, steps:
     5z_0 - 10z_{-1} + 10z_{-2} - 5z_{-3} + z_{-4} of the trajectory's last
     five rows (the first five steps start from the Euler guess
     z + dt * f(z)), so one field evaluation usually settles a step.
+    A start whose root weights overflow raises ValidationError.
     Non-convergence within MIDPOINT_MAX_ITER sweeps, or a floating-point
-    overflow or invalid value (a diverging flow), raises StepFailureError
-    naming the step.
+    overflow or invalid value (a diverging flow, including a root weight
+    leaving the float64 range), raises StepFailureError naming the step.
     """
     if steps < 0:
         raise ValidationError(f"steps must be non-negative, got {steps}")
@@ -249,6 +269,7 @@ def integrate_flow(datum: RootDatum, point: TodaPoint, k: int, dt: float, steps:
     _check_rank(datum, point)
     if not np.isfinite(dt):
         raise ValidationError("dt must be finite")
+    _root_weights(datum, point.q)  # an overflowing start is a bad input, not a diverging flow
     n = datum.algebra.rank
     traj = np.empty((steps + 1, 2 * n))
     traj[0, :n], traj[0, n:] = point.q, point.p
@@ -260,7 +281,8 @@ def integrate_flow(datum: RootDatum, point: TodaPoint, k: int, dt: float, steps:
 
     def sweep(z, w):
         """z + dt * f((z + w)/2): one fixed-point sweep from the iterate w."""
-        mid[:] = (z + w) / 2.0
+        np.add(z, w, out=mid)
+        np.multiply(mid, 0.5, out=mid)
         field[:n], field[n:] = equations_of_motion(datum, mid_point, k)
         return z + dt * field
 
@@ -269,18 +291,20 @@ def integrate_flow(datum: RootDatum, point: TodaPoint, k: int, dt: float, steps:
             for step in range(1, steps + 1):
                 z = traj[step - 1]
                 if step > PREDICTOR.size:
-                    w = PREDICTOR @ traj[step - PREDICTOR.size : step]
+                    w = np.dot(PREDICTOR, traj[step - PREDICTOR.size : step])
                 else:
                     w = sweep(z, z)
                 for _ in range(MIDPOINT_MAX_ITER):
                     w_next = sweep(z, w)
-                    delta = float(np.max(np.abs(w_next - w)))
+                    delta = float(np.abs(w_next - w).max())
                     w = w_next
                     if delta <= MIDPOINT_TOL:
                         break
                 else:
                     raise StepFailureError(f"midpoint iteration stalled at step {step} (delta {delta:.3e})")
                 traj[step] = w
-    except FloatingPointError as exc:
+    except (FloatingPointError, ValidationError) as exc:
+        # Inputs are validated above, so a ValidationError here is a root
+        # weight leaving the float64 range mid-flow.
         raise StepFailureError(f"flow diverged at step {step}: {exc}") from None
     return traj

@@ -176,6 +176,16 @@ def test_diverging_flow_is_a_step_failure(capsys, argv):
     assert "usage error" not in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["lax", "integrate", "dual-map"])
+def test_overflowing_root_weight_is_a_usage_error(capsys, command):
+    # exp((alpha_1, q)) = exp(800) overflows float64: every command names it.
+    code, out, err = run_cli(capsys, command, "--type", "B", "--rank", "2", "--q", "800,0", "--p", "0,0")
+    assert code == 2
+    assert out == ""
+    assert "usage error: Lax root weight exp((alpha_1, q)) overflows float64" in err
+
+
 def test_rank_cap_warning_only_where_minors_are_enumerated(capsys):
     _, _, err = run_cli(capsys, "integrate", "--type", "A", "--rank", "9", "--steps", "2")
     assert "minor enumeration" not in err

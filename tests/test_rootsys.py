@@ -74,6 +74,18 @@ def test_raising_lowering_are_root_vectors():
             assert algebra_residual(datum, f) < 1e-14
 
 
+def test_lax_basis_rows_reproduce_the_generators():
+    for fam in FAMILIES:
+        for n in range(2 if fam == "D" else 1, 9):
+            datum = build_root_datum(AlgebraType(fam, n))
+            N, r = datum.size, datum.num_roots
+            basis = datum.lax_basis.reshape(n + r, N, N)
+            assert np.array_equal(basis[:n], datum.cartan), (fam, n)
+            assert np.array_equal(basis[n:], datum.raising + datum.lowering), (fam, n)
+            assert np.array_equal(basis, basis.transpose(0, 2, 1)), (fam, n)
+            assert np.array_equal(datum.lax_gram, datum.lax_basis @ datum.lax_basis.T), (fam, n)
+
+
 def test_momentum_is_sum_of_lowering_and_strictly_lower():
     for fam in FAMILIES:
         datum = build_root_datum(AlgebraType(fam, 4 if fam != "D" else 3))
