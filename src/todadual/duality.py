@@ -10,11 +10,11 @@ the other.
 toda_to_goldfish diagonalizes the real symmetric X by a real orthogonal
 group element k and transports g into that frame.  The unipotent upper
 factor separating the transported element from the Moser gauge leaves its
-bottom row alone, so ahat is read off that row through its closed form,
-and the momentum equation pins everything else.  goldfish_to_toda reads (q, p) back from
-one QR of the bottom rows of the Moser element.  Both directions verify
-their defining residuals and raise DualityResidualError instead of
-returning drifted coordinates.
+bottom row alone, so log ahat is read off that row in log space, against
+the unit-weight row's node gaps, and the momentum equation pins everything
+else.  goldfish_to_toda reads (q, p) back from one QR of the bottom rows of
+the Moser element.  Both directions verify their defining residuals and
+raise DualityResidualError instead of returning drifted coordinates.
 
 Two families of invariant functions certify the map: the trailing
 principal minors of g g^dagger (trivial in the Toda gauge, the dual
@@ -35,13 +35,7 @@ import numpy as np
 from .errors import DualityResidualError
 from .goldfish import GoldfishPoint, a_from_p, goldfish_hamiltonians, p_from_a
 from .linalg import bottom_row_qr, structured_diagonalize
-from .moser import (
-    MoserPoint,
-    build_moser_g,
-    build_ruijsenaars_matrix,
-    momentum_equation_residual,
-    ruijsenaars_spec_for,
-)
+from .moser import MoserPoint, build_moser_g, check_chamber, log_gap_sums, momentum_equation_residual, node_tables
 from .poisson import central_difference
 from .rootsys import RootDatum, cartan_pattern
 from .toda import SymplecticForm, TodaPoint, build_lax, symplectic_scale, toda_hamiltonians
@@ -93,14 +87,15 @@ def toda_to_moser(datum: RootDatum, point: TodaPoint) -> MoserPoint:
     triangular gauge leaves its bottom row unchanged, and that row has the
     closed form |g[N-1, j]| = |b_j| / prod_{i>j} |x_j - x_i| of
     ruijsenaars_spec_for, with |b_j| = ahat_j (A/B/C) or 2|qhat_j| ahat_j
-    (D).  So ahat is read from the leading entries of the transported
-    bottom row, and no elimination is run.
+    (D).  So log ahat is log|row| less the bottom_row log_gap_sums of the
+    unit weights, and no elimination is run.
 
     Raises NonGenericPointError subclasses when the spectrum degenerates or
-    the chamber is hit, and DualityResidualError when the built element
-    fails its momentum equation or its bottom row misses the transported
-    one (for B/C/D the mirrored entries carry 1/ahat and are not used by
-    the read).
+    the chamber is hit, and DualityResidualError when an entry of the
+    transported row underflows to zero, when the built element fails its
+    momentum equation, or when its bottom row misses the transported one
+    (for B/C/D the mirrored entries carry 1/ahat and are not used by the
+    read).
     """
     X = build_lax(datum, point)
     k, qhat = structured_diagonalize(datum, X)
@@ -109,10 +104,12 @@ def toda_to_moser(datum: RootDatum, point: TodaPoint) -> MoserPoint:
     # frame where X is diagonal.
     row = np.abs(gdiag[-1] * k[:, -1])
 
-    n = datum.algebra.rank
-    spec, _ = ruijsenaars_spec_for(datum, MoserPoint(qhat=qhat, ahat=np.ones(n)))
-    unit_row = build_ruijsenaars_matrix(spec)[-1, :n]
-    mp = MoserPoint(qhat=qhat, ahat=row[:n] / np.abs(unit_row))
+    x = check_chamber(datum, qhat)
+    if not row.all():  # no entry of a Moser bottom row vanishes
+        lost = f"g[{row.size - 1}, {np.argmin(row)}]"
+        raise DualityResidualError(f"transported bottom-row entry {lost} underflows to zero")
+    log_unit, _ = log_gap_sums(x, node_tables(datum.algebra).bottom_row)
+    mp = MoserPoint(qhat=qhat, ahat=np.exp(np.log(row[: datum.algebra.rank]) - log_unit))
 
     gref = build_moser_g(datum, mp)
     residual = momentum_equation_residual(datum, gref, qhat)

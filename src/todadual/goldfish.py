@@ -2,9 +2,9 @@
 
 Phase space is the open chamber in (qhat, phat).  The positive weights ahat
 and the momenta are related by a canonical change of variables whose
-chamber factor F_i is a product of coordinate differences (and sums, and in
-the odd orthogonal case a bare coordinate) that stays positive on the whole
-chamber; ahat_i = exp(phat_i) sqrt(F_i).
+chamber factor F_i is a product of gaps of the diagonal pattern x (one
+moser.log_gap_sums row) that stays positive on the whole chamber;
+ahat_i = exp(phat_i) sqrt(F_i).
 
 The dual Hamiltonian H-hat_k is the bottom-right k x k principal minor of
 g g^dagger for the lower-triangular momentum-equation solution g.  By the
@@ -15,9 +15,9 @@ matrix of moser.ruijsenaars_spec_for, whose minors factor in product form
 sum over the subsets of the columns.  The only exception is the top
 invariant of family D, whose bottom n rows start with the fused-root row;
 each maximal minor there is a Laplace expansion along that row against the
-product-form (n-1)-minors below it.  goldfish_gradients differentiates the
-same sums exactly, through the log-minor gradients of
-moser.log_minor_gradients and the spec's dependence on (phat, qhat).
+product-form (n-1)-minors below it, whose entries are gap products too.
+goldfish_gradients differentiates the same sums exactly, through
+moser.log_minor_gradients, the log_gap_sums gradients and the pattern.
 
 The values are verified against an independent minor oracle,
 moser.minor_oracle_mk (the Gram minors of the bottom rows from their QR), in
@@ -32,9 +32,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ChamberError, SingularConfigurationError, ValidationError
-from .moser import MoserPoint, check_chamber, log_minor_gradients, ruijsenaars_spec_for, signed_log_minors
-from .rootsys import RootDatum
+from .errors import SingularConfigurationError, ValidationError
+from .moser import (
+    MoserPoint,
+    check_chamber,
+    log_gap_sums,
+    log_minor_gradients,
+    node_tables,
+    ruijsenaars_spec_for,
+    signed_log_minors,
+)
+from .rootsys import RootDatum, cartan_pattern
 
 
 @dataclass(frozen=True)
@@ -73,84 +81,47 @@ class RSCoupling:
 def chamber_factors(datum: RootDatum, qhat: np.ndarray) -> np.ndarray:
     """Per-coordinate radicands F_i of the weight change ahat = e^p sqrt(F).
 
-    F_i = prod_{j>i}(q_i - q_j) / prod_{k<i}(q_k - q_i), times
-    prod_k (q_i + q_k) for C, additionally times q_i for B, and
-    prod_{k != i} (q_i + q_k) for D.  Positive on the open chamber.
+    log F_i = sum_j sign(j - i) log|x_i - x_j| over the diagonal pattern x,
+    less family D's pair of x_i with its mirror -x_i; positive on the chamber.
     """
-    q = np.asarray(qhat, dtype=float)
-    n = q.size
-    fam = datum.algebra.family
-    F = np.ones(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            F[i] *= q[i] - q[j]
-        for k in range(i):
-            F[i] /= q[k] - q[i]
-        if fam in ("B", "C"):
-            for k in range(n):
-                F[i] *= q[i] + q[k]
-            if fam == "B":
-                F[i] *= q[i]
-        elif fam == "D":
-            for k in range(n):
-                if k != i:
-                    F[i] *= q[i] + q[k]
-    if np.any(F <= 0.0):
-        raise ChamberError(f"non-positive weight radicand at qhat {q}")
-    return F
+    return np.exp(_log_chamber_factors(datum, qhat))
+
+
+def _log_chamber_factors(datum: RootDatum, qhat: np.ndarray) -> np.ndarray:
+    """log F of chamber_factors, finite on the chamber even where F is not."""
+    x = check_chamber(datum, qhat)
+    return log_gap_sums(x, node_tables(datum.algebra).chamber)[0]
 
 
 def a_from_p(datum: RootDatum, point: GoldfishPoint) -> MoserPoint:
     """Canonical map from goldfish momenta to positive diagonal weights."""
-    check_chamber(datum, point.qhat)
-    F = chamber_factors(datum, point.qhat)
-    return MoserPoint(qhat=point.qhat, ahat=np.exp(point.phat) * np.sqrt(F))
+    return MoserPoint(qhat=point.qhat, ahat=np.exp(point.phat + 0.5 * _log_chamber_factors(datum, point.qhat)))
 
 
 def p_from_a(datum: RootDatum, point: MoserPoint) -> GoldfishPoint:
     """Inverse of a_from_p."""
-    check_chamber(datum, point.qhat)
-    F = chamber_factors(datum, point.qhat)
-    return GoldfishPoint(qhat=point.qhat, phat=np.log(point.ahat) - 0.5 * np.log(F))
+    return GoldfishPoint(qhat=point.qhat, phat=np.log(point.ahat) - 0.5 * _log_chamber_factors(datum, point.qhat))
 
 
 def _log_weight_jacobian(datum: RootDatum, qhat: np.ndarray) -> np.ndarray:
-    """d log ahat / d(phat, qhat), shape (n, 2n): log ahat = phat + log F(qhat) / 2.
-
-    Each factor of chamber_factors contributes d log|u| = du / u: the
-    differences q_i - q_j with sign +1 for j > i and -1 for j < i, the sums
-    q_i + q_k (B, C, D), and 1/q_i for the B/C factor 2 q_i and B's q_i.
-    """
-    q = np.asarray(qhat, dtype=float)
-    n = q.size
-    fam = datum.algebra.family
-    off = ~np.eye(n, dtype=bool)
-    order = np.sign(np.arange(n)[None, :] - np.arange(n)[:, None])
-    W = np.where(off, order / np.where(off, q[:, None] - q[None, :], 1.0), 0.0)
-    dlogF = np.diag(W.sum(axis=1)) - W
-    if fam != "A":
-        P = np.where(off, 1.0 / np.where(off, q[:, None] + q[None, :], 1.0), 0.0)
-        dlogF += P + np.diag(P.sum(axis=1))
-    if fam in ("B", "C"):
-        dlogF += np.diag((2.0 if fam == "B" else 1.0) / q)
-    return np.hstack([np.eye(n), 0.5 * dlogF])
+    """d log ahat / d(phat, qhat), shape (n, 2n): log ahat = phat + log F(qhat) / 2."""
+    tables = node_tables(datum.algebra)
+    _, grad = log_gap_sums(cartan_pattern(datum, qhat), tables.chamber)
+    return np.hstack([np.eye(qhat.size), 0.5 * grad @ tables.pattern])
 
 
 def _spec_jacobian(datum: RootDatum, qhat: np.ndarray, dL: np.ndarray) -> np.ndarray:
     """d(log|b|, x) / d(phat, qhat) of ruijsenaars_spec_for, shape (2 spec.size, 2n).
 
-    dL is _log_weight_jacobian at the same qhat.
+    log|b| = pattern(log ahat) (+ log 2|qhat_c| for D) and x = sigma pattern(qhat).
     """
     n = qhat.size
-    fam = datum.algebra.family
-    dq = np.hstack([np.zeros((n, n)), np.eye(n)])
-    if fam == "A":
-        return np.vstack([dL, dq])
-    first = dL.copy()
-    if fam == "D":  # first-half weights carry the factor 2 qhat_j
-        first[:, n:] += np.diag(1.0 / qhat)
-    middle = np.zeros((1 if fam == "B" else 0, 2 * n))  # B's fixed b = 1, x = 0
-    return np.vstack([first, middle, -dL[::-1], -dq, middle, dq[::-1]])
+    tables = node_tables(datum.algebra)
+    P = tables.pattern
+    out = np.vstack([P @ dL, np.hstack([np.zeros_like(P), tables.sigma * P])])
+    if datum.algebra.family == "D":
+        out[:n, n:] += np.diag(1.0 / qhat)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -192,39 +163,29 @@ def _laplace_tables(m: int, k: int):
     return cols, (-1.0) ** np.arange(k), rest
 
 
-def _fused_root_row(mp: MoserPoint) -> np.ndarray:
+def _fused_root_row(datum: RootDatum, mp: MoserPoint) -> np.ndarray:
     """Row n of the family-D element g (the first of its bottom n rows).
 
-    At unit weights its only entries are -1 / ((q_j + q_{n-1})
-    prod_{j<k<n-1} (q_j - q_k)) for j < n-1 and 1 in column n; the weights
-    scale column j by ahat_j and column n+j by 1/ahat_{n-1-j}.
+    At unit weights its only entries are -1 / ((q_j + q_{n-1}) prod_{j<k<n-1}
+    (q_j - q_k)) for j < n-1 (the fused_row gaps) and 1 in column n; the
+    weights scale column j by ahat_j and column n+j by 1/ahat_{n-1-j}.
     """
-    q = mp.qhat
-    n = q.size
-    head = q[: n - 1]
-    later = np.triu(np.ones((n - 1, n - 1)), k=1) > 0.0
-    gaps = np.where(later, head[:, None] - head[None, :], 1.0)
+    n = mp.qhat.size
+    log_gaps, _ = log_gap_sums(cartan_pattern(datum, mp.qhat), node_tables(datum.algebra).fused_row)
     row = np.zeros(2 * n)
-    row[: n - 1] = -1.0 / ((head + q[-1]) * np.prod(gaps, axis=1))
-    row[n] = 1.0
-    return row * np.concatenate([mp.ahat, 1.0 / mp.ahat[::-1]])
+    row[: n - 1] = -np.exp(log_gaps) * mp.ahat[: n - 1]
+    row[n] = 1.0 / mp.ahat[-1]
+    return row
 
 
-def _fused_row_log_jacobian(qhat: np.ndarray, dL: np.ndarray) -> np.ndarray:
-    """d log|row_c| / d(phat, qhat) of _fused_root_row, shape (2n, 2n).
-
-    dL is _log_weight_jacobian at the same qhat; rows of the row's zero
-    entries are zero.
-    """
+def _fused_row_log_jacobian(datum: RootDatum, qhat: np.ndarray, dL: np.ndarray) -> np.ndarray:
+    """d log|row_c| / d(phat, qhat) of _fused_root_row, shape (2n, 2n), zero at its zero entries."""
     n = qhat.size
-    head = qhat[: n - 1]
-    later = np.triu(np.ones((n - 1, n - 1)), k=1) > 0.0
-    inv = np.where(later, 1.0 / np.where(later, head[:, None] - head[None, :], 1.0), 0.0)
-    fused = 1.0 / (head + qhat[-1])
+    tables = node_tables(datum.algebra)
+    _, grad = log_gap_sums(cartan_pattern(datum, qhat), tables.fused_row)
     out = np.zeros((2 * n, 2 * n))
     out[: n - 1] = dL[: n - 1]
-    out[: n - 1, n : 2 * n - 1] += inv - np.diag(inv.sum(axis=1) + fused)
-    out[: n - 1, -1] -= fused
+    out[: n - 1, n:] += grad @ tables.pattern
     out[n] = -dL[n - 1]
     return out
 
@@ -241,7 +202,7 @@ def _minor_terms(datum: RootDatum, point: GoldfishPoint, kmax: int):
     """
     n = datum.algebra.rank
     mp = a_from_p(datum, point)
-    spec, _ = ruijsenaars_spec_for(datum, mp)
+    spec = ruijsenaars_spec_for(datum, mp)
     fused = datum.algebra.family == "D"
     masks, starts = _stacked_masks(spec.size, min(kmax, n - 1) if fused else kmax)
     sign, logabs = signed_log_minors(spec, masks)
@@ -249,7 +210,7 @@ def _minor_terms(datum: RootDatum, point: GoldfishPoint, kmax: int):
     if fused and kmax == n:
         cols, parity, rest = _laplace_tables(spec.size, n)
         below = starts[-1]
-        terms = parity * _fused_root_row(mp)[cols] * sign[rest + below] * np.exp(logabs[rest + below])
+        terms = parity * _fused_root_row(datum, mp)[cols] * sign[rest + below] * np.exp(logabs[rest + below])
         laplace = (cols, rest, terms)
     return spec, masks, starts, logabs, laplace
 
@@ -303,7 +264,7 @@ def goldfish_gradients(datum: RootDatum, point: GoldfishPoint) -> np.ndarray:
     spec_grads = np.vstack([spec_grads, rest_weights @ dl[below:]])
     out = spec_grads @ _spec_jacobian(datum, point.qhat, dL)
     col_weights = np.bincount(cols.ravel(), weights=u.ravel(), minlength=spec.size)
-    out[-1] += col_weights @ _fused_row_log_jacobian(point.qhat, dL)
+    out[-1] += col_weights @ _fused_row_log_jacobian(datum, point.qhat, dL)
     return out
 
 

@@ -98,8 +98,9 @@ def structured_diagonalize(datum: RootDatum, X):
     vector u of X lies in the former, Omega u = u.
 
     Raises DegenerateSpectrumError when any eigenvalue gap falls below
-    DEFAULT_GAP_TOL, ValidationError for a complex or non-symmetric input,
-    and AlgebraMembershipError when X fails the algebra relation.
+    DEFAULT_GAP_TOL, ValidationError for a complex or non-symmetric input
+    or one whose norm overflows, and AlgebraMembershipError when X fails
+    the algebra relation.
     """
     X = _as_square(X, "X")
     if np.iscomplexobj(X):
@@ -108,7 +109,10 @@ def structured_diagonalize(datum: RootDatum, X):
     N = datum.size
     if X.shape != (N, N):
         raise ValidationError(f"expected shape {(N, N)}, got {X.shape}")
-    scale = max(1.0, float(np.linalg.norm(X, "fro")))
+    with np.errstate(over="ignore"):
+        scale = max(1.0, float(np.linalg.norm(X, "fro")))
+    if scale == np.inf:
+        raise ValidationError("Lax matrix norm sqrt(Tr(X^2)) overflows float64")
     if np.linalg.norm(X - X.T, "fro") > 1.0e-10 * scale:
         raise ValidationError("X is not symmetric")
     if algebra_residual(datum, X) > 1.0e-8 * scale:

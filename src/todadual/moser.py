@@ -12,17 +12,23 @@ bottom rows of g coincide (up to fixed column signs absorbed into the weight
 vector) with rows of a rational Cauchy-type matrix built from weights b and
 nodes x; its maximal minors against the bottom rows factor in closed form,
 which is what makes the dual Hamiltonians explicit.
+
+Its nodes are pattern(qhat) up to a sign.  The chamber factors, the
+unit-weight bottom row and D's fused-root row are node-gap products too:
+log_gap_sums reads each as sum_j C_ij log|x_i - x_j| over a node_tables table.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ChamberError, SingularConfigurationError, ValidationError
 from .linalg import bottom_row_qr, extended_solve
-from .rootsys import RootDatum, cartan_pattern
+from .rootsys import AlgebraType, RootDatum, build_root_datum, cartan_pattern
 
 # Nodes closer than this (absolute, inputs O(1)) count as a pole.
 POLE_TOL = 1.0e-8
@@ -170,13 +176,9 @@ def closed_form_minor(spec: RuijsenaarsMatrixSpec, cols) -> float:
 
 
 def _full_diagonal(datum: RootDatum, ahat: np.ndarray) -> np.ndarray:
-    fam = datum.algebra.family
-    if fam == "A":
+    if datum.size == ahat.size:  # family A has no mirrored half
         return ahat.copy()
-    inv_rev = 1.0 / ahat[::-1]
-    if fam == "B":
-        return np.concatenate([ahat, [1.0], inv_rev])
-    return np.concatenate([ahat, inv_rev])
+    return np.concatenate([ahat, np.ones(datum.size - 2 * ahat.size), 1.0 / ahat[::-1]])
 
 
 def build_moser_g(datum: RootDatum, point: MoserPoint) -> np.ndarray:
@@ -241,34 +243,60 @@ def minor_oracle_mk(datum: RootDatum, g: np.ndarray, k: int) -> float:
     return float(np.prod(bottom_row_qr(g, k)[1] ** 2))
 
 
-def ruijsenaars_spec_for(datum: RootDatum, point: MoserPoint):
+def ruijsenaars_spec_for(datum: RootDatum, point: MoserPoint) -> RuijsenaarsMatrixSpec:
     """Weights/nodes whose Cauchy-type matrix reproduces the bottom rows of g.
 
-    Returns (spec, row_offset): rows row_offset..N-1 of build_moser_g(point)
-    equal the same rows of build_ruijsenaars_matrix(spec).  The signs of the
-    first-half weights alternate; the correspondence is exact, not just up
-    to modulus.  For family D only the bottom n-1 rows match (the fused last
-    root breaks the single-term recurrence one row higher).
+    x = sigma pattern(qhat), b_c = sigma^(n-c) g[c, c] on the first half
+    (times -2 qhat_c for D, whose fused root breaks the recurrence one row
+    higher) and g[c, c] after it.  The last N - n rows of g (N - n - 1 for
+    D) equal those of build_ruijsenaars_matrix(spec) exactly.
     """
-    fam, n = datum.algebra.family, datum.algebra.rank
-    qh = np.asarray(point.qhat, dtype=float)
-    ah = np.asarray(point.ahat, dtype=float)
-    if fam == "A":
-        return RuijsenaarsMatrixSpec(b=ah, x=qh), 0
-    inv_rev = 1.0 / ah[::-1]
-    jj = np.arange(n)
-    if fam == "B":
-        first = ((-1.0) ** (n - jj)) * ah
-        b = np.concatenate([first, [1.0], inv_rev])
-        x = np.concatenate([-qh, [0.0], qh[::-1]])
-        return RuijsenaarsMatrixSpec(b=b, x=x), n + 1
-    if fam == "C":
-        first = ((-1.0) ** (n - jj)) * ah
-        b = np.concatenate([first, inv_rev])
-        x = np.concatenate([-qh, qh[::-1]])
-        return RuijsenaarsMatrixSpec(b=b, x=x), n
-    # D: weights pick up the 2*qhat factor from the two-term row
-    first = ((-1.0) ** (n - 1 - jj)) * 2.0 * qh * ah
-    b = np.concatenate([first, inv_rev])
-    x = np.concatenate([-qh, qh[::-1]])
-    return RuijsenaarsMatrixSpec(b=b, x=x), n + 1
+    n = datum.algebra.rank
+    sigma = node_tables(datum.algebra).sigma
+    b = _full_diagonal(datum, point.ahat)
+    b[:n] *= sigma ** (n - np.arange(n))
+    if datum.algebra.family == "D":
+        b[:n] *= -2.0 * point.qhat
+    return RuijsenaarsMatrixSpec(b=b, x=sigma * cartan_pattern(datum, point.qhat))
+
+
+NodeTables = namedtuple("NodeTables", "pattern sigma chamber bottom_row fused_row")
+
+
+@lru_cache(maxsize=None)
+def node_tables(algebra: AlgebraType) -> NodeTables:
+    """Read-only tables of the diagonal pattern x = pattern @ qhat, built once per algebra.
+
+    pattern is (N, n) and 0/+-1; the spec nodes are sigma x.  The rest are
+    log_gap_sums tables: the chamber factors (sign(j - i)), the unit bottom
+    row (-1 for j > c), both less D's mirror pair 2|qhat_c|, and D's unit
+    fused-root row (-1 for c < j < n - 1 and j = n; no rows for A, B, C).
+    """
+    n = algebra.rank
+    pattern = np.diagonal(build_root_datum(algebra).cartan, axis1=1, axis2=2).T.copy()
+    N = pattern.shape[0]
+    chamber = np.sign(np.arange(N) - np.arange(n)[:, None]).astype(float)
+    bottom_row = np.where(chamber > 0.0, -1.0, 0.0)
+    fused_row = np.zeros((0, N))
+    if algebra.family == "D":
+        mirror = (np.arange(n), N - 1 - np.arange(n))
+        chamber[mirror] = bottom_row[mirror] = 0.0
+        fused_row = np.where(np.arange(N) < n - 1, bottom_row[: n - 1], 0.0)
+        fused_row[:, n] = -1.0
+    for table in (pattern, chamber, bottom_row, fused_row):
+        table.flags.writeable = False
+    return NodeTables(pattern, 1.0 if algebra.family == "A" else -1.0, chamber, bottom_row, fused_row)
+
+
+def log_gap_sums(x: np.ndarray, table: np.ndarray):
+    """sum_j C_ij log|x_i - x_j| per row i of a node_tables table C, and its gradient in x.
+
+    The nodes are pairwise distinct and C_ii = 0; grad[i, m] = d values_i / d x_m.
+    """
+    diagonal = slice(None, None, x.size + 1)  # entries (i, i) of the (rows, N) gaps
+    gaps = x[: table.shape[0], None] - x
+    gaps.flat[diagonal] = 1.0
+    W = table / gaps
+    grad = -W
+    grad.flat[diagonal] += W.sum(axis=1)
+    return (table * np.log(np.abs(gaps))).sum(axis=1), grad

@@ -183,12 +183,22 @@ def _trace_hamiltonians(datum: RootDatum, X: np.ndarray, kmax: int) -> np.ndarra
 
 
 def toda_hamiltonians(datum: RootDatum, point: TodaPoint, kmax: int | None = None) -> np.ndarray:
-    """Trace-power Hamiltonians (H_1, ..., H_kmax); kmax defaults to the rank."""
+    """Trace-power Hamiltonians (H_1, ..., H_kmax); kmax defaults to the rank.
+
+    A trace power past the float64 range raises ValidationError naming it.
+    """
     n = datum.algebra.rank
     kmax = n if kmax is None else int(kmax)
     if not 1 <= kmax <= n:
         raise ValidationError(f"kmax must lie in 1..{n}, got {kmax}")
-    return _trace_hamiltonians(datum, build_lax(datum, point), kmax)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _trace_hamiltonians(datum, build_lax(datum, point), kmax)
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite)) + 1
+        power = k if datum.algebra.family == "A" else 2 * k
+        raise ValidationError(f"Toda Hamiltonian H_{k}, a trace of X^{power}, overflows float64")
+    return values
 
 
 def toda_hamiltonian(datum: RootDatum, point: TodaPoint, k: int) -> float:
@@ -258,10 +268,12 @@ def integrate_flow(datum: RootDatum, point: TodaPoint, k: int, dt: float, steps:
     5z_0 - 10z_{-1} + 10z_{-2} - 5z_{-3} + z_{-4} of the trajectory's last
     five rows (the first five steps start from the Euler guess
     z + dt * f(z)), so one field evaluation usually settles a step.
-    A start whose root weights overflow raises ValidationError.
-    Non-convergence within MIDPOINT_MAX_ITER sweeps, or a floating-point
-    overflow or invalid value (a diverging flow, including a root weight
-    leaving the float64 range), raises StepFailureError naming the step.
+    A start whose root weights or vector field overflow raises
+    ValidationError; the field check reads the first sweep of step 1,
+    which evaluates exactly f(z_0).  Non-convergence within
+    MIDPOINT_MAX_ITER sweeps, or a floating-point overflow or invalid value
+    (a diverging flow, including a root weight leaving the float64 range),
+    raises StepFailureError naming the step.
     """
     if steps < 0:
         raise ValidationError(f"steps must be non-negative, got {steps}")
@@ -278,6 +290,7 @@ def integrate_flow(datum: RootDatum, point: TodaPoint, k: int, dt: float, steps:
     mid = traj[0].copy()
     mid_point = TodaPoint(q=mid[:n], p=mid[n:])
     field = np.empty(2 * n)
+    w = None  # the iterate; None until f(z_0) has been evaluated
 
     def sweep(z, w):
         """z + dt * f((z + w)/2): one fixed-point sweep from the iterate w."""
@@ -304,6 +317,8 @@ def integrate_flow(datum: RootDatum, point: TodaPoint, k: int, dt: float, steps:
                     raise StepFailureError(f"midpoint iteration stalled at step {step} (delta {delta:.3e})")
                 traj[step] = w
     except (FloatingPointError, ValidationError) as exc:
+        if w is None:
+            raise ValidationError(f"vector field of H_{k} overflows float64 at the start point: {exc}") from None
         # Inputs are validated above, so a ValidationError here is a root
         # weight leaving the float64 range mid-flow.
         raise StepFailureError(f"flow diverged at step {step}: {exc}") from None

@@ -186,6 +186,28 @@ def test_overflowing_root_weight_is_a_usage_error(capsys, command):
     assert "usage error: Lax root weight exp((alpha_1, q)) overflows float64" in err
 
 
+@pytest.mark.parametrize(
+    "command, fam, q, p, code, message",
+    [
+        # the transported bottom row underflows: lost precision, not bad input
+        ("dual-map", "C", "300,0", "0,0", 1, "todadual: transported bottom-row entry g[3, 2] underflows to zero"),
+        ("dual-map", "B", "0,0", "1e100,0", 1, "todadual: transported bottom-row entry g[4, 0] underflows to zero"),
+        # exp(700) is finite, but the H_1 field at the start point is not
+        ("integrate", "B", "700,0", "0,0", 2, "usage error: vector field of H_1 overflows float64 at the start point"),
+        ("dual-map", "A", "0,0", "1e200,0", 2, "usage error: Lax matrix norm sqrt(Tr(X^2)) overflows float64"),
+        # the map succeeds in log space; H_2 = Tr(X^4) / 8 does not fit
+        ("dual-map", "B", "0,0", "1e78,0", 2, "usage error: Toda Hamiltonian H_2, a trace of X^4, overflows float64"),
+        ("dual-map", "A", "0,0", "1e100,0", 0, ""),
+    ],
+)
+def test_extreme_points_name_their_cause(capsys, command, fam, q, p, code, message):
+    got, out, err = run_cli(capsys, command, "--type", fam, "--rank", "2", "--q", q, "--p", p)
+    assert got == code
+    assert message in err
+    assert (err == "") == (code == 0)
+    assert "Infinity" not in out and "NaN" not in out
+
+
 def test_rank_cap_warning_only_where_minors_are_enumerated(capsys):
     _, _, err = run_cli(capsys, "integrate", "--type", "A", "--rank", "9", "--steps", "2")
     assert "minor enumeration" not in err

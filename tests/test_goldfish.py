@@ -19,7 +19,7 @@ from todadual.goldfish import (
     rs_hamiltonian_A,
 )
 from todadual.moser import build_moser_g, minor_oracle_mk
-from todadual.rootsys import AlgebraType, build_root_datum
+from todadual.rootsys import FAMILIES, AlgebraType, build_root_datum
 from todadual.sampling import sample_goldfish, sample_moser, spawn_rng
 
 ALGEBRAS = [("A", 2), ("A", 4), ("B", 1), ("B", 3), ("C", 2), ("C", 4), ("D", 2), ("D", 3)]
@@ -44,6 +44,38 @@ def test_chamber_factors_positive_on_chamber():
             F = chamber_factors(datum, gp.qhat)
             assert F.shape == (n,)
             assert np.all(F > 0.0)
+
+
+def product_loop_chamber_factors(fam, q):
+    """The chamber factors as the explicit products of their docstring."""
+    n = q.size
+    F = np.ones(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            F[i] *= q[i] - q[j]
+        for k in range(i):
+            F[i] /= q[k] - q[i]
+        if fam in ("B", "C"):
+            for k in range(n):
+                F[i] *= q[i] + q[k]
+            if fam == "B":
+                F[i] *= q[i]
+        elif fam == "D":
+            for k in range(n):
+                if k != i:
+                    F[i] *= q[i] + q[k]
+    return F
+
+
+def test_chamber_factors_match_the_product_loop():
+    for fam in FAMILIES:
+        for n in range(1 + (fam == "D"), 9):
+            datum = build_root_datum(AlgebraType(fam, n))
+            for j in range(3):
+                q = sample_goldfish(datum, spawn_rng(17, 10 * n + j)).qhat
+                ref = product_loop_chamber_factors(fam, q)
+                F = chamber_factors(datum, q)
+                assert np.max(np.abs(F - ref) / ref) < 1e-13, f"{fam}{n} draw {j}"
 
 
 def test_chamber_factors_reject_bad_order():

@@ -15,12 +15,14 @@ from todadual.moser import (
     build_ruijsenaars_matrix,
     check_chamber,
     closed_form_minor,
+    log_gap_sums,
     minor_oracle_mk,
     momentum_equation_residual,
     moser_momentum_residual,
+    node_tables,
     ruijsenaars_spec_for,
 )
-from todadual.rootsys import AlgebraType, build_root_datum
+from todadual.rootsys import FAMILIES, AlgebraType, build_root_datum
 from todadual.sampling import sample_goldfish, sample_moser, spawn_rng
 
 ALGEBRAS = [("A", 2), ("A", 4), ("B", 1), ("B", 3), ("C", 2), ("C", 4), ("D", 2), ("D", 3)]
@@ -125,17 +127,24 @@ def test_ruijsenaars_matrix_and_closed_form_minor():
 
 
 def test_bottom_rows_match_ruijsenaars_matrix():
-    """Bottom rows of the canonical g line up with the rational matrix rows."""
-    for fam, n in [("A", 3), ("C", 3), ("B", 2), ("D", 3)]:
-        datum = build_root_datum(AlgebraType(fam, n))
-        mp = sample_moser(datum, spawn_rng(55, 3))
-        g = build_moser_g(datum, mp)
-        spec, row_offset = ruijsenaars_spec_for(datum, mp)
-        M = build_ruijsenaars_matrix(spec)
-        assert row_offset < datum.size  # at least one row to compare
-        for i in range(row_offset, datum.size):
-            gap = np.abs(g[i, : i + 1].real - M[i, : i + 1])
-            assert gap.max() < 1e-10 * max(1.0, np.abs(M[i]).max())
+    """Bottom rows of the canonical g line up with the rational matrix rows,
+    and the log-space unit-row read is the matrix's unit-weight bottom row."""
+    for fam in FAMILIES:
+        for n in range(1 + (fam == "D"), 9):
+            datum = build_root_datum(AlgebraType(fam, n))
+            mp = sample_moser(datum, spawn_rng(55, 3))
+            g = build_moser_g(datum, mp)
+            M = build_ruijsenaars_matrix(ruijsenaars_spec_for(datum, mp))
+            # the last N - n rows match; D's fused root breaks the one above the last n - 1
+            row_offset = datum.size - n + (fam == "D")
+            for i in range(row_offset, datum.size):
+                gap = np.abs(g[i, : i + 1].real - M[i, : i + 1])
+                assert gap.max() < 1e-10 * max(1.0, np.abs(M[i]).max()), f"{fam}{n} row {i}"
+
+            unit = ruijsenaars_spec_for(datum, MoserPoint(qhat=mp.qhat, ahat=np.ones(n)))
+            expected = np.abs(build_ruijsenaars_matrix(unit)[-1, :n])
+            log_read, _ = log_gap_sums(check_chamber(datum, mp.qhat), node_tables(datum.algebra).bottom_row)
+            assert np.max(np.abs(np.exp(log_read) - expected) / expected) < 1e-13, f"{fam}{n}"
 
 
 def cauchy_binet_minor(g, k):
