@@ -21,9 +21,9 @@ principal minors of g g^dagger (trivial in the Toda gauge, the dual
 Hamiltonians in the Moser gauge) and the trace powers of X (the Toda
 Hamiltonians in one gauge, spectral power sums in the other).  The
 symplectomorphism certificate differentiates the inverse map, which runs
-on the QR and no eigensolver, with one central-difference stencil; the
-inverse is antisymplectic exactly when the forward map is, and the
-round-trip property ties the two together.
+on the QR and no eigensolver, exactly in forward mode through the same
+pass; the inverse is antisymplectic exactly when the forward map is, and
+the round-trip property ties the two together.
 """
 
 from __future__ import annotations
@@ -31,24 +31,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DualityResidualError
-from .goldfish import GoldfishPoint, a_from_p, goldfish_hamiltonians, p_from_a
+from .goldfish import GoldfishPoint, _log_weight_jacobian, a_from_p, goldfish_hamiltonians, p_from_a
 from .linalg import bottom_row_qr, structured_diagonalize
 from .moser import MoserPoint, build_moser_g, check_chamber, log_gap_sums, momentum_equation_residual, node_tables
-from .poisson import central_difference
 from .rootsys import RootDatum, cartan_pattern
 from .toda import SymplecticForm, TodaPoint, build_lax, symplectic_scale, toda_hamiltonians
 
 # Residual budget for both directions of the map.
 DUALITY_RTOL = 1.0e-8
-# Central-difference width of duality_jacobian.  Truncation error grows as
-# h^2 and dominates at low rank; the inverse map's rounding noise grows as
-# 1/h and its floor rises with the rank.  Over every family at ranks 1-8,
-# seeds 0-39 and the three verify draws per seed, the worst residual was
-# 9.5e-7 at this width (B8) and 2.7e-6 at 3e-5 (B8); 1e-4 reached 9.0e-7
-# but is about four times this width's worst at every rank 1-7.
-JACOBIAN_STEP = 5.0e-5
 
 
 @dataclass(frozen=True)
@@ -127,6 +120,27 @@ def toda_to_goldfish(datum: RootDatum, point: TodaPoint) -> GoldfishPoint:
     return p_from_a(datum, toda_to_moser(datum, point))
 
 
+def _inverse_pass(datum: RootDatum, point: GoldfishPoint):
+    """goldfish_to_toda's one evaluation: (recovered, g, xhat, Q, R), spectrum-gated."""
+    mp = a_from_p(datum, point)
+    g = build_moser_g(datum, mp)
+    Q, R = bottom_row_qr(g, datum.algebra.rank)
+    xhat = cartan_pattern(datum, mp.qhat)
+    log_r = np.log(np.abs(np.diagonal(R)))
+    psi = xhat @ Q**2
+    if datum.algebra.family == "A":
+        recovered = TodaPoint(q=log_r[::-1], p=psi[::-1])
+    else:
+        recovered = TodaPoint(q=-log_r, p=-psi)
+
+    spectrum = np.linalg.eigvalsh(build_lax(datum, recovered))
+    scale = max(1.0, float(np.max(np.abs(xhat))))
+    gap = float(np.max(np.abs(spectrum - np.sort(xhat)))) / scale
+    if gap > DUALITY_RTOL:
+        raise DualityResidualError(f"rebuilt Lax spectrum misses pattern(qhat) by {gap:.3e}")
+    return recovered, g, xhat, Q, R
+
+
 def goldfish_to_toda(datum: RootDatum, point: GoldfishPoint) -> TodaPoint:
     """Toda-gauge representative of a dual-system point.
 
@@ -137,22 +151,7 @@ def goldfish_to_toda(datum: RootDatum, point: GoldfishPoint) -> TodaPoint:
     Lax spectrum must match pattern(qhat) within DUALITY_RTOL, else
     DualityResidualError; a zero R_ii raises SingularMatrixError.
     """
-    mp = a_from_p(datum, point)
-    g = build_moser_g(datum, mp)
-    Q, r = bottom_row_qr(g, datum.algebra.rank)
-    xhat = cartan_pattern(datum, mp.qhat)
-    psi = xhat @ np.abs(Q) ** 2
-    if datum.algebra.family == "A":
-        recovered = TodaPoint(q=np.log(r)[::-1], p=psi[::-1])
-    else:
-        recovered = TodaPoint(q=-np.log(r), p=-psi)
-
-    spectrum = np.linalg.eigvalsh(build_lax(datum, recovered))
-    scale = max(1.0, float(np.max(np.abs(xhat))))
-    gap = float(np.max(np.abs(spectrum - np.sort(xhat)))) / scale
-    if gap > DUALITY_RTOL:
-        raise DualityResidualError(f"rebuilt Lax spectrum misses pattern(qhat) by {gap:.3e}")
-    return recovered
+    return _inverse_pass(datum, point)[0]
 
 
 def toda_gauge_minors(datum: RootDatum, point: TodaPoint, kmax: int | None = None) -> np.ndarray:
@@ -210,15 +209,40 @@ def verify_duality_identities(
 
 
 def duality_jacobian(datum: RootDatum, point: GoldfishPoint) -> np.ndarray:
-    """Central-difference Jacobian of the inverse map (phat, qhat) -> (p, q)."""
-    n = datum.algebra.rank
+    """Exact Jacobian of the inverse map (phat, qhat) -> (p, q), rows (p, q).
 
-    def image(z: np.ndarray) -> np.ndarray:
-        tp = goldfish_to_toda(datum, GoldfishPoint(qhat=z[n:], phat=z[:n]))
-        return np.concatenate([tp.p, tp.q])
+    Forward mode through goldfish_to_toda's own pass, all 2n input
+    directions at once, with dx = d pattern(qhat):
+    * the diagonal of g moves by diag(g) (pattern @ d log ahat);
+    * the recurrence row by row, dg[i, j] = (lam[i, :i] @ dg[:i, j]
+      - g[i, j] (dx_j - dx_i)) / (x_j - x_i);
+    * the QR M = Q R of the bottom rows, with Y = dM R^{-1} and
+      X = Q^T Y: d log|R_ii| = X_ii and dQ = Q Omega + Y - Q X, where
+      Omega = tril(X, -1) - tril(X, -1)^T;
+    * psi = xhat @ Q^2 gives dpsi = dx @ Q^2 + 2 xhat @ (Q dQ).
+    The map's spectrum gate runs once, at the point itself.
+    """
+    n, N = datum.algebra.rank, datum.size
+    _, g, x, Q, R = _inverse_pass(datum, point)
+    P = node_tables(datum.algebra).pattern
+    dx = np.hstack([np.zeros_like(P), P])
+    d_log_ahat = _log_weight_jacobian(datum, point.qhat)
+    dg = np.zeros((2 * n, N, N))
+    dg[:, np.arange(N), np.arange(N)] = (np.diagonal(g)[:, None] * (P @ d_log_ahat)).T
+    lam = datum.momentum
+    for i in range(1, N):
+        dg[:, i, :i] = (lam[i, :i] @ dg[:, :i, :i] - g[i, :i] * (dx[:i] - dx[i]).T) / (x[:i] - x[i])
 
-    z0 = np.concatenate([point.phat, point.qhat])
-    return central_difference(image, z0, JACOBIAN_STEP).T
+    dM = dg[:, ::-1][:, :n].transpose(0, 2, 1)
+    Y = scipy.linalg.solve_triangular(R, dM.reshape(-1, n).T, trans="T").T.reshape(dM.shape)
+    X = Q.T @ Y
+    lower = np.tril(X, -1)
+    dQ = Y + Q @ (lower - lower.transpose(0, 2, 1) - X)
+    d_log_r = np.diagonal(X, axis1=1, axis2=2).T
+    d_psi = (dx.T @ Q**2 + 2.0 * (x @ (Q * dQ))).T
+    if datum.algebra.family == "A":
+        return np.vstack([d_psi[::-1], d_log_r[::-1]])
+    return -np.vstack([d_psi, d_log_r])
 
 
 def symplectomorphism_check(datum: RootDatum, point: GoldfishPoint) -> tuple[float, float]:

@@ -5,6 +5,9 @@
   group element.
 * bottom_row_qr: row-sorted thin QR of the bottom rows of g; its R
   diagonal gives the trailing principal minors of g g^dagger.
+* extended_solve: pivoted elimination in extended complex precision; no
+  production caller is left (the momentum gate runs a real triangular
+  solve), and the tests keep it as an oracle.
 * lower_triangularize: split g = nplus * glow with nplus unipotent upper
   triangular (valid on the big Gauss cell).  The forward duality map reads
   its weights without it; the tests keep it as that read's oracle.
@@ -233,16 +236,14 @@ def bottom_row_qr(g, k: int):
     g g^dagger has determinant prod_{i<j} |R_ii|^2.  Rows of M spanning
     many decades are sorted largest modulus first, which keeps Householder
     QR row-wise stable (Cox & Higham 1998); unsorted, the inverse duality
-    map fails on 3 of 40 seed-0 draws at C10.  Returns (Q, r) with M = Q R
-    in the original row order and r = |diag R|; a zero r_i raises
-    SingularMatrixError.
+    map fails on 3 of 40 seed-0 draws at C10.  Returns (Q, R) with M = Q R
+    in the original row order; a zero R_ii raises SingularMatrixError.
     """
     M = np.asarray(g)[::-1][:k].conj().T
     order = np.argsort(-np.max(np.abs(M), axis=1), kind="stable")
     Qs, R = scipy.linalg.qr(M[order], mode="economic")
-    r = np.abs(np.diagonal(R))
-    if np.any(r == 0.0):
+    if np.any(np.diagonal(R) == 0.0):
         raise SingularMatrixError("zero diagonal entry in the bottom-row QR")
     Q = np.empty_like(Qs)
     Q[order] = Qs
-    return Q, r
+    return Q, R

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ChamberError, SingularConfigurationError, ValidationError
-from .linalg import bottom_row_qr, extended_solve
+from .linalg import bottom_row_qr
 from .rootsys import AlgebraType, RootDatum, build_root_datum, cartan_pattern
 
 # Nodes closer than this (absolute, inputs O(1)) count as a pole.
@@ -206,17 +206,25 @@ def build_moser_g(datum: RootDatum, point: MoserPoint) -> np.ndarray:
 
 
 def momentum_equation_residual(datum: RootDatum, g: np.ndarray, qhat) -> float:
-    """Frobenius norm of g Xhat g^{-1} - Xhat - lam for an explicit g.
+    """Frobenius norm of g Xhat g^{-1} - Xhat - lam for an explicit real lower-triangular g.
 
-    The conjugation is evaluated in extended precision: g carries spectral-
-    gap products on its diagonal, and at rank 5+ the double-precision
-    forward error of the solve would drown the quantity being measured.
+    C = g Xhat g^{-1} solves g^T C^T = Xhat g^T, one back substitution
+    against the upper-triangular g^T, run in extended precision: g carries
+    spectral-gap products on its diagonal, and at rank 5+ the double-
+    precision forward error of the solve would drown the quantity being
+    measured.  A complex g, or one with an entry above the diagonal,
+    raises ValidationError.
     """
+    g = np.asarray(g)
+    if np.iscomplexobj(g) or np.any(np.triu(g, 1)):
+        raise ValidationError("the momentum residual takes a real lower-triangular g")
     x = cartan_pattern(datum, np.asarray(qhat, dtype=float))
-    gext = np.asarray(g, dtype=complex).astype(np.clongdouble)
-    Xhat = np.diag(x).astype(np.clongdouble)
-    conj = extended_solve(gext.T, (gext @ Xhat).T).T
-    resid = (conj - Xhat - datum.momentum).astype(complex)
+    upper = g.T.astype(np.longdouble)
+    rhs = upper * x[:, None]
+    conj_t = np.zeros_like(rhs)
+    for i in range(g.shape[0] - 1, -1, -1):
+        conj_t[i] = (rhs[i] - upper[i, i + 1 :] @ conj_t[i + 1 :]) / upper[i, i]
+    resid = (conj_t.T - np.diag(x) - datum.momentum).astype(float)
     return float(np.linalg.norm(resid, "fro"))
 
 
@@ -240,7 +248,7 @@ def minor_oracle_mk(datum: RootDatum, g: np.ndarray, k: int) -> float:
         raise ValidationError(f"expected shape {(N, N)}, got {g.shape}")
     if not 1 <= k <= datum.algebra.rank:
         raise ValidationError(f"k must lie in 1..{datum.algebra.rank}, got {k}")
-    return float(np.prod(bottom_row_qr(g, k)[1] ** 2))
+    return float(np.prod(np.abs(np.diagonal(bottom_row_qr(g, k)[1])) ** 2))
 
 
 def ruijsenaars_spec_for(datum: RootDatum, point: MoserPoint) -> RuijsenaarsMatrixSpec:

@@ -6,13 +6,10 @@ per-family symplectic scale (1 for A, 2 for B/C/D).  The commutativity
 matrix pairs exact gradients of the whole Hamiltonian vector, one engine
 call per point: toda.toda_gradients differentiates the trace powers
 through the Lax power chain, goldfish.goldfish_gradients the closed-form
-minors.  central_difference, the package's one finite-difference routine,
-serves only the duality Jacobian.
+minors.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -29,17 +26,6 @@ def flatten_point(point) -> np.ndarray:
     if isinstance(point, GoldfishPoint):
         return np.concatenate([point.phat, point.qhat])
     raise ValidationError(f"unsupported point type {type(point).__name__}")
-
-
-def central_difference(f: Callable[[np.ndarray], np.ndarray], z: np.ndarray, step: float) -> np.ndarray:
-    """Central differences of f at z; row j is df/dz_j, a scalar or a vector."""
-    rows = []
-    for j in range(z.size):
-        zp, zm = z.copy(), z.copy()
-        zp[j] += step
-        zm[j] -= step
-        rows.append((np.asarray(f(zp)) - np.asarray(f(zm))) / (2.0 * step))
-    return np.array(rows)
 
 
 def commutativity_matrix(datum: RootDatum, point) -> np.ndarray:

@@ -168,17 +168,27 @@ def quadratic_index(datum: RootDatum) -> int:
 
 
 def _trace_hamiltonians(datum: RootDatum, X: np.ndarray, kmax: int) -> np.ndarray:
-    """Trace powers (H_1, ..., H_kmax) of built Lax matrices X (..., N, N), shape (..., kmax)."""
+    """Trace powers (H_1, ..., H_kmax) of built Lax matrices X (..., N, N), shape (..., kmax).
+
+    A trace power past the float64 range at any of the matrices raises
+    ValidationError naming it.
+    """
     values = np.empty(X.shape[:-2] + (kmax,))
     if datum.algebra.family == "A":
         P, step, scale = X, X, 1.0
     else:
         P = step = X @ X
         scale = 4.0
-    values[..., 0] = np.trace(P, axis1=-2, axis2=-1) / scale
-    for k in range(2, kmax + 1):
-        P = P @ step
-        values[..., k - 1] = np.trace(P, axis1=-2, axis2=-1) / (scale * k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values[..., 0] = np.trace(P, axis1=-2, axis2=-1) / scale
+        for k in range(2, kmax + 1):
+            P = P @ step
+            values[..., k - 1] = np.trace(P, axis1=-2, axis2=-1) / (scale * k)
+    finite = np.isfinite(values).reshape(-1, kmax).all(axis=0)
+    if not finite.all():
+        k = int(np.argmin(finite)) + 1
+        power = k if datum.algebra.family == "A" else 2 * k
+        raise ValidationError(f"Toda Hamiltonian H_{k}, a trace of X^{power}, overflows float64")
     return values
 
 
@@ -191,14 +201,7 @@ def toda_hamiltonians(datum: RootDatum, point: TodaPoint, kmax: int | None = Non
     kmax = n if kmax is None else int(kmax)
     if not 1 <= kmax <= n:
         raise ValidationError(f"kmax must lie in 1..{n}, got {kmax}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _trace_hamiltonians(datum, build_lax(datum, point), kmax)
-    finite = np.isfinite(values)
-    if not finite.all():
-        k = int(np.argmin(finite)) + 1
-        power = k if datum.algebra.family == "A" else 2 * k
-        raise ValidationError(f"Toda Hamiltonian H_{k}, a trace of X^{power}, overflows float64")
-    return values
+    return _trace_hamiltonians(datum, build_lax(datum, point), kmax)
 
 
 def toda_hamiltonian(datum: RootDatum, point: TodaPoint, k: int) -> float:

@@ -13,8 +13,9 @@ matrix marks its point broken, and either is named in the record's note by
 its point index; a non-finite residual breaks its point too.  The
 closed-form dual Hamiltonians are checked against moser.minor_oracle_mk,
 the QR route to the same Gram minors.  Both commutativity properties pair
-exact gradients (poisson.commutativity_matrix); the one finite-difference
-stencil left is the symplectomorphism check's inverse-map Jacobian.
+exact gradients (poisson.commutativity_matrix), and the symplectomorphism
+check differentiates the inverse map exactly in forward mode; no property
+runs a finite-difference stencil.
 
 Counters are allocated as 1000 * property_slot + point_index, so any
 reported point can be resampled in isolation.
@@ -27,7 +28,6 @@ from functools import partial
 import numpy as np
 
 from .duality import (
-    JACOBIAN_STEP,
     _relative_gap,
     goldfish_to_toda,
     symplectomorphism_check,
@@ -223,7 +223,7 @@ def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 2
 
     name = "symplectomorphism"
     worst, extra = _per_point(datum, seed, name, min(npoints, 3), sample_goldfish, symplectic_residual)
-    note = f"sigma values {sorted(set(sigmas))}; inverse-map central stencil h={JACOBIAN_STEP:g}"
+    note = f"sigma values {sorted(set(sigmas))}; exact forward-mode Jacobian of the inverse map's QR route; round-trip ties it to the forward map"
     properties.append(_record(name, worst, note, extra))
 
     log = []

@@ -198,10 +198,12 @@ def test_overflowing_root_weight_is_a_usage_error(capsys, command):
         # the map succeeds in log space; H_2 = Tr(X^4) / 8 does not fit
         ("dual-map", "B", "0,0", "1e78,0", 2, "usage error: Toda Hamiltonian H_2, a trace of X^4, overflows float64"),
         ("dual-map", "A", "0,0", "1e100,0", 0, ""),
+        # the start row's H_2 = Tr(X^4) / 8 does not fit in the H columns
+        ("integrate --steps 0", "B", "0,0", "1e80,0", 2, "usage error: Toda Hamiltonian H_2, a trace of X^4, overflows float64"),
     ],
 )
 def test_extreme_points_name_their_cause(capsys, command, fam, q, p, code, message):
-    got, out, err = run_cli(capsys, command, "--type", fam, "--rank", "2", "--q", q, "--p", p)
+    got, out, err = run_cli(capsys, *command.split(), "--type", fam, "--rank", "2", "--q", q, "--p", p)
     assert got == code
     assert message in err
     assert (err == "") == (code == 0)

@@ -18,11 +18,12 @@ from todadual.errors import DegenerateSpectrumError, DualityResidualError
 from todadual.goldfish import GoldfishPoint, a_from_p, goldfish_hamiltonians
 from todadual.linalg import iwasawa, lower_triangularize, structured_diagonalize
 from todadual.moser import build_moser_g
-from todadual.poisson import central_difference
 from todadual.rootsys import AlgebraType, build_root_datum, cartan_pattern
 from todadual.sampling import sample_goldfish, sample_toda, spawn_rng
 from todadual.toda import TodaPoint, build_lax, toda_hamiltonians
 from todadual.verify import run_suite
+
+from stencil import central_difference
 
 ALGEBRAS = [("A", 2), ("A", 3), ("A", 4), ("B", 1), ("B", 3), ("C", 2), ("C", 4), ("D", 2), ("D", 3)]
 
@@ -186,6 +187,62 @@ def test_jacobian_of_rank_one_swap():
     datum = build_root_datum(AlgebraType("A", 1))
     J = duality_jacobian(datum, GoldfishPoint(qhat=[0.2], phat=[0.3]))
     assert np.max(np.abs(J - np.array([[0.0, 1.0], [1.0, 0.0]]))) < 1e-9
+
+
+# Every family at every rank up to verify's RANK_CAP.
+CAPPED = [(fam, n) for fam in "ABC" for n in range(1, 9)] + [("D", n) for n in range(2, 9)]
+
+
+def _stencil_jacobian(datum, gp, h=5.0e-5):
+    """Central-difference Jacobian of the inverse map, rows (p, q), columns (phat, qhat)."""
+    n = datum.algebra.rank
+
+    def image(z):
+        tp = goldfish_to_toda(datum, GoldfishPoint(qhat=z[n:], phat=z[:n]))
+        return np.concatenate([tp.p, tp.q])
+
+    return central_difference(image, np.concatenate([gp.phat, gp.qhat]), h).T
+
+
+def test_exact_jacobian_matches_the_stencil():
+    # the verify slot's draws (counters 9000-9002) at seeds 0-2; the
+    # h = 5e-5 stencil's own error reaches about 1e-7 at rank 8
+    for fam, n in CAPPED:
+        datum = build_root_datum(AlgebraType(fam, n))
+        for seed in range(3):
+            for j in range(3):
+                gp = sample_goldfish(datum, spawn_rng(seed, 9000 + j))
+                J = duality_jacobian(datum, gp)
+                gap = float(np.max(np.abs(J - _stencil_jacobian(datum, gp)))) / max(1.0, float(np.max(np.abs(J))))
+                assert gap < 1e-6, f"{fam}{n} seed {seed} draw {j}: {gap:.3e}"
+
+
+def test_exact_jacobian_is_antisymplectic_to_rounding():
+    # J^T W J = -W up to rounding, far inside verify's 1e-4 budget
+    for fam, n in CAPPED:
+        datum = build_root_datum(AlgebraType(fam, n))
+        for seed in range(3):
+            for j in range(3):
+                gp = sample_goldfish(datum, spawn_rng(seed, 9000 + j))
+                residual, sigma = symplectomorphism_check(datum, gp)
+                assert sigma == -1.0, f"{fam}{n} seed {seed} draw {j} sigma {sigma}"
+                assert residual < 1e-9, f"{fam}{n} seed {seed} draw {j} residual {residual:.3e}"
+
+
+def test_jacobian_runs_the_gated_map_once(monkeypatch):
+    # one build of g at the point itself, no perturbed evaluation
+    datum = build_root_datum(AlgebraType("C", 3))
+    gp = sample_goldfish(datum, spawn_rng(0, 9000))
+    calls = []
+
+    def counted(datum, mp):
+        calls.append(mp)
+        return build_moser_g(datum, mp)
+
+    monkeypatch.setattr(todadual.duality, "build_moser_g", counted)
+    duality_jacobian(datum, gp)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0].qhat, gp.qhat)
 
 
 def test_map_is_antisymplectic():

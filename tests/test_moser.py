@@ -8,6 +8,7 @@ import pytest
 
 from todadual.errors import ChamberError, ValidationError
 from todadual.goldfish import a_from_p
+from todadual.linalg import extended_solve
 from todadual.moser import (
     MoserPoint,
     RuijsenaarsMatrixSpec,
@@ -22,7 +23,7 @@ from todadual.moser import (
     node_tables,
     ruijsenaars_spec_for,
 )
-from todadual.rootsys import FAMILIES, AlgebraType, build_root_datum
+from todadual.rootsys import FAMILIES, AlgebraType, build_root_datum, cartan_pattern
 from todadual.sampling import sample_goldfish, sample_moser, spawn_rng
 
 ALGEBRAS = [("A", 2), ("A", 4), ("B", 1), ("B", 3), ("C", 2), ("C", 4), ("D", 2), ("D", 3)]
@@ -99,9 +100,30 @@ def test_momentum_residual_small_on_construction():
 def test_momentum_residual_detects_perturbation():
     datum = build_root_datum(AlgebraType("C", 2))
     mp = sample_moser(datum, spawn_rng(4, 0))
-    g = build_moser_g(datum, mp).astype(complex)
+    g = build_moser_g(datum, mp)
     g[2, 0] += 0.1
     assert momentum_equation_residual(datum, g, mp.qhat) > 1e-3
+    # the residual is a triangular solve: a complex or non-triangular g is refused
+    with pytest.raises(ValidationError, match="real lower-triangular"):
+        momentum_equation_residual(datum, g.astype(complex), mp.qhat)
+    g[0, 2] = 0.1
+    with pytest.raises(ValidationError, match="real lower-triangular"):
+        momentum_equation_residual(datum, g, mp.qhat)
+
+
+def test_momentum_residual_matches_the_pivoted_extended_solve():
+    # oracle: g Xhat g^{-1} by extended_solve's partial-pivot elimination in
+    # complex long double, the route the triangular solve replaced
+    for fam, n in [(fam, n) for fam in "ABC" for n in range(1, 11)] + [("D", n) for n in range(2, 11)]:
+        datum = build_root_datum(AlgebraType(fam, n))
+        for j in range(4):
+            mp = sample_moser(datum, spawn_rng(31, 100 * n + j))
+            g = build_moser_g(datum, mp).astype(np.clongdouble)
+            Xhat = np.diag(cartan_pattern(datum, mp.qhat)).astype(np.clongdouble)
+            conj = extended_solve(g.T, (g @ Xhat).T).T
+            want = float(np.linalg.norm((conj - Xhat - datum.momentum).astype(complex), "fro"))
+            got = moser_momentum_residual(datum, mp)
+            assert abs(got - want) < 1e-16, f"{fam}{n} draw {j}: {got:.3e} vs {want:.3e}"
 
 
 def test_ruijsenaars_matrix_and_closed_form_minor():

@@ -6,10 +6,12 @@ import pytest
 import todadual.poisson
 from todadual.errors import ValidationError
 from todadual.goldfish import GoldfishPoint, goldfish_gradients, goldfish_hamiltonian, goldfish_hamiltonians
-from todadual.poisson import central_difference, commutativity_matrix, flatten_point
+from todadual.poisson import commutativity_matrix, flatten_point
 from todadual.rootsys import AlgebraType, build_root_datum
 from todadual.sampling import sample_goldfish, sample_toda, spawn_rng
 from todadual.toda import TodaPoint, symplectic_scale, toda_gradients, toda_hamiltonian, toda_hamiltonians
+
+from stencil import central_difference
 
 # Width of the central-difference oracle.  Its truncation error (h^2) and
 # the D-family goldfish rounding floor both sit near 1e-9 relative here.
