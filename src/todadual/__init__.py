@@ -23,7 +23,6 @@ from .linalg import structured_diagonalize, lower_triangularize, iwasawa
 from .moser import (
     MoserPoint,
     RuijsenaarsMatrixSpec,
-    build_ruijsenaars_matrix,
     build_moser_g,
     closed_form_minor,
     minor_oracle_mk,
@@ -94,7 +93,6 @@ __all__ = [
     "iwasawa",
     "MoserPoint",
     "RuijsenaarsMatrixSpec",
-    "build_ruijsenaars_matrix",
     "build_moser_g",
     "closed_form_minor",
     "minor_oracle_mk",

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DualityResidualError
 from .goldfish import GoldfishPoint, _log_weight_jacobian, a_from_p, goldfish_hamiltonians, p_from_a
@@ -216,8 +215,9 @@ def duality_jacobian(datum: RootDatum, point: GoldfishPoint) -> np.ndarray:
     * the diagonal of g moves by diag(g) (pattern @ d log ahat);
     * the recurrence row by row, dg[i, j] = (lam[i, :i] @ dg[:i, j]
       - g[i, j] (dx_j - dx_i)) / (x_j - x_i);
-    * the QR M = Q R of the bottom rows, with Y = dM R^{-1} and
-      X = Q^T Y: d log|R_ii| = X_ii and dQ = Q Omega + Y - Q X, where
+    * the QR M = Q R of the bottom rows, with Y = dM R^{-1} (one inverse
+      of the upper triangular R, shared by every direction) and X = Q^T Y:
+      d log|R_ii| = X_ii and dQ = Q Omega + Y - Q X, where
       Omega = tril(X, -1) - tril(X, -1)^T;
     * psi = xhat @ Q^2 gives dpsi = dx @ Q^2 + 2 xhat @ (Q dQ).
     The map's spectrum gate runs once, at the point itself.
@@ -234,7 +234,7 @@ def duality_jacobian(datum: RootDatum, point: GoldfishPoint) -> np.ndarray:
         dg[:, i, :i] = (lam[i, :i] @ dg[:, :i, :i] - g[i, :i] * (dx[:i] - dx[i]).T) / (x[:i] - x[i])
 
     dM = dg[:, ::-1][:, :n].transpose(0, 2, 1)
-    Y = scipy.linalg.solve_triangular(R, dM.reshape(-1, n).T, trans="T").T.reshape(dM.shape)
+    Y = dM @ np.linalg.inv(R)
     X = Q.T @ Y
     lower = np.tril(X, -1)
     dQ = Y + Q @ (lower - lower.transpose(0, 2, 1) - X)

@@ -14,7 +14,7 @@
 * iwasawa: g = n * a * k with n unipotent upper, a positive diagonal,
   k unitary; the tests' oracle for the inverse duality map.
 
-Factorizations and eigensolves delegate to LAPACK via numpy/scipy; the
+Factorizations and eigensolves delegate to LAPACK via numpy; the
 structure-preserving logic (eigenvector pairing through the bilinear form,
 sign conventions, determinant normalization in the orthogonal families)
 lives here.
@@ -23,7 +23,6 @@ lives here.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AlgebraMembershipError,
@@ -204,7 +203,11 @@ def iwasawa(datum: RootDatum, g):
     nfactor is unipotent upper triangular, afactor positive diagonal,
     kfactor unitary; all three inherit group membership from g. Built on
     the RQ decomposition with the diagonal phases pushed into kfactor.
+    scipy is imported here, not at module level: no command calls this
+    split, and importing scipy.linalg would double every process's start.
     """
+    import scipy.linalg
+
     g = _as_square(g, "g").astype(complex)
     N = datum.size
     if g.shape != (N, N):
@@ -241,9 +244,12 @@ def bottom_row_qr(g, k: int):
     """
     M = np.asarray(g)[::-1][:k].conj().T
     order = np.argsort(-np.max(np.abs(M), axis=1), kind="stable")
-    Qs, R = scipy.linalg.qr(M[order], mode="economic")
+    Qs, R = np.linalg.qr(M[order], mode="reduced")
     if np.any(np.diagonal(R) == 0.0):
         raise SingularMatrixError("zero diagonal entry in the bottom-row QR")
-    Q = np.empty_like(Qs)
+    # Fortran order, the layout LAPACK works in: the inverse map's
+    # xhat @ Q**2 sums in an order that depends on Q's layout, and a
+    # C-ordered Q moves its p in the last digit.
+    Q = np.empty_like(Qs, order="F")
     Q[order] = Qs
     return Q, R

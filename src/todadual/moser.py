@@ -88,7 +88,11 @@ def check_chamber(datum: RootDatum, qhat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RuijsenaarsMatrixSpec:
-    """Weights b and pairwise-distinct nodes x of a rational Cauchy-type matrix."""
+    """Weights b and pairwise-distinct nodes x of a rational Cauchy-type matrix.
+
+    The matrix is lower triangular, M[j, j] = b_j, with the column
+    recurrence M[i, j] = M[i-1, j] / (x_j - x_i) below the diagonal.
+    """
 
     b: np.ndarray
     x: np.ndarray
@@ -110,21 +114,6 @@ class RuijsenaarsMatrixSpec:
     @property
     def size(self) -> int:
         return self.b.size
-
-
-def build_ruijsenaars_matrix(spec: RuijsenaarsMatrixSpec) -> np.ndarray:
-    """Lower-triangular matrix M with M[j,j] = b_j and column recurrence
-    M[i,j] = M[i-1,j] / (x_j - x_i) below the diagonal."""
-    b, x = spec.b, spec.x
-    m = spec.size
-    M = np.zeros((m, m))
-    for j in range(m):
-        M[j, j] = b[j]
-        col = b[j]
-        for i in range(j + 1, m):
-            col = col / (x[j] - x[i])
-            M[i, j] = col
-    return M
 
 
 def signed_log_minors(spec: RuijsenaarsMatrixSpec, masks: np.ndarray):
@@ -257,7 +246,7 @@ def ruijsenaars_spec_for(datum: RootDatum, point: MoserPoint) -> RuijsenaarsMatr
     x = sigma pattern(qhat), b_c = sigma^(n-c) g[c, c] on the first half
     (times -2 qhat_c for D, whose fused root breaks the recurrence one row
     higher) and g[c, c] after it.  The last N - n rows of g (N - n - 1 for
-    D) equal those of build_ruijsenaars_matrix(spec) exactly.
+    D) equal those of the spec's Cauchy-type matrix exactly.
     """
     n = datum.algebra.rank
     sigma = node_tables(datum.algebra).sigma

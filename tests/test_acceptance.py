@@ -24,7 +24,6 @@ from todadual.goldfish import (
 from todadual.moser import (
     RuijsenaarsMatrixSpec,
     build_moser_g,
-    build_ruijsenaars_matrix,
     closed_form_minor,
     minor_oracle_mk,
     moser_momentum_residual,
@@ -46,6 +45,8 @@ from todadual.toda import (
     toda_hamiltonians,
     toda_momentum_residual,
 )
+
+from ruijsenaars import build_ruijsenaars_matrix
 
 
 def _report(num: int, ok: bool, detail: str, elapsed: float, budget: float) -> None:

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, formats, determinism, seeds."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,6 +340,29 @@ def test_out_file_writing(capsys, tmp_path):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["header"]["family"] == "D"
+
+
+def test_commands_never_import_scipy(tmp_path):
+    # importing scipy.linalg doubles a process's start; only the tests and
+    # the iwasawa oracle may load it
+    script = f"""
+import sys
+import todadual
+from todadual.cli import main
+out = {str(tmp_path)!r}
+for argv in (
+    ["lax", "--type", "C", "--rank", "2"],
+    ["integrate", "--type", "B", "--rank", "2", "--steps", "5"],
+    ["dual-map", "--type", "D", "--rank", "3"],
+    ["verify", "--type", "A", "--rank", "2", "--points", "1", "--flow-steps", "2"],
+):
+    assert main(argv + ["--out", out + "/" + argv[0] + ".out"]) == 0, argv
+assert "scipy" not in sys.modules
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_version_flag(capsys):

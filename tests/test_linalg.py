@@ -1,4 +1,4 @@
-"""Factorization layer: structured diagonalization, Gauss split, Iwasawa."""
+"""Factorization layer: structured diagonalization, bottom-row QR, Gauss split, Iwasawa."""
 
 import numpy as np
 import pytest
@@ -17,8 +17,10 @@ from todadual.linalg import (
     lower_triangularize,
     structured_diagonalize,
 )
-from todadual.rootsys import AlgebraType, build_root_datum, cartan_pattern, group_residual
-from todadual.sampling import sample_toda, spawn_rng
+from todadual.goldfish import a_from_p
+from todadual.moser import build_moser_g
+from todadual.rootsys import FAMILIES, AlgebraType, build_root_datum, cartan_pattern, group_residual
+from todadual.sampling import sample_goldfish, sample_toda, spawn_rng
 from todadual.toda import build_lax
 
 ALGEBRAS = [("A", 3), ("A", 5), ("B", 2), ("B", 4), ("C", 3), ("D", 3), ("D", 4)]
@@ -51,6 +53,27 @@ def test_bottom_row_qr_factors_in_the_original_row_order():
     g[-1] = 0.0
     with pytest.raises(SingularMatrixError):
         bottom_row_qr(g, 2)
+
+
+def test_bottom_row_qr_matches_scipy_qr():
+    # numpy and scipy both run LAPACK dgeqrf/dorgqr; the tolerance only lets
+    # another LAPACK build pass, here the two factorizations are bit-identical
+    import scipy.linalg
+
+    for fam in FAMILIES:
+        for n in range(2 if fam == "D" else 1, 11):
+            datum = build_root_datum(AlgebraType(fam, n))
+            for draw in range(3):
+                g = build_moser_g(datum, a_from_p(datum, sample_goldfish(datum, spawn_rng(0, draw))))
+                for k in range(1, n + 1):
+                    M = g[::-1][:k].T
+                    order = np.argsort(-np.max(np.abs(M), axis=1), kind="stable")
+                    Qs, R_ref = scipy.linalg.qr(M[order], mode="economic")
+                    Q_ref = np.empty_like(Qs)
+                    Q_ref[order] = Qs
+                    Q, R = bottom_row_qr(g, k)
+                    assert np.max(np.abs(R - R_ref)) <= 1e-14 * np.max(np.abs(R_ref))
+                    assert np.max(np.abs(Q - Q_ref)) <= 1e-14
 
 
 def test_structured_diagonalize_conjugates_to_pattern():

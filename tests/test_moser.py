@@ -13,7 +13,6 @@ from todadual.moser import (
     MoserPoint,
     RuijsenaarsMatrixSpec,
     build_moser_g,
-    build_ruijsenaars_matrix,
     check_chamber,
     closed_form_minor,
     log_gap_sums,
@@ -25,6 +24,8 @@ from todadual.moser import (
 )
 from todadual.rootsys import FAMILIES, AlgebraType, build_root_datum, cartan_pattern
 from todadual.sampling import sample_goldfish, sample_moser, spawn_rng
+
+from ruijsenaars import build_ruijsenaars_matrix
 
 ALGEBRAS = [("A", 2), ("A", 4), ("B", 1), ("B", 3), ("C", 2), ("C", 4), ("D", 2), ("D", 3)]
 
