@@ -33,11 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DualityResidualError
-from .goldfish import GoldfishPoint, _log_weight_jacobian, a_from_p, goldfish_hamiltonians, p_from_a
+from .goldfish import GoldfishPoint, _moser_point, goldfish_hamiltonians, p_from_a
 from .linalg import bottom_row_qr, structured_diagonalize
 from .moser import MoserPoint, build_moser_g, check_chamber, log_gap_sums, momentum_equation_residual, node_tables
 from .rootsys import RootDatum, cartan_pattern
-from .toda import SymplecticForm, TodaPoint, build_lax, symplectic_scale, toda_hamiltonians
+from .toda import SymplecticForm, TodaPoint, _checked_exp, build_lax, symplectic_scale, toda_hamiltonians
 
 # Residual budget for both directions of the map.
 DUALITY_RTOL = 1.0e-8
@@ -87,21 +87,23 @@ def toda_to_moser(datum: RootDatum, point: TodaPoint) -> MoserPoint:
     transported row underflows to zero, when the built element fails its
     momentum equation, or when its bottom row misses the transported one
     (for B/C/D the mirrored entries carry 1/ahat and are not used by the
-    read).
+    read).  ValidationError names a Toda-gauge entry or a weight that
+    overflows float64.
     """
     X = build_lax(datum, point)
     k, qhat = structured_diagonalize(datum, X)
-    gdiag = np.exp(cartan_pattern(datum, point.q))
-    # Moduli of the bottom row of diag(gdiag) k^T: g transported into the
-    # frame where X is diagonal.
-    row = np.abs(gdiag[-1] * k[:, -1])
+    # Moduli of the bottom row of diag(exp(pattern(q))) k^T: g transported
+    # into the frame where X is diagonal.
+    last = f"Toda-gauge entry g[{datum.size - 1}, {datum.size - 1}]"
+    row = np.abs(_checked_exp(cartan_pattern(datum, point.q)[-1:], last) * k[:, -1])
 
     x = check_chamber(datum, qhat)
     if not row.all():  # no entry of a Moser bottom row vanishes
         lost = f"g[{row.size - 1}, {np.argmin(row)}]"
         raise DualityResidualError(f"transported bottom-row entry {lost} underflows to zero")
     log_unit, _ = log_gap_sums(x, node_tables(datum.algebra).bottom_row)
-    mp = MoserPoint(qhat=qhat, ahat=np.exp(np.log(row[: datum.algebra.rank]) - log_unit))
+    log_ahat = np.log(row[: datum.algebra.rank]) - log_unit
+    mp = MoserPoint(qhat=qhat, ahat=_checked_exp(log_ahat, "Moser weight ahat_{}"))
 
     gref = build_moser_g(datum, mp)
     residual = momentum_equation_residual(datum, gref, qhat)
@@ -120,11 +122,13 @@ def toda_to_goldfish(datum: RootDatum, point: TodaPoint) -> GoldfishPoint:
 
 
 def _inverse_pass(datum: RootDatum, point: GoldfishPoint):
-    """goldfish_to_toda's one evaluation: (recovered, g, xhat, Q, R), spectrum-gated."""
-    mp = a_from_p(datum, point)
+    """goldfish_to_toda's one evaluation: (recovered, g, xhat, half_dlog_F, Q, R), spectrum-gated.
+
+    goldfish._moser_point's one chamber evaluation gives mp, xhat and half_dlog_F = d(log F / 2) / d qhat.
+    """
+    mp, xhat, half_dlog_F = _moser_point(datum, point)
     g = build_moser_g(datum, mp)
     Q, R = bottom_row_qr(g, datum.algebra.rank)
-    xhat = cartan_pattern(datum, mp.qhat)
     log_r = np.log(np.abs(np.diagonal(R)))
     psi = xhat @ Q**2
     if datum.algebra.family == "A":
@@ -137,7 +141,7 @@ def _inverse_pass(datum: RootDatum, point: GoldfishPoint):
     gap = float(np.max(np.abs(spectrum - np.sort(xhat)))) / scale
     if gap > DUALITY_RTOL:
         raise DualityResidualError(f"rebuilt Lax spectrum misses pattern(qhat) by {gap:.3e}")
-    return recovered, g, xhat, Q, R
+    return recovered, g, xhat, half_dlog_F, Q, R
 
 
 def goldfish_to_toda(datum: RootDatum, point: GoldfishPoint) -> TodaPoint:
@@ -157,13 +161,13 @@ def toda_gauge_minors(datum: RootDatum, point: TodaPoint, kmax: int | None = Non
     """Trailing principal minors J_k of g g^dagger in the Toda gauge.
 
     g is diagonal here, so J_k is the product of the last k entries of
-    exp(2 * pattern(q)): explicit exponentials of the positions.
+    exp(2 * pattern(q)): explicit exponentials of the positions.  A J_k
+    past the float64 range raises ValidationError naming it.
     """
     n = datum.algebra.rank
     kmax = n if kmax is None else int(kmax)
     pattern = cartan_pattern(datum, point.q)
-    tail_sums = np.cumsum(pattern[::-1])[:kmax]
-    return np.exp(2.0 * tail_sums)
+    return _checked_exp(2.0 * np.cumsum(pattern[::-1])[:kmax], "Toda-gauge minor J_{}")
 
 
 def moser_gauge_traces(datum: RootDatum, qhat, kmax: int | None = None) -> np.ndarray:
@@ -194,10 +198,8 @@ def verify_duality_identities(
     goldfish_values = goldfish_hamiltonians(datum, gp, kmax)
     jk = toda_gauge_minors(datum, point, kmax)
     ik = moser_gauge_traces(datum, gp.qhat, kmax)
-    worst = 0.0
-    for k in range(kmax):
-        worst = max(worst, _relative_gap(jk[k], goldfish_values[k]))
-        worst = max(worst, _relative_gap(toda_values[k], ik[k]))
+    # np.max keeps a NaN gap, which Python's max would drop
+    worst = np.max([_relative_gap(*pair) for pair in zip([*jk, *toda_values], [*goldfish_values, *ik])])
     return DualityReport(
         toda_values=toda_values,
         goldfish_values=goldfish_values,
@@ -212,7 +214,7 @@ def duality_jacobian(datum: RootDatum, point: GoldfishPoint) -> np.ndarray:
 
     Forward mode through goldfish_to_toda's own pass, all 2n input
     directions at once, with dx = d pattern(qhat):
-    * the diagonal of g moves by diag(g) (pattern @ d log ahat);
+    * diag(g) moves by diag(g) (pattern @ d log ahat), log ahat = phat + log F / 2;
     * the recurrence row by row, dg[i, j] = (lam[i, :i] @ dg[:i, j]
       - g[i, j] (dx_j - dx_i)) / (x_j - x_i);
     * the QR M = Q R of the bottom rows, with Y = dM R^{-1} (one inverse
@@ -223,10 +225,10 @@ def duality_jacobian(datum: RootDatum, point: GoldfishPoint) -> np.ndarray:
     The map's spectrum gate runs once, at the point itself.
     """
     n, N = datum.algebra.rank, datum.size
-    _, g, x, Q, R = _inverse_pass(datum, point)
+    _, g, x, half_dlog_F, Q, R = _inverse_pass(datum, point)
     P = node_tables(datum.algebra).pattern
     dx = np.hstack([np.zeros_like(P), P])
-    d_log_ahat = _log_weight_jacobian(datum, point.qhat)
+    d_log_ahat = np.hstack([np.eye(n), half_dlog_F])
     dg = np.zeros((2 * n, N, N))
     dg[:, np.arange(N), np.arange(N)] = (np.diagonal(g)[:, None] * (P @ d_log_ahat)).T
     lam = datum.momentum

@@ -4,7 +4,9 @@ Phase space is the open chamber in (qhat, phat).  The positive weights ahat
 and the momenta are related by a canonical change of variables whose
 chamber factor F_i is a product of gaps of the diagonal pattern x (one
 moser.log_gap_sums row) that stays positive on the whole chamber;
-ahat_i = exp(phat_i) sqrt(F_i).
+ahat_i = exp(phat_i) sqrt(F_i).  One chamber evaluation per call,
+_half_log_factors, gives x, log F / 2 and its qhat-derivative to the maps,
+the minor engine and both Jacobians (here and in duality).
 
 The dual Hamiltonian H-hat_k is the bottom-right k x k principal minor of
 g g^dagger for the lower-triangular momentum-equation solution g.  By the
@@ -42,7 +44,8 @@ from .moser import (
     ruijsenaars_spec_for,
     signed_log_minors,
 )
-from .rootsys import RootDatum, cartan_pattern
+from .rootsys import RootDatum
+from .toda import _checked_exp
 
 
 @dataclass(frozen=True)
@@ -78,50 +81,38 @@ class RSCoupling:
             raise ValidationError(f"coupling must be positive and finite, got {nu}")
 
 
+def _half_log_factors(datum: RootDatum, qhat: np.ndarray):
+    """The one chamber evaluation: pattern x, log F / 2 (finite where F is not) and its qhat-derivative."""
+    tables = node_tables(datum.algebra)
+    x = check_chamber(datum, qhat)
+    log_F, grad = log_gap_sums(x, tables.chamber)
+    return x, 0.5 * log_F, 0.5 * grad @ tables.pattern
+
+
+def _moser_point(datum: RootDatum, point: GoldfishPoint):
+    """(a_from_p(point), x, d(log F / 2) / d qhat) from one chamber evaluation."""
+    x, half_log_F, half_dlog_F = _half_log_factors(datum, point.qhat)
+    ahat = _checked_exp(point.phat + half_log_F, "Moser weight ahat_{}")
+    return MoserPoint(qhat=point.qhat, ahat=ahat), x, half_dlog_F
+
+
 def chamber_factors(datum: RootDatum, qhat: np.ndarray) -> np.ndarray:
     """Per-coordinate radicands F_i of the weight change ahat = e^p sqrt(F).
 
     log F_i = sum_j sign(j - i) log|x_i - x_j| over the diagonal pattern x,
     less family D's pair of x_i with its mirror -x_i; positive on the chamber.
     """
-    return np.exp(_log_chamber_factors(datum, qhat))
-
-
-def _log_chamber_factors(datum: RootDatum, qhat: np.ndarray) -> np.ndarray:
-    """log F of chamber_factors, finite on the chamber even where F is not."""
-    x = check_chamber(datum, qhat)
-    return log_gap_sums(x, node_tables(datum.algebra).chamber)[0]
+    return np.exp(2.0 * _half_log_factors(datum, qhat)[1])
 
 
 def a_from_p(datum: RootDatum, point: GoldfishPoint) -> MoserPoint:
     """Canonical map from goldfish momenta to positive diagonal weights."""
-    return MoserPoint(qhat=point.qhat, ahat=np.exp(point.phat + 0.5 * _log_chamber_factors(datum, point.qhat)))
+    return _moser_point(datum, point)[0]
 
 
 def p_from_a(datum: RootDatum, point: MoserPoint) -> GoldfishPoint:
     """Inverse of a_from_p."""
-    return GoldfishPoint(qhat=point.qhat, phat=np.log(point.ahat) - 0.5 * _log_chamber_factors(datum, point.qhat))
-
-
-def _log_weight_jacobian(datum: RootDatum, qhat: np.ndarray) -> np.ndarray:
-    """d log ahat / d(phat, qhat), shape (n, 2n): log ahat = phat + log F(qhat) / 2."""
-    tables = node_tables(datum.algebra)
-    _, grad = log_gap_sums(cartan_pattern(datum, qhat), tables.chamber)
-    return np.hstack([np.eye(qhat.size), 0.5 * grad @ tables.pattern])
-
-
-def _spec_jacobian(datum: RootDatum, qhat: np.ndarray, dL: np.ndarray) -> np.ndarray:
-    """d(log|b|, x) / d(phat, qhat) of ruijsenaars_spec_for, shape (2 spec.size, 2n).
-
-    log|b| = pattern(log ahat) (+ log 2|qhat_c| for D) and x = sigma pattern(qhat).
-    """
-    n = qhat.size
-    tables = node_tables(datum.algebra)
-    P = tables.pattern
-    out = np.vstack([P @ dL, np.hstack([np.zeros_like(P), tables.sigma * P])])
-    if datum.algebra.family == "D":
-        out[:n, n:] += np.diag(1.0 / qhat)
-    return out
+    return GoldfishPoint(qhat=point.qhat, phat=np.log(point.ahat) - _half_log_factors(datum, point.qhat)[1])
 
 
 @lru_cache(maxsize=None)
@@ -163,45 +154,21 @@ def _laplace_tables(m: int, k: int):
     return cols, (-1.0) ** np.arange(k), rest
 
 
-def _fused_root_row(datum: RootDatum, mp: MoserPoint) -> np.ndarray:
-    """Row n of the family-D element g (the first of its bottom n rows).
-
-    At unit weights its only entries are -1 / ((q_j + q_{n-1}) prod_{j<k<n-1}
-    (q_j - q_k)) for j < n-1 (the fused_row gaps) and 1 in column n; the
-    weights scale column j by ahat_j and column n+j by 1/ahat_{n-1-j}.
-    """
-    n = mp.qhat.size
-    log_gaps, _ = log_gap_sums(cartan_pattern(datum, mp.qhat), node_tables(datum.algebra).fused_row)
-    row = np.zeros(2 * n)
-    row[: n - 1] = -np.exp(log_gaps) * mp.ahat[: n - 1]
-    row[n] = 1.0 / mp.ahat[-1]
-    return row
-
-
-def _fused_row_log_jacobian(datum: RootDatum, qhat: np.ndarray, dL: np.ndarray) -> np.ndarray:
-    """d log|row_c| / d(phat, qhat) of _fused_root_row, shape (2n, 2n), zero at its zero entries."""
-    n = qhat.size
-    tables = node_tables(datum.algebra)
-    _, grad = log_gap_sums(cartan_pattern(datum, qhat), tables.fused_row)
-    out = np.zeros((2 * n, 2 * n))
-    out[: n - 1] = dL[: n - 1]
-    out[: n - 1, n:] += grad @ tables.pattern
-    out[n] = -dL[n - 1]
-    return out
-
-
 def _minor_terms(datum: RootDatum, point: GoldfishPoint, kmax: int):
     """The evaluation goldfish_hamiltonians sums and goldfish_gradients chains.
 
-    Returns (spec, masks, starts, logabs, laplace): the product-form log
-    minors of the spec over every column subset of sizes 1..kmax (at most
-    n-1 for family D), stacked as in _stacked_masks.  For the D top
-    invariant (kmax = n), laplace = (cols, rest, terms), where terms[t, i]
-    is the i-th term of the expansion of maximal minor t along the
-    fused-root row and rest indexes the (n-1)-subset block; else None.
+    Returns (spec, masks, starts, logabs, half_dlog_F, laplace): the
+    product-form log minors of the spec over every column subset of sizes
+    1..kmax (at most n-1 for family D), stacked as in _stacked_masks, and
+    _moser_point's d(log F / 2) / d qhat.  For the D top invariant
+    (kmax = n), laplace = (cols, rest, terms, row_grad): terms[t, i] is the
+    i-th term of maximal minor t expanded along the fused-root row (row n
+    of g; at unit weights -1 / ((q_j + q_{n-1}) prod_{j<k<n-1} (q_j - q_k))
+    for j < n-1 and 1 in column n), rest indexes the (n-1)-subset block and
+    row_grad is the x-gradient of the row's fused_row log_gap_sums; else None.
     """
     n = datum.algebra.rank
-    mp = a_from_p(datum, point)
+    mp, x, half_dlog_F = _moser_point(datum, point)
     spec = ruijsenaars_spec_for(datum, mp)
     fused = datum.algebra.family == "D"
     masks, starts = _stacked_masks(spec.size, min(kmax, n - 1) if fused else kmax)
@@ -209,10 +176,14 @@ def _minor_terms(datum: RootDatum, point: GoldfishPoint, kmax: int):
     laplace = None
     if fused and kmax == n:
         cols, parity, rest = _laplace_tables(spec.size, n)
+        log_gaps, row_grad = log_gap_sums(x, node_tables(datum.algebra).fused_row)
+        row = np.zeros(2 * n)
+        row[: n - 1] = -np.exp(log_gaps) * mp.ahat[: n - 1]
+        row[n] = 1.0 / mp.ahat[-1]
         below = starts[-1]
-        terms = parity * _fused_root_row(datum, mp)[cols] * sign[rest + below] * np.exp(logabs[rest + below])
-        laplace = (cols, rest, terms)
-    return spec, masks, starts, logabs, laplace
+        terms = parity * row[cols] * sign[rest + below] * np.exp(logabs[rest + below])
+        laplace = (cols, rest, terms, row_grad)
+    return spec, masks, starts, logabs, half_dlog_F, laplace
 
 
 def goldfish_hamiltonians(datum: RootDatum, point: GoldfishPoint, kmax: int | None = None) -> np.ndarray:
@@ -220,16 +191,21 @@ def goldfish_hamiltonians(datum: RootDatum, point: GoldfishPoint, kmax: int | No
 
     One product-form minor evaluation over all column subsets of sizes
     1..kmax (at most n-1 for family D), summed per size; the D top
-    invariant expands each maximal minor along the fused-root row.
+    invariant expands each maximal minor along the fused-root row.  A value
+    past the float64 range raises ValidationError naming it.
     """
     n = datum.algebra.rank
     kmax = n if kmax is None else int(kmax)
     if not 1 <= kmax <= n:
         raise ValidationError(f"kmax must lie in 1..{n}, got {kmax}")
-    _, _, starts, logabs, laplace = _minor_terms(datum, point, kmax)
-    values = np.add.reduceat(np.exp(2.0 * logabs), starts)
-    if laplace is not None:
-        values = np.append(values, np.sum(laplace[2].sum(axis=1) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, starts, logabs, _, laplace = _minor_terms(datum, point, kmax)
+        values = np.add.reduceat(np.exp(2.0 * logabs), starts)
+        if laplace is not None:
+            values = np.append(values, np.sum(laplace[2].sum(axis=1) ** 2))
+    if not np.isfinite(values).all():
+        k = int(np.argmin(np.isfinite(values))) + 1
+        raise ValidationError(f"dual Hamiltonian H-hat_{k}, a sum of squared minors, overflows float64")
     return values
 
 
@@ -247,24 +223,34 @@ def goldfish_gradients(datum: RootDatum, point: GoldfishPoint) -> np.ndarray:
     The same minor evaluation as goldfish_hamiltonians: each H-hat_k is a
     sum of squared minors exp(2 l_S), so dH-hat_k = sum_S 2 exp(2 l_S) dl_S,
     with dl_S from moser.log_minor_gradients chained through the spec's
-    dependence on (phat, qhat).  The D top invariant sum_T M_T^2, with
-    M_T the Laplace sum of row_c times the (n-1)-minors below, takes
-    dM_T term by term as (row_c minor) (d log|row_c| + dl_rest).
+    dependence on (phat, qhat): log ahat = phat + log F / 2, log|b| =
+    pattern(log ahat) (+ log 2|qhat_c| for D) and x = sigma pattern(qhat).
+    The D top invariant sum_T M_T^2, with M_T the Laplace sum of row_c
+    times the (n-1)-minors below, takes dM_T term by term as
+    (row_c minor) (d log|row_c| + dl_rest).
     """
-    spec, masks, starts, logabs, laplace = _minor_terms(datum, point, datum.algebra.rank)
+    n = datum.algebra.rank
+    spec, masks, starts, logabs, half_dlog_F, laplace = _minor_terms(datum, point, n)
     dl = log_minor_gradients(spec, masks)
     spec_grads = np.add.reduceat(2.0 * np.exp(2.0 * logabs)[:, None] * dl, starts)
-    dL = _log_weight_jacobian(datum, point.qhat)
+    tables = node_tables(datum.algebra)
+    P = tables.pattern
+    dL = np.hstack([np.eye(n), half_dlog_F])  # d log ahat / d(phat, qhat)
+    spec_jacobian = np.vstack([P @ dL, np.hstack([np.zeros_like(P), tables.sigma * P])])
     if laplace is None:
-        return spec_grads @ _spec_jacobian(datum, point.qhat, dL)
-    cols, rest, terms = laplace
+        return spec_grads @ spec_jacobian
+    cols, rest, terms, row_grad = laplace
+    spec_jacobian[:n, n:] += np.diag(1.0 / point.qhat)  # D's log 2|qhat_c| in log|b|
     below = starts[-1]
     u = 2.0 * terms.sum(axis=1, keepdims=True) * terms  # 2 M_T times each Laplace term
     rest_weights = np.bincount(rest.ravel(), weights=u.ravel(), minlength=masks.shape[0] - below)
-    spec_grads = np.vstack([spec_grads, rest_weights @ dl[below:]])
-    out = spec_grads @ _spec_jacobian(datum, point.qhat, dL)
-    col_weights = np.bincount(cols.ravel(), weights=u.ravel(), minlength=spec.size)
-    out[-1] += col_weights @ _fused_row_log_jacobian(datum, point.qhat, dL)
+    out = np.vstack([spec_grads, rest_weights @ dl[below:]]) @ spec_jacobian
+    # d log|row_c| / d(phat, qhat) of the fused-root row, zero at its zero entries
+    row_jacobian = np.zeros((2 * n, 2 * n))
+    row_jacobian[: n - 1] = dL[: n - 1]
+    row_jacobian[: n - 1, n:] += row_grad @ P
+    row_jacobian[n] = -dL[n - 1]
+    out[-1] += np.bincount(cols.ravel(), weights=u.ravel(), minlength=spec.size) @ row_jacobian
     return out
 
 

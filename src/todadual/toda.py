@@ -118,6 +118,15 @@ def _root_weights(datum: RootDatum, q: np.ndarray) -> np.ndarray:
     return np.exp(a)
 
 
+def _checked_exp(exponents: np.ndarray, name: str) -> np.ndarray:
+    """exp(exponents); an entry past MAX_EXPONENT raises ValidationError naming name.format(i), i from 1."""
+    # a Python max of the few exponents is cheaper than a numpy reduction
+    if exponents.size and not max(exponents.tolist()) <= MAX_EXPONENT:
+        i = int(np.argmax(~(exponents <= MAX_EXPONENT)))
+        raise ValidationError(f"{name.format(i + 1)} = exp({exponents[i]:.6g}) overflows float64")
+    return np.exp(exponents)
+
+
 def _lax(datum: RootDatum, q: np.ndarray, p: np.ndarray):
     """Lax matrices X (..., N, N) and root weights w (..., num_roots).
 

@@ -202,6 +202,11 @@ def test_overflowing_root_weight_is_a_usage_error(capsys, command):
         # the map succeeds in log space; H_2 = Tr(X^4) / 8 does not fit
         ("dual-map", "B", "0,0", "1e78,0", 2, "usage error: Toda Hamiltonian H_2, a trace of X^4, overflows float64"),
         ("dual-map", "A", "0,0", "1e100,0", 0, ""),
+        # the root weight is e^0.5; the dual side overflows with the centre of mass
+        ("dual-map", "A", "705,704.5", "0,0", 2, "usage error: dual Hamiltonian H-hat_1, a sum of squared minors, overflows float64"),
+        ("dual-map", "A", "709.5,709", "0,0", 2, "usage error: Moser weight ahat_1 = exp(709.847) overflows float64"),
+        ("dual-map", "A", "710,709.5", "0,0", 2, "usage error: Moser weight ahat_1 = exp(710.347) overflows float64"),
+        ("dual-map", "A", "709.5,710", "0,0", 2, "usage error: Toda-gauge entry g[1, 1] = exp(710) overflows float64"),
         # the start row's H_2 = Tr(X^4) / 8 does not fit in the H columns
         ("integrate --steps 0", "B", "0,0", "1e80,0", 2, "usage error: Toda Hamiltonian H_2, a trace of X^4, overflows float64"),
     ],

@@ -1,5 +1,7 @@
 """Gauge maps between chain and dual coordinates, and their certificates."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,10 @@ from todadual.duality import (
     toda_to_moser,
     verify_duality_identities,
 )
-from todadual.errors import DegenerateSpectrumError, DualityResidualError
-from todadual.goldfish import GoldfishPoint, a_from_p, goldfish_hamiltonians
+from todadual.errors import DegenerateSpectrumError, DualityResidualError, ValidationError
+from todadual.goldfish import GoldfishPoint, a_from_p, goldfish_gradients, goldfish_hamiltonians
 from todadual.linalg import iwasawa, lower_triangularize, structured_diagonalize
-from todadual.moser import build_moser_g
+from todadual.moser import build_moser_g, log_gap_sums
 from todadual.rootsys import AlgebraType, build_root_datum, cartan_pattern
 from todadual.sampling import sample_goldfish, sample_toda, spawn_rng
 from todadual.toda import TodaPoint, build_lax, toda_hamiltonians
@@ -243,6 +245,47 @@ def test_jacobian_runs_the_gated_map_once(monkeypatch):
     duality_jacobian(datum, gp)
     assert len(calls) == 1
     assert np.array_equal(calls[0].qhat, gp.qhat)
+
+
+@pytest.mark.parametrize(
+    "fn, fam, n, expected",
+    [
+        (goldfish_gradients, "B", 3, 1),
+        (goldfish_gradients, "D", 4, 2),  # the chamber and the fused-root row
+        (duality_jacobian, "C", 3, 1),
+    ],
+)
+def test_one_chamber_evaluation_per_call(monkeypatch, fn, fam, n, expected):
+    # every todadual binding of log_gap_sums is counted, whichever module calls it
+    datum = build_root_datum(AlgebraType(fam, n))
+    gp = sample_goldfish(datum, spawn_rng(0, 9000))
+    calls = []
+
+    def counted(x, table):
+        calls.append(table)
+        return log_gap_sums(x, table)
+
+    for name, module in list(sys.modules.items()):
+        if name == "todadual" or name.startswith("todadual."):
+            for attr, value in list(vars(module).items()):
+                if value is log_gap_sums:
+                    monkeypatch.setattr(module, attr, counted)
+    fn(datum, gp)
+    assert len(calls) == expected
+
+
+def test_dual_side_overflow_is_named_and_a_nan_mismatch_is_kept(monkeypatch):
+    datum = build_root_datum(AlgebraType("A", 2))
+    with pytest.raises(ValidationError, match=r"Toda-gauge minor J_1 = exp\(1409\) overflows float64"):
+        toda_gauge_minors(datum, TodaPoint(q=[705.0, 704.5], p=[0.0, 0.0]))
+    with pytest.raises(ValidationError, match="Moser weight ahat_2 = exp"):
+        a_from_p(datum, GoldfishPoint(qhat=[1.0, -1.0], phat=[0.0, 800.0]))
+    with pytest.raises(ValidationError, match="dual Hamiltonian H-hat_1, a sum of squared minors, overflows"):
+        goldfish_hamiltonians(datum, GoldfishPoint(qhat=[1.0, -1.0], phat=[0.0, 400.0]))
+    # a NaN gap reaches the report instead of reading as agreement
+    monkeypatch.setattr(todadual.duality, "goldfish_hamiltonians", lambda *args: np.full(2, np.nan))
+    report = verify_duality_identities(datum, TodaPoint(q=[0.3, -0.2], p=[0.1, 0.4]))
+    assert np.isnan(report.max_relative_mismatch)
 
 
 def test_map_is_antisymplectic():
