@@ -44,7 +44,7 @@ from .goldfish import (
 )
 from .toda import (
     TodaPoint,
-    SymplecticForm,
+    symplectic_form,
     symplectic_scale,
     quadratic_index,
     build_lax,
@@ -110,7 +110,7 @@ __all__ = [
     "goldfish_hamiltonian_signed_A",
     "rs_hamiltonian_A",
     "TodaPoint",
-    "SymplecticForm",
+    "symplectic_form",
     "symplectic_scale",
     "quadratic_index",
     "build_lax",

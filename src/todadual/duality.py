@@ -37,7 +37,7 @@ from .goldfish import GoldfishPoint, _moser_point, goldfish_hamiltonians, p_from
 from .linalg import bottom_row_qr, structured_diagonalize
 from .moser import MoserPoint, build_moser_g, check_chamber, log_gap_sums, momentum_equation_residual, node_tables
 from .rootsys import RootDatum, cartan_pattern
-from .toda import SymplecticForm, TodaPoint, _checked_exp, build_lax, symplectic_scale, toda_hamiltonians
+from .toda import TodaPoint, _checked_exp, build_lax, symplectic_form, symplectic_scale, toda_hamiltonians
 
 # Residual budget for both directions of the map.
 DUALITY_RTOL = 1.0e-8
@@ -125,16 +125,17 @@ def _inverse_pass(datum: RootDatum, point: GoldfishPoint):
     """goldfish_to_toda's one evaluation: (recovered, g, xhat, half_dlog_F, Q, R), spectrum-gated.
 
     goldfish._moser_point's one chamber evaluation gives mp, xhat and half_dlog_F = d(log F / 2) / d qhat.
+    The tail rule pattern(q)[::-1][:n] = log|R_ii| (psi_i for p) reads q and p through the signed
+    permutation tail = pattern[::-1][:n], for which pattern(q)[::-1][:n] = tail @ q.
     """
+    n = datum.algebra.rank
     mp, xhat, half_dlog_F = _moser_point(datum, point)
     g = build_moser_g(datum, mp)
-    Q, R = bottom_row_qr(g, datum.algebra.rank)
+    Q, R = bottom_row_qr(g, n)
+    tail = node_tables(datum.algebra).pattern[::-1][:n]
     log_r = np.log(np.abs(np.diagonal(R)))
     psi = xhat @ Q**2
-    if datum.algebra.family == "A":
-        recovered = TodaPoint(q=log_r[::-1], p=psi[::-1])
-    else:
-        recovered = TodaPoint(q=-log_r, p=-psi)
+    recovered = TodaPoint(q=log_r @ tail, p=psi @ tail)
 
     spectrum = np.linalg.eigvalsh(build_lax(datum, recovered))
     scale = max(1.0, float(np.max(np.abs(xhat))))
@@ -150,7 +151,9 @@ def goldfish_to_toda(datum: RootDatum, point: GoldfishPoint) -> TodaPoint:
     An upper unipotent factor leaves the trailing minors J_k of g g^dagger
     alone, so the thin QR of the bottom n rows of the Moser element g fixes
     both tail sums: of pattern(q), half of log J_k = sum_{i<k} log|R_ii|;
-    of pattern(p), its derivative along Xhat, sum_{i<k} psi_i.  The rebuilt
+    of pattern(p), its derivative along Xhat, sum_{i<k} psi_i.  Hence the
+    tail rule pattern(q)[::-1][:n] = log|R_ii| (psi_i for p); that tail of
+    the pattern is the reversal for A and -I for B/C/D.  The rebuilt
     Lax spectrum must match pattern(qhat) within DUALITY_RTOL, else
     DualityResidualError; a zero R_ii raises SingularMatrixError.
     """
@@ -174,11 +177,10 @@ def moser_gauge_traces(datum: RootDatum, qhat, kmax: int | None = None) -> np.nd
     """Trace powers I_k of the diagonalized Lax matrix (spectral power sums)."""
     n = datum.algebra.rank
     kmax = n if kmax is None else int(kmax)
+    d = symplectic_scale(datum)
     qhat = np.asarray(qhat, dtype=float)
     ks = np.arange(1, kmax + 1, dtype=float)
-    if datum.algebra.family == "A":
-        return np.power(qhat[None, :], ks[:, None]).sum(axis=1) / ks
-    return np.power(qhat[None, :] ** 2, ks[:, None]).sum(axis=1) / (2.0 * ks)
+    return np.power(qhat[None, :] ** d, ks[:, None]).sum(axis=1) / (d * ks)
 
 
 def verify_duality_identities(
@@ -221,12 +223,15 @@ def duality_jacobian(datum: RootDatum, point: GoldfishPoint) -> np.ndarray:
       of the upper triangular R, shared by every direction) and X = Q^T Y:
       d log|R_ii| = X_ii and dQ = Q Omega + Y - Q X, where
       Omega = tril(X, -1) - tril(X, -1)^T;
-    * psi = xhat @ Q^2 gives dpsi = dx @ Q^2 + 2 xhat @ (Q dQ).
+    * psi = xhat @ Q^2 gives dpsi = dx @ Q^2 + 2 xhat @ (Q dQ);
+    * the tail rule pattern(q)[::-1][:n] = log|R_ii| (psi_i for p) reads
+      the rows through the signed permutation tail = pattern[::-1][:n].
     The map's spectrum gate runs once, at the point itself.
     """
     n, N = datum.algebra.rank, datum.size
     _, g, x, half_dlog_F, Q, R = _inverse_pass(datum, point)
     P = node_tables(datum.algebra).pattern
+    tail = P[::-1][:n]
     dx = np.hstack([np.zeros_like(P), P])
     d_log_ahat = np.hstack([np.eye(n), half_dlog_F])
     dg = np.zeros((2 * n, N, N))
@@ -242,9 +247,7 @@ def duality_jacobian(datum: RootDatum, point: GoldfishPoint) -> np.ndarray:
     dQ = Y + Q @ (lower - lower.transpose(0, 2, 1) - X)
     d_log_r = np.diagonal(X, axis1=1, axis2=2).T
     d_psi = (dx.T @ Q**2 + 2.0 * (x @ (Q * dQ))).T
-    if datum.algebra.family == "A":
-        return np.vstack([d_psi[::-1], d_log_r[::-1]])
-    return -np.vstack([d_psi, d_log_r])
+    return np.vstack([tail.T @ d_psi, tail.T @ d_log_r])
 
 
 def symplectomorphism_check(datum: RootDatum, point: GoldfishPoint) -> tuple[float, float]:
@@ -257,7 +260,7 @@ def symplectomorphism_check(datum: RootDatum, point: GoldfishPoint) -> tuple[flo
     satisfies the same identity with the same sigma, so together with the
     round-trip property this certifies the forward map too.
     """
-    W = SymplecticForm(scale=symplectic_scale(datum), rank=datum.algebra.rank).matrix()
+    W = symplectic_form(datum)
     J = duality_jacobian(datum, point)
     M = J.T @ W @ J
     r_plus = float(np.linalg.norm(M - W, "fro"))

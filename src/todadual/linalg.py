@@ -142,7 +142,7 @@ def structured_diagonalize(datum: RootDatum, X):
                 U[:, n] = -U[:, n]
     k = U.T
 
-    pattern = cartan_pattern(datum, qhat) if fam != "A" else qhat
+    pattern = cartan_pattern(datum, qhat)
     res = np.linalg.norm(k @ X @ k.T - np.diag(pattern), "fro")
     orth = np.linalg.norm(k @ k.T - np.eye(N), "fro")
     if res > 1.0e-8 * scale or orth > 1.0e-10 * N:

@@ -2,17 +2,17 @@
 
 The Lax matrix is X = sum_i p_i h_i + sum_alpha e^{(alpha, q)}
 (e_alpha + e_{-alpha}) over the simple roots; it is real symmetric and lies
-in the algebra.  The commuting Hamiltonians are trace powers,
+in the algebra.  The Poisson structure carries a per-family scale s (1 for
+A, 2 for B/C/D): {q_i, p_j} = delta_ij / s, so Hamilton's equations read
+dz/dt = s^{-1} (dH/dp, -dH/dq).  The same s is the trace degree d of the
+commuting Hamiltonians, the trace powers
 
-    family A:      H_k = Tr(X^k) / k,        k = 1..n,
-    families BCD:  H_k = Tr(X^{2k}) / (4k),  k = 1..n,
+    H_k = Tr(X^{dk}) / (d^2 k),  k = 1..n,
 
-and the physical (quadratic) Hamiltonian is H_2 for family A and H_1 for
-B/C/D.  The Poisson structure carries a per-family scale s (1 for A, 2 for
-B/C/D): {q_i, p_j} = delta_ij / s, so Hamilton's equations read
-dz/dt = s^{-1} (dH/dp, -dH/dq).  The flow uses the implicit midpoint rule,
-which preserves the quadratic invariants of the exact flow to the
-iteration tolerance.  Each step solves its midpoint equation by
+so the physical (quadratic) Hamiltonian has index 2/d: H_2 for family A
+and H_1 for B/C/D.  The flow uses the implicit midpoint rule, which
+preserves the quadratic invariants of the exact flow to the iteration
+tolerance.  Each step solves its midpoint equation by
 fixed-point sweeps until two consecutive iterates agree to MIDPOINT_TOL
 (at most MIDPOINT_MAX_ITER sweeps), starting from the degree-4
 extrapolation of the trajectory's last five rows; at dt = 1e-3 one field
@@ -22,9 +22,9 @@ X is linear in the coordinates [p, w], w = exp((alpha, q)), over the
 flattened symmetric generators in RootDatum.lax_basis (the h_i, then
 e_alpha + e_{-alpha}), so one product [p, w] @ lax_basis builds X for one
 point or a whole trajectory.  The same table reads gradients: dH_k =
-Tr(G dX) with G = X^{k-1} (A) or X^{2k-1} / 2 (B/C/D), and because every
-generator is symmetric, t = lax_basis @ vec(G) holds the traces of G
-against the generators; dH/dp = t[:n] and dH/dq = alpha_coeffs^T (w * t[n:]).
+Tr(G dX) with G = X^{dk-1} / d, and because every generator is symmetric,
+t = lax_basis @ vec(G) holds the traces of G against the generators;
+dH/dp = t[:n] and dH/dq = alpha_coeffs^T (w * t[n:]).
 toda_gradients reads every H_k at once from the stacked power chain.
 For the physical Hamiltonian G is linear in X, t is lax_gram @ [p, w] up
 to the factor, and no N x N matrix is built.  A root weight past the
@@ -69,23 +69,17 @@ class TodaPoint:
 
 
 def symplectic_scale(datum: RootDatum) -> int:
-    """Poisson scale s: 1 for family A, 2 for B/C/D."""
+    """Poisson scale s, also the trace degree d: 1 for family A, 2 for B/C/D."""
     return 1 if datum.algebra.family == "A" else 2
 
 
-@dataclass(frozen=True)
-class SymplecticForm:
+def symplectic_form(datum: RootDatum) -> np.ndarray:
     """Block form s * [[0, I], [-I, 0]] in (p, q) coordinate ordering."""
-
-    scale: int
-    rank: int
-
-    def matrix(self) -> np.ndarray:
-        n = self.rank
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, n:] = self.scale * np.eye(n)
-        out[n:, :n] = -self.scale * np.eye(n)
-        return out
+    n, s = datum.algebra.rank, symplectic_scale(datum)
+    out = np.zeros((2 * n, 2 * n))
+    out[:n, n:] = s * np.eye(n)
+    out[n:, :n] = -s * np.eye(n)
+    return out
 
 
 def _check_rank(datum: RootDatum, point: TodaPoint) -> None:
@@ -168,12 +162,11 @@ def toda_momentum_residual(datum: RootDatum, point: TodaPoint) -> float:
 
 
 def quadratic_index(datum: RootDatum) -> int:
-    """Index k of the physical quadratic Hamiltonian in the trace family."""
-    if datum.algebra.family == "A":
-        if datum.algebra.rank < 2:
-            raise ValidationError("family A has no quadratic invariant at rank 1")
-        return 2
-    return 1
+    """Index 2/d of the physical quadratic Hamiltonian in the trace family."""
+    k = 2 // symplectic_scale(datum)
+    if k > datum.algebra.rank:
+        raise ValidationError("family A has no quadratic invariant at rank 1")
+    return k
 
 
 def _trace_hamiltonians(datum: RootDatum, X: np.ndarray, kmax: int) -> np.ndarray:
@@ -182,22 +175,18 @@ def _trace_hamiltonians(datum: RootDatum, X: np.ndarray, kmax: int) -> np.ndarra
     A trace power past the float64 range at any of the matrices raises
     ValidationError naming it.
     """
+    d = symplectic_scale(datum)
     values = np.empty(X.shape[:-2] + (kmax,))
-    if datum.algebra.family == "A":
-        P, step, scale = X, X, 1.0
-    else:
-        P = step = X @ X
-        scale = 4.0
+    P = step = np.linalg.matrix_power(X, d)
     with np.errstate(over="ignore", invalid="ignore"):
-        values[..., 0] = np.trace(P, axis1=-2, axis2=-1) / scale
+        values[..., 0] = np.trace(P, axis1=-2, axis2=-1) / (d * d)
         for k in range(2, kmax + 1):
             P = P @ step
-            values[..., k - 1] = np.trace(P, axis1=-2, axis2=-1) / (scale * k)
+            values[..., k - 1] = np.trace(P, axis1=-2, axis2=-1) / (d * d * k)
     finite = np.isfinite(values).reshape(-1, kmax).all(axis=0)
     if not finite.all():
         k = int(np.argmin(finite)) + 1
-        power = k if datum.algebra.family == "A" else 2 * k
-        raise ValidationError(f"Toda Hamiltonian H_{k}, a trace of X^{power}, overflows float64")
+        raise ValidationError(f"Toda Hamiltonian H_{k}, a trace of X^{d * k}, overflows float64")
     return values
 
 
@@ -222,21 +211,17 @@ def toda_hamiltonian(datum: RootDatum, point: TodaPoint, k: int) -> float:
 def equations_of_motion(datum: RootDatum, point: TodaPoint, k: int):
     """Hamiltonian vector field of H_k: (dq/dt, dp/dt).
 
-    Exact gradient of the trace power: dH_k = Tr(G dX) with G = X^{k-1}
-    (A) or X^{2k-1} / 2 (B/C/D).  The traces t = lax_basis @ vec(G) of G
-    against the symmetric generators give dH/dp = t[:n] and dH/dq =
-    alpha_coeffs^T (w * t[n:]) with w = exp((alpha, q)); both are divided
-    by the per-family Poisson scale.  For the physical Hamiltonian G is
-    linear in X, so t = lax_gram @ [p, w] up to the factor and X is never
-    built.
+    Exact gradient of the trace power: dH_k = Tr(G dX) with G = X^{dk-1} / d.
+    The traces t = lax_basis @ vec(G) of G against the symmetric generators
+    give dH/dp = t[:n] and dH/dq = alpha_coeffs^T (w * t[n:]) with
+    w = exp((alpha, q)); both are divided by the Poisson scale s = d.  For
+    the physical Hamiltonian G is linear in X, so t = lax_gram @ [p, w] up
+    to the factor and X is never built.
     """
     _check_index(datum, k)
     _check_rank(datum, point)
-    n = datum.algebra.rank
-    if datum.algebra.family == "A":
-        power, factor = k - 1, 1.0
-    else:
-        power, factor = 2 * k - 1, 0.5
+    n, d = datum.algebra.rank, symplectic_scale(datum)
+    power = d * k - 1
     w = _root_weights(datum, point.q)
     coords = np.concatenate([point.p, w])
     if power == 1:
@@ -244,29 +229,26 @@ def equations_of_motion(datum: RootDatum, point: TodaPoint, k: int):
     else:
         X = np.dot(coords, datum.lax_basis).reshape(datum.size, datum.size)
         t = np.dot(datum.lax_basis, np.linalg.matrix_power(X, power).ravel())
-    t *= factor / symplectic_scale(datum)
+    t /= d * d
     return t[:n], -np.dot(datum.alpha_coeffs.T, w * t[n:])
 
 
 def toda_gradients(datum: RootDatum, point: TodaPoint) -> np.ndarray:
     """Exact gradients of (H_1, ..., H_n): row k-1 is dH_k in (p, q) order.
 
-    The power chain G_k = X^{k-1} (A) or X^{2k-1} / 2 (B/C/D) is stacked
-    flat, and G @ lax_basis.T holds the traces of every G_k against the
-    generators at once; rows are not divided by the Poisson scale.
+    The power chain G_k = X^{dk-1} / d is stacked flat, and G @ lax_basis.T
+    holds the traces of every G_k against the generators at once; rows are
+    not divided by the Poisson scale.
     """
     _check_rank(datum, point)
-    n, N = datum.algebra.rank, datum.size
+    n, N, d = datum.algebra.rank, datum.size, symplectic_scale(datum)
     X, w = _lax(datum, point.q, point.p)
-    if datum.algebra.family == "A":
-        P, step, factor = np.eye(N), X, 1.0
-    else:
-        P, step, factor = X, X @ X, 0.5
+    P, step = np.linalg.matrix_power(X, d - 1), np.linalg.matrix_power(X, d)
     G = np.empty((n, N * N))
     for k in range(n):
         G[k] = P.ravel()
         P = P @ step
-    t = factor * (G @ datum.lax_basis.T)
+    t = (G @ datum.lax_basis.T) / d
     return np.hstack([t[:, :n], (w * t[:, n:]) @ datum.alpha_coeffs])
 
 

@@ -11,12 +11,12 @@ from todadual.toda import (
     MAX_EXPONENT,
     MIDPOINT_MAX_ITER,
     MIDPOINT_TOL,
-    SymplecticForm,
     TodaPoint,
     build_lax,
     equations_of_motion,
     integrate_flow,
     quadratic_index,
+    symplectic_form,
     symplectic_scale,
     toda_group_element,
     toda_hamiltonian,
@@ -263,13 +263,13 @@ def test_quadratic_index_and_scale():
 
 
 def test_symplectic_form_matrix():
-    form = SymplecticForm(scale=2, rank=2)
-    M = form.matrix()
-    ref = np.zeros((4, 4))
-    ref[:2, 2:] = 2.0 * np.eye(2)
-    ref[2:, :2] = -2.0 * np.eye(2)
-    assert np.max(np.abs(M - ref)) == 0.0
-    assert np.max(np.abs(M + M.T)) == 0.0
+    for fam, n, scale in [("A", 3, 1.0), ("C", 2, 2.0)]:
+        M = symplectic_form(build_root_datum(AlgebraType(fam, n)))
+        ref = np.zeros((2 * n, 2 * n))
+        ref[:n, n:] = scale * np.eye(n)
+        ref[n:, :n] = -scale * np.eye(n)
+        assert np.max(np.abs(M - ref)) == 0.0
+        assert np.max(np.abs(M + M.T)) == 0.0
 
 
 def test_hamiltonians_kmax_validation():

@@ -120,6 +120,20 @@ def test_singular_minor_oracle_is_a_reported_failure(monkeypatch):
     assert "0: zero diagonal entry" in record["note"]
 
 
+def test_nan_minor_gap_breaks_its_point(monkeypatch):
+    # a NaN gap at one k must not be dropped when the gaps over k are folded
+    real = todadual.verify.minor_oracle_mk
+
+    def oracle(datum, g, k):
+        return float("nan") if k == 2 else real(datum, g, k)
+
+    monkeypatch.setattr(todadual.verify, "minor_oracle_mk", oracle)
+    report = run_suite(build_root_datum(AlgebraType("A", 3)), seed=0, npoints=2, flow_steps=2)
+    record = next(r for r in report["properties"] if r["property"] == "closed-form-vs-minor-oracle")
+    assert not record["passed"]
+    assert record["worst_residual"] == float("inf")
+
+
 def test_non_finite_residual_breaks_its_point(monkeypatch):
     # max() drops NaN, so a NaN residual must break its point rather than fold
     monkeypatch.setattr(todadual.verify, "moser_momentum_residual", lambda datum, mp: float("nan"))
