@@ -132,7 +132,7 @@ def _inverse_pass(datum: RootDatum, point: GoldfishPoint):
     mp, xhat, half_dlog_F = _moser_point(datum, point)
     g = build_moser_g(datum, mp)
     Q, R = bottom_row_qr(g, n)
-    tail = node_tables(datum.algebra).pattern[::-1][:n]
+    tail = datum.pattern[::-1][:n]
     log_r = np.log(np.abs(np.diagonal(R)))
     psi = xhat @ Q**2
     recovered = TodaPoint(q=log_r @ tail, p=psi @ tail)
@@ -230,7 +230,7 @@ def duality_jacobian(datum: RootDatum, point: GoldfishPoint) -> np.ndarray:
     """
     n, N = datum.algebra.rank, datum.size
     _, g, x, half_dlog_F, Q, R = _inverse_pass(datum, point)
-    P = node_tables(datum.algebra).pattern
+    P = datum.pattern
     tail = P[::-1][:n]
     dx = np.hstack([np.zeros_like(P), P])
     d_log_ahat = np.hstack([np.eye(n), half_dlog_F])

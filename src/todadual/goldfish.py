@@ -86,7 +86,7 @@ def _half_log_factors(datum: RootDatum, qhat: np.ndarray):
     tables = node_tables(datum.algebra)
     x = check_chamber(datum, qhat)
     log_F, grad = log_gap_sums(x, tables.chamber)
-    return x, 0.5 * log_F, 0.5 * grad @ tables.pattern
+    return x, 0.5 * log_F, 0.5 * grad @ datum.pattern
 
 
 def _moser_point(datum: RootDatum, point: GoldfishPoint):
@@ -233,10 +233,9 @@ def goldfish_gradients(datum: RootDatum, point: GoldfishPoint) -> np.ndarray:
     spec, masks, starts, logabs, half_dlog_F, laplace = _minor_terms(datum, point, n)
     dl = log_minor_gradients(spec, masks)
     spec_grads = np.add.reduceat(2.0 * np.exp(2.0 * logabs)[:, None] * dl, starts)
-    tables = node_tables(datum.algebra)
-    P = tables.pattern
+    P, sigma = datum.pattern, node_tables(datum.algebra).sigma
     dL = np.hstack([np.eye(n), half_dlog_F])  # d log ahat / d(phat, qhat)
-    spec_jacobian = np.vstack([P @ dL, np.hstack([np.zeros_like(P), tables.sigma * P])])
+    spec_jacobian = np.vstack([P @ dL, np.hstack([np.zeros_like(P), sigma * P])])
     if laplace is None:
         return spec_grads @ spec_jacobian
     cols, rest, terms, row_grad = laplace

@@ -89,10 +89,12 @@ def structured_diagonalize(datum: RootDatum, X):
 
     Returns (k, qhat), k float64 with k X k^T equal to the canonical
     diagonal pattern built from qhat (descending; positive half first for
-    B/C/D).  Each eigenvector's largest-modulus entry is made positive, and
-    the eigenvectors of the mirrored eigenvalues are derived from the
-    positive-half ones through the bilinear form, which makes k a group
-    element by construction; in family D a leftover sign of det(k) is
+    B/C/D).  Each eigenvector's largest-modulus entry is made positive.  For
+    B/C/D the eigenvectors of the mirrored eigenvalues are derived from the
+    positive-half ones through the bilinear form, U[:, N-n:] =
+    Omega^T U[:, n-1::-1]: X Omega^T = -Omega^T X for a symmetric algebra
+    element, so Omega^T u belongs to -w when u belongs to w.  That makes k
+    a group element by construction; in family D a leftover sign of det(k) is
     absorbed by flipping the last chamber coordinate, in family B by
     flipping the kernel column.  That column needs no other fix: X
     anticommutes with Omega, so it maps the (n+1)-dimensional +1 eigenspace
@@ -131,7 +133,7 @@ def structured_diagonalize(datum: RootDatum, X):
         qhat = w.copy()
     else:
         qhat = w[:n].copy()
-        U[:, N - n :] = (-1.0 if fam == "C" else 1.0) * (datum.omega @ U[:, n - 1 :: -1])
+        U[:, N - n :] = datum.omega.T @ U[:, n - 1 :: -1]
         if fam == "B" and abs(w[n]) > DEFAULT_GAP_TOL:
             raise DegenerateSpectrumError("middle eigenvalue does not vanish")
         if fam != "C" and np.linalg.det(U) < 0.0:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ChamberError, SingularConfigurationError, ValidationError
 from .linalg import bottom_row_qr
-from .rootsys import AlgebraType, RootDatum, build_root_datum, cartan_pattern
+from .rootsys import AlgebraType, RootDatum, cartan_pattern, matrix_size
 
 # Nodes closer than this (absolute, inputs O(1)) count as a pole.
 POLE_TOL = 1.0e-8
@@ -257,21 +257,20 @@ def ruijsenaars_spec_for(datum: RootDatum, point: MoserPoint) -> RuijsenaarsMatr
     return RuijsenaarsMatrixSpec(b=b, x=sigma * cartan_pattern(datum, point.qhat))
 
 
-NodeTables = namedtuple("NodeTables", "pattern sigma chamber bottom_row fused_row")
+NodeTables = namedtuple("NodeTables", "sigma chamber bottom_row fused_row")
 
 
 @lru_cache(maxsize=None)
 def node_tables(algebra: AlgebraType) -> NodeTables:
-    """Read-only tables of the diagonal pattern x = pattern @ qhat, built once per algebra.
+    """Read-only tables over the diagonal pattern x = datum.pattern @ qhat, built once per algebra.
 
-    pattern is (N, n) and 0/+-1; the spec nodes are sigma x.  The rest are
-    log_gap_sums tables: the chamber factors (sign(j - i)), the unit bottom
-    row (-1 for j > c), both less D's mirror pair 2|qhat_c|, and D's unit
-    fused-root row (-1 for c < j < n - 1 and j = n; no rows for A, B, C).
+    The spec nodes are sigma x.  The rest are log_gap_sums tables: the
+    chamber factors (sign(j - i)), the unit bottom row (-1 for j > c), both
+    less D's mirror pair 2|qhat_c|, and D's unit fused-root row (-1 for
+    c < j < n - 1 and j = n; no rows for A, B, C).  Each has one row per
+    node i and one column per node j of the N = matrix_size(algebra) nodes.
     """
-    n = algebra.rank
-    pattern = np.diagonal(build_root_datum(algebra).cartan, axis1=1, axis2=2).T.copy()
-    N = pattern.shape[0]
+    n, N = algebra.rank, matrix_size(algebra)
     chamber = np.sign(np.arange(N) - np.arange(n)[:, None]).astype(float)
     bottom_row = np.where(chamber > 0.0, -1.0, 0.0)
     fused_row = np.zeros((0, N))
@@ -280,9 +279,9 @@ def node_tables(algebra: AlgebraType) -> NodeTables:
         chamber[mirror] = bottom_row[mirror] = 0.0
         fused_row = np.where(np.arange(N) < n - 1, bottom_row[: n - 1], 0.0)
         fused_row[:, n] = -1.0
-    for table in (pattern, chamber, bottom_row, fused_row):
+    for table in (chamber, bottom_row, fused_row):
         table.flags.writeable = False
-    return NodeTables(pattern, 1.0 if algebra.family == "A" else -1.0, chamber, bottom_row, fused_row)
+    return NodeTables(1.0 if algebra.family == "A" else -1.0, chamber, bottom_row, fused_row)
 
 
 def log_gap_sums(x: np.ndarray, table: np.ndarray):

@@ -1,19 +1,25 @@
 """Root-space data for the classical matrix Lie algebras gl(n), so(2n+1), sp(2n), so(2n).
 
 Everything downstream (Lax matrices, momentum equations, lower-triangular
-group factorizations) is phrased against one explicit realization per family:
+group factorizations) is phrased against one explicit realization per
+family, stated as a bilinear form Omega plus the positions of the simple
+roots:
 
-* A: gl(n, C), no bilinear form (the form slot holds an identity placeholder).
+* A: gl(n, C), no constraint: Omega = 0.
 * B: so(2n+1, C) preserving the antidiagonal form Omega = sum_i E[N-1-i, i].
 * C: sp(2n, C) preserving Omega = sum_{i<n} (E[i, 2n-1-i] - E[2n-1-i, i]).
 * D: so(2n, C), antidiagonal form as in B.
 
-For B/C/D a matrix X belongs to the algebra iff X Omega + Omega X^T = 0, and
-g belongs to the group iff g Omega g^T = Omega.  The Cartan generators are
-supported on the diagonal, the simple-root vectors are signed sums of at most
-two elementary matrices, and the principal lowering element (the sum of all
-simple lowering vectors) is strictly lower triangular in this basis.  All
-entries are exact small integers stored in float64.
+X belongs to the algebra iff X Omega + Omega X^T = 0, and g belongs to the
+group iff g Omega g^T = Omega; both hold for every matrix when Omega = 0.
+Every generator is the projection G = E - Omega E^T Omega^T of one matrix
+unit E, scaled to unit entries: h_i from E[i, i], the short roots from
+E[i, i+1], and the last root of B/C from E[n-1, n] (C's long root is its
+own mirror, so the projection doubles it) and of D from E[n-1, n+1].  The
+Cartan generators are diagonal, the simple-root vectors are signed sums of
+at most two matrix units, and the principal lowering element (the sum of
+all simple lowering vectors) is strictly lower triangular in this basis.
+All entries are exact small integers stored in float64.
 """
 
 from __future__ import annotations
@@ -65,11 +71,15 @@ class RootDatum:
     size : int
         Matrix size N.
     omega : ndarray (N, N)
-        Invariant bilinear form (identity placeholder for family A).
+        Invariant bilinear form; 0 for family A, which has no constraint.
     cartan : ndarray (rank, N, N)
         Diagonal Cartan generators h_1..h_n.
+    pattern : ndarray (N, rank)
+        Column i is the diagonal of h_i, so the diagonal of sum_i v_i h_i
+        is pattern @ v; entries are 0 and +-1.
     raising, lowering : ndarray (num_roots, N, N)
-        Simple root vectors e_alpha and e_{-alpha}, in the simple-root order.
+        Simple root vectors e_alpha and e_{-alpha} = e_alpha^T, in the
+        simple-root order.
     lax_basis : ndarray (rank + num_roots, N * N)
         The flattened symmetric generators of the Lax matrix: rows h_1..h_n,
         then e_alpha + e_{-alpha} per simple root.  X = sum_i p_i h_i +
@@ -83,13 +93,15 @@ class RootDatum:
         Sum of the lowering vectors; strictly lower triangular.
     alpha_coeffs : ndarray (num_roots, rank)
         Row i holds the coefficients of the simple root alpha_i in the
-        orthogonal coordinates, so (alpha_i, q) = alpha_coeffs[i] @ q.
+        orthogonal coordinates, so (alpha_i, q) = alpha_coeffs[i] @ q.  For
+        e_alpha supported at (r, c) it is pattern[r] - pattern[c].
     """
 
     algebra: AlgebraType
     size: int
     omega: np.ndarray
     cartan: np.ndarray
+    pattern: np.ndarray
     raising: np.ndarray
     lowering: np.ndarray
     lax_basis: np.ndarray
@@ -102,85 +114,32 @@ class RootDatum:
         return self.raising.shape[0]
 
 
-def _unit(N: int, i: int, j: int) -> np.ndarray:
-    out = np.zeros((N, N))
-    out[i, j] = 1.0
-    return out
-
-
 def build_root_datum(algebra: AlgebraType) -> RootDatum:
     """Construct the explicit root-space matrices for one algebra.
 
-    Index conventions below are 0-based; the mirror of index i is N-1-i.
+    Index conventions are 0-based; the mirror of index i is N-1-i.  Each
+    generator is G = E - Omega E^T Omega^T of a matrix unit E, scaled to
+    unit entries.
     """
     fam, n = algebra.family, algebra.rank
     N = matrix_size(algebra)
-    mir = lambda i: N - 1 - i  # noqa: E731
+    index = np.arange(N)
+    omega = np.zeros((N, N))
+    # matrix units: h_i at (i, i), then the simple roots in order
+    units = [(i, i) for i in range(n)] + [(i, i + 1) for i in range(n - 1)]
+    if fam != "A":
+        # C's -1 entries are written directly: negating a block would leave -0.0 entries
+        omega[index, index[::-1]] = np.where(index < n, 1.0, -1.0) if fam == "C" else 1.0
+        units.append((n - 1, n + 1 if fam == "D" else n))
+    rows, cols = np.array(units).T
+    E = np.zeros((len(units), N, N))
+    E[np.arange(len(units)), rows, cols] = 1.0
+    G = E - omega @ E.transpose(0, 2, 1) @ omega.T
+    G /= np.abs(G).max(axis=(1, 2), keepdims=True)
 
-    if fam == "A":
-        omega = np.eye(N)
-    elif fam == "C":
-        omega = np.zeros((N, N))
-        for i in range(n):
-            omega[i, mir(i)] = 1.0
-            omega[mir(i), i] = -1.0
-    else:  # B, D: antidiagonal symmetric form
-        omega = np.zeros((N, N))
-        for i in range(N):
-            omega[i, mir(i)] = 1.0
-
-    cartan = np.zeros((n, N, N))
-    for i in range(n):
-        cartan[i, i, i] = 1.0
-        if fam != "A":
-            cartan[i, mir(i), mir(i)] = -1.0
-
-    raising, lowering, coeffs = [], [], []
-
-    def short_pair(i):
-        # alpha_i = e_i - e_{i+1}; mirrored pair keeps X Omega + Omega X^T = 0.
-        up = _unit(N, i, i + 1) - _unit(N, mir(i + 1), mir(i))
-        c = np.zeros(n)
-        c[i], c[i + 1] = 1.0, -1.0
-        return up, c
-
-    if fam == "A":
-        for i in range(n - 1):
-            up = _unit(N, i, i + 1)
-            c = np.zeros(n)
-            c[i], c[i + 1] = 1.0, -1.0
-            raising.append(up)
-            lowering.append(up.T)
-            coeffs.append(c)
-    else:
-        for i in range(n - 1):
-            up, c = short_pair(i)
-            raising.append(up)
-            lowering.append(up.T)
-            coeffs.append(c)
-        if fam == "B":
-            # last root e_n: relative sign keeps the membership relation.
-            up = _unit(N, n - 1, n) - _unit(N, n, n + 1)
-            c = np.zeros(n)
-            c[n - 1] = 1.0
-        elif fam == "C":
-            # long root 2 e_n
-            up = _unit(N, n - 1, n)
-            c = np.zeros(n)
-            c[n - 1] = 2.0
-        else:  # D: last root e_{n-1} + e_n
-            up = _unit(N, n - 1, n + 1) - _unit(N, n - 2, n)
-            c = np.zeros(n)
-            c[n - 2] = 1.0
-            c[n - 1] = 1.0
-        raising.append(up)
-        lowering.append(up.T)
-        coeffs.append(c)
-
-    raising = np.stack(raising) if raising else np.zeros((0, N, N))
-    lowering = np.stack(lowering) if lowering else np.zeros((0, N, N))
-    coeffs = np.stack(coeffs) if coeffs else np.zeros((0, n))
-    momentum = lowering.sum(axis=0) if len(lowering) else np.zeros((N, N))
+    cartan, raising = G[:n], G[n:]
+    lowering = raising.transpose(0, 2, 1).copy()
+    pattern = np.diagonal(cartan, axis1=1, axis2=2).T.copy()
     lax_basis = np.concatenate([cartan, raising + lowering]).reshape(-1, N * N)
 
     return RootDatum(
@@ -188,54 +147,38 @@ def build_root_datum(algebra: AlgebraType) -> RootDatum:
         size=N,
         omega=omega,
         cartan=cartan,
+        pattern=pattern,
         raising=raising,
         lowering=lowering,
         lax_basis=lax_basis,
         lax_gram=lax_basis @ lax_basis.T,
-        momentum=momentum,
-        alpha_coeffs=coeffs,
+        momentum=lowering.sum(axis=0),
+        alpha_coeffs=pattern[rows[n:]] - pattern[cols[n:]],
     )
 
 
-def project_lower_nilpotent(M: np.ndarray) -> np.ndarray:
-    """Strictly lower triangular part of M."""
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {M.shape}")
-    return np.tril(M, -1)
-
-
 def algebra_residual(datum: RootDatum, M: np.ndarray) -> float:
-    """Frobenius norm of X Omega + Omega X^T (exactly 0.0 for family A)."""
+    """Frobenius norm of X Omega + Omega X^T (exactly 0.0 for family A, whose Omega is 0)."""
     M = np.asarray(M)
     if M.shape != (datum.size, datum.size):
         raise ValidationError(f"expected shape {(datum.size, datum.size)}, got {M.shape}")
-    if datum.algebra.family == "A":
-        return 0.0
     return float(np.linalg.norm(M @ datum.omega + datum.omega @ M.T, "fro"))
 
 
 def group_residual(datum: RootDatum, g: np.ndarray) -> float:
-    """Frobenius norm of g Omega g^T - Omega (exactly 0.0 for family A)."""
+    """Frobenius norm of g Omega g^T - Omega (exactly 0.0 for family A, whose Omega is 0)."""
     g = np.asarray(g)
     if g.shape != (datum.size, datum.size):
         raise ValidationError(f"expected shape {(datum.size, datum.size)}, got {g.shape}")
-    if datum.algebra.family == "A":
-        return 0.0
     return float(np.linalg.norm(g @ datum.omega @ g.T - datum.omega, "fro"))
 
 
 def cartan_pattern(datum: RootDatum, values: np.ndarray) -> np.ndarray:
-    """Diagonal of sum_i values[i] * h_i as a length-N vector.
+    """Diagonal of sum_i values[i] * h_i as a length-N vector: datum.pattern @ values.
 
     A: (v_1..v_n); C/D: (v_1..v_n, -v_n..-v_1); B additionally has a middle 0.
     """
     v = np.asarray(values, dtype=float)
     if v.shape != (datum.algebra.rank,):
         raise ValidationError(f"expected {datum.algebra.rank} values, got shape {v.shape}")
-    fam = datum.algebra.family
-    if fam == "A":
-        return v.copy()
-    if fam == "B":
-        return np.concatenate([v, [0.0], -v[::-1]])
-    return np.concatenate([v, -v[::-1]])
+    return datum.pattern @ v

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepFailureError, ValidationError
-from .rootsys import RootDatum, cartan_pattern, project_lower_nilpotent
+from .rootsys import RootDatum, cartan_pattern
 
 # Fixed-point iteration control for the implicit midpoint rule.
 MIDPOINT_TOL = 1.0e-12
@@ -158,7 +158,7 @@ def toda_momentum_residual(datum: RootDatum, point: TodaPoint) -> float:
     d = np.exp(cartan_pattern(datum, point.q))
     X = build_lax(datum, point)
     conj = X * np.outer(d, 1.0 / d)
-    return float(np.linalg.norm(project_lower_nilpotent(conj) - datum.momentum, "fro"))
+    return float(np.linalg.norm(np.tril(conj, -1) - datum.momentum, "fro"))
 
 
 def quadratic_index(datum: RootDatum) -> int:

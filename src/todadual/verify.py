@@ -174,15 +174,16 @@ def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 2
         return float(commutativity_matrix(datum, point).max())
 
     def odd_trace(pt):
-        # largest scaled |tr X^m| over the odd powers m = 1, 3, ..., 2n + 1
+        # largest scaled |tr X^m| over the odd powers m = 1, 3, ..., 2n + 1;
+        # np.max keeps a NaN trace, which Python's max would drop
         X = build_lax(datum, pt)
         scale = max(1.0, float(np.linalg.norm(X, "fro")))
         P = X.copy()
-        worst = abs(np.trace(P)) / scale
+        traces = [abs(np.trace(P)) / scale]
         for m in range(3, 2 * n + 2, 2):
             P = P @ X @ X
-            worst = max(worst, abs(np.trace(P)) / scale**m)
-        return worst
+            traces.append(abs(np.trace(P)) / scale**m)
+        return np.max(traces)
 
     def duality_mismatch(pt):
         return verify_duality_identities(datum, pt).max_relative_mismatch

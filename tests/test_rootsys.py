@@ -12,7 +12,6 @@ from todadual.rootsys import (
     cartan_pattern,
     group_residual,
     matrix_size,
-    project_lower_nilpotent,
 )
 
 SIZES = {"A": 3, "B": 7, "C": 6, "D": 6}  # at rank 3
@@ -94,13 +93,41 @@ def test_momentum_is_sum_of_lowering_and_strictly_lower():
         assert np.allclose(np.triu(lam), 0.0)
 
 
-def test_project_lower_nilpotent():
-    M = np.arange(16.0).reshape(4, 4)
-    L = project_lower_nilpotent(M)
-    assert np.allclose(np.triu(L), 0.0)
-    assert np.allclose(np.tril(L, -1), np.tril(M, -1))
-    with pytest.raises(ValidationError):
-        project_lower_nilpotent(np.ones((2, 3)))
+# Rank-3 realization written out by hand: per simple root, the nonzero
+# entries of e_alpha as {(row, col): value}, and the nonzero entries of Omega.
+RAISING_3 = {
+    "A": [{(0, 1): 1}, {(1, 2): 1}],
+    "B": [{(0, 1): 1, (5, 6): -1}, {(1, 2): 1, (4, 5): -1}, {(2, 3): 1, (3, 4): -1}],
+    "C": [{(0, 1): 1, (4, 5): -1}, {(1, 2): 1, (3, 4): -1}, {(2, 3): 1}],
+    "D": [{(0, 1): 1, (4, 5): -1}, {(1, 2): 1, (3, 4): -1}, {(2, 4): 1, (1, 3): -1}],
+}
+OMEGA_3 = {
+    "B": {(0, 6): 1, (1, 5): 1, (2, 4): 1, (3, 3): 1, (4, 2): 1, (5, 1): 1, (6, 0): 1},
+    "C": {(0, 5): 1, (1, 4): 1, (2, 3): 1, (3, 2): -1, (4, 1): -1, (5, 0): -1},
+    "D": {(0, 5): 1, (1, 4): 1, (2, 3): 1, (3, 2): 1, (4, 1): 1, (5, 0): 1},
+}
+
+
+def _entries(M):
+    return {(int(i), int(j)): M[i, j] for i, j in zip(*np.nonzero(M))}
+
+
+def test_rank_3_realization_entry_by_entry():
+    for fam in FAMILIES:
+        datum = build_root_datum(AlgebraType(fam, 3))
+        assert [_entries(e) for e in datum.raising] == RAISING_3[fam], fam
+        assert [_entries(f) for f in datum.lowering] == [
+            {(j, i): v for (i, j), v in root.items()} for root in RAISING_3[fam]
+        ], fam
+        assert _entries(datum.omega) == OMEGA_3.get(fam, {}), fam
+
+
+def test_family_a_residuals_are_exactly_zero():
+    datum = build_root_datum(AlgebraType("A", 3))
+    M = np.random.default_rng(3).normal(size=(3, 3))
+    assert not np.array_equal(M, M.T)
+    assert algebra_residual(datum, M) == 0.0
+    assert group_residual(datum, M) == 0.0
 
 
 def test_cartan_pattern_layouts():

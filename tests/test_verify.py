@@ -1,5 +1,7 @@
 """End-to-end property suite: pass/fail records, logs, reproducibility."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,24 @@ def test_nan_minor_gap_breaks_its_point(monkeypatch):
     record = next(r for r in report["properties"] if r["property"] == "closed-form-vs-minor-oracle")
     assert not record["passed"]
     assert record["worst_residual"] == float("inf")
+
+
+def test_nan_odd_trace_breaks_its_point(monkeypatch):
+    # a NaN trace at one odd power must not be dropped when the powers are folded
+    real = todadual.verify.build_lax
+
+    def lax(datum, point):
+        X = real(datum, point)
+        if sys._getframe(1).f_code.co_name == "odd_trace":
+            X[0, 1] = X[1, 0] = np.nan
+        return X
+
+    monkeypatch.setattr(todadual.verify, "build_lax", lax)
+    report = run_suite(build_root_datum(AlgebraType("B", 2)), seed=0, npoints=2, flow_steps=2)
+    record = next(r for r in report["properties"] if r["property"] == "odd-trace-vanishing")
+    assert not record["passed"]
+    assert record["worst_residual"] == float("inf")
+    assert record["note"].startswith("2 residual failure(s) (0: non-finite residual nan")
 
 
 def test_non_finite_residual_breaks_its_point(monkeypatch):
