@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -54,11 +55,30 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def _scalar_text(obj) -> str:
+    """One JSON scalar: 17-digit floats, NaN/Infinity/-Infinity, true/false, null, else a string."""
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isfinite(x):
+            return _fmt(x)
+        if x != x:
+            return "NaN"
+        return "Infinity" if x > 0 else "-Infinity"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if obj is None:
+        return "null"
+    return json.dumps(str(obj))
+
+
 def _json_text(obj, indent: int = 0) -> str:
     """Recursive JSON emitter with fixed float formatting.
 
     json.dumps uses shortest-repr floats, which breaks the fixed-width
-    contract, so structured output goes through this instead.
+    contract, so structured output goes through this instead.  A list of
+    scalars is one line.
     """
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -69,28 +89,13 @@ def _json_text(obj, indent: int = 0) -> str:
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
+        if not obj:
             return "[]"
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in seq)
-        if flat:
-            return "[" + ", ".join(_json_text(v, indent) for v in seq) + "]"
-        items = [f"{pad}  {_json_text(v, indent + 1)}" for v in seq]
+        if not any(isinstance(v, (dict, list, tuple)) for v in obj):
+            return "[" + ", ".join(map(_scalar_text, obj)) + "]"
+        items = [f"{pad}  {_json_text(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if np.isnan(x):
-            return "NaN"
-        if np.isinf(x):
-            return "Infinity" if x > 0 else "-Infinity"
-        return _fmt(x)
-    if obj is None:
-        return "null"
-    return json.dumps(str(obj))
+    return _scalar_text(obj)
 
 
 def _matrix_payload(M: np.ndarray) -> dict:
@@ -114,7 +119,7 @@ def _parse_vector(text: str, rank: int, flag: str) -> np.ndarray:
         raise ValidationError(f"{flag} expects comma-separated floats: {exc}") from None
     if values.shape != (rank,):
         raise ValidationError(f"{flag} must have {rank} entries, got {values.size}")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValidationError(f"{flag} has non-finite entries")
     return values
 

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DualityResidualError
 from .goldfish import GoldfishPoint, _moser_point, goldfish_hamiltonians, p_from_a
 from .linalg import bottom_row_qr, structured_diagonalize
-from .moser import MoserPoint, build_moser_g, check_chamber, log_gap_sums, momentum_equation_residual, node_tables
+from .moser import MoserPoint, _moser_g, check_chamber, log_gap_sums, momentum_equation_residual, node_tables
 from .rootsys import RootDatum, cartan_pattern
 from .toda import TodaPoint, _checked_exp, build_lax, symplectic_form, symplectic_scale, toda_hamiltonians
 
@@ -105,7 +105,7 @@ def toda_to_moser(datum: RootDatum, point: TodaPoint) -> MoserPoint:
     log_ahat = np.log(row[: datum.algebra.rank]) - log_unit
     mp = MoserPoint(qhat=qhat, ahat=_checked_exp(log_ahat, "Moser weight ahat_{}"))
 
-    gref = build_moser_g(datum, mp)
+    gref = _moser_g(datum, x, mp.ahat)
     residual = momentum_equation_residual(datum, gref, qhat)
     if residual > DUALITY_RTOL:
         raise DualityResidualError(f"momentum residual {residual:.3e} after gauge transport")
@@ -130,7 +130,7 @@ def _inverse_pass(datum: RootDatum, point: GoldfishPoint):
     """
     n = datum.algebra.rank
     mp, xhat, half_dlog_F = _moser_point(datum, point)
-    g = build_moser_g(datum, mp)
+    g = _moser_g(datum, xhat, mp.ahat)
     Q, R = bottom_row_qr(g, n)
     tail = datum.pattern[::-1][:n]
     log_r = np.log(np.abs(np.diagonal(R)))

@@ -64,7 +64,7 @@ class GoldfishPoint:
             raise ValidationError(
                 f"qhat and phat must be equal-length vectors, got {qhat.shape} and {phat.shape}"
             )
-        if not (np.all(np.isfinite(qhat)) and np.all(np.isfinite(phat))):
+        if not (np.isfinite(qhat).all() and np.isfinite(phat).all()):
             raise ValidationError("non-finite coordinates")
 
 

@@ -46,7 +46,7 @@ def _as_square(M, name="matrix") -> np.ndarray:
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M.view(float) if M.dtype == complex else M)):
+    if not np.isfinite(M.view(float) if M.dtype == complex else M).all():
         raise ValidationError(f"{name} has non-finite entries")
     return M
 
@@ -124,7 +124,7 @@ def structured_diagonalize(datum: RootDatum, X):
 
     w, U = np.linalg.eigh(X)
     w, U = w[::-1], U[:, ::-1]  # descending
-    if N > 1 and np.min(-np.diff(w)) < DEFAULT_GAP_TOL:
+    if N > 1 and (w[:-1] - w[1:]).min() < DEFAULT_GAP_TOL:
         raise DegenerateSpectrumError(f"eigenvalue gap below {DEFAULT_GAP_TOL:.1e}")
     U = U * np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(N)])
 
@@ -247,7 +247,7 @@ def bottom_row_qr(g, k: int):
     M = np.asarray(g)[::-1][:k].conj().T
     order = np.argsort(-np.max(np.abs(M), axis=1), kind="stable")
     Qs, R = np.linalg.qr(M[order], mode="reduced")
-    if np.any(np.diagonal(R) == 0.0):
+    if (np.diagonal(R) == 0.0).any():
         raise SingularMatrixError("zero diagonal entry in the bottom-row QR")
     # Fortran order, the layout LAPACK works in: the inverse map's
     # xhat @ Q**2 sums in an order that depends on Q's layout, and a

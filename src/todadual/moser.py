@@ -50,9 +50,9 @@ class MoserPoint:
             raise ValidationError(
                 f"qhat and ahat must be equal-length vectors, got {qhat.shape} and {ahat.shape}"
             )
-        if not (np.all(np.isfinite(qhat)) and np.all(np.isfinite(ahat))):
+        if not (np.isfinite(qhat).all() and np.isfinite(ahat).all()):
             raise ValidationError("non-finite coordinates")
-        if np.any(ahat <= 0.0):
+        if (ahat <= 0.0).any():
             raise ValidationError("ahat entries must be positive")
 
 
@@ -79,9 +79,9 @@ def check_chamber(datum: RootDatum, qhat: np.ndarray) -> np.ndarray:
         margins = np.concatenate(
             [head[:-1] - head[1:], [head[-1] - abs(qhat[-1]), abs(qhat[-1])]]
         )
-    if margins.size and np.any(margins <= 0.0):
+    if (margins <= 0.0).any():
         raise ChamberError(f"chamber ordering violated: qhat {qhat}")
-    if margins.size and np.any(margins < POLE_TOL):
+    if (margins < POLE_TOL).any():
         raise SingularConfigurationError(f"chamber margin below {POLE_TOL:.1e}: qhat {qhat}")
     return cartan_pattern(datum, qhat)
 
@@ -104,7 +104,7 @@ class RuijsenaarsMatrixSpec:
         object.__setattr__(self, "x", x)
         if b.ndim != 1 or b.shape != x.shape or b.size == 0:
             raise ValidationError(f"b and x must be equal-length vectors, got {b.shape} and {x.shape}")
-        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(x))):
+        if not (np.isfinite(b).all() and np.isfinite(x).all()):
             raise ValidationError("non-finite spec entries")
         diffs = np.abs(x[:, None] - x[None, :])
         np.fill_diagonal(diffs, np.inf)
@@ -184,9 +184,13 @@ def build_moser_g(datum: RootDatum, point: MoserPoint) -> np.ndarray:
         raise ValidationError(
             f"point rank {qhat.shape} does not match algebra rank {datum.algebra.rank}"
         )
-    x = check_chamber(datum, qhat)
+    return _moser_g(datum, check_chamber(datum, qhat), point.ahat)
+
+
+def _moser_g(datum: RootDatum, x: np.ndarray, ahat: np.ndarray) -> np.ndarray:
+    """build_moser_g's recurrence on a pattern x that check_chamber has already returned."""
     N = datum.size
-    g = np.diag(_full_diagonal(datum, point.ahat))
+    g = np.diag(_full_diagonal(datum, ahat))
     lam = datum.momentum
     for i in range(1, N):
         rhs = lam[i, :i] @ g[:i, :i]
@@ -205,7 +209,7 @@ def momentum_equation_residual(datum: RootDatum, g: np.ndarray, qhat) -> float:
     raises ValidationError.
     """
     g = np.asarray(g)
-    if np.iscomplexobj(g) or np.any(np.triu(g, 1)):
+    if np.iscomplexobj(g) or np.triu(g, 1).any():
         raise ValidationError("the momentum residual takes a real lower-triangular g")
     x = cartan_pattern(datum, np.asarray(qhat, dtype=float))
     upper = g.T.astype(np.longdouble)

@@ -275,6 +275,37 @@ def test_lost_precision_in_forward_map_exits_one(capsys):
     assert "non-generic" not in err
 
 
+def test_json_emitter_spells_every_scalar():
+    payload = {
+        "floats": [float("nan"), float("inf"), -float("inf"), np.float64(0.1), 1.0 / 3.0, -0.0],
+        "ints": (np.int64(-7), 3),
+        "flags": [True, np.bool_(False), None],
+        "empty": {"dict": {}, "list": []},
+        "nested": [[1.5, np.float32(0.5)], [], "x"],
+        "scalar": np.float64(2.0),
+    }
+    assert cli._json_text(payload) == (
+        "{\n"
+        '  "floats": [NaN, Infinity, -Infinity, 0.10000000000000001, 0.33333333333333331, -0],\n'
+        '  "ints": [-7, 3],\n'
+        '  "flags": [true, false, null],\n'
+        '  "empty": {\n'
+        '    "dict": {},\n'
+        '    "list": []\n'
+        "  },\n"
+        '  "nested": [\n'
+        "    [1.5, 0.5],\n"
+        "    [],\n"
+        '    "x"\n'
+        "  ],\n"
+        '  "scalar": 2\n'
+        "}"
+    )
+    # 17 significant digits name the exact double
+    for x in (1.0 / 3.0, np.nextafter(1.0, 2.0), 2.0**-1074, np.finfo(float).max):
+        assert float(cli._json_text(x)) == x
+
+
 def test_byte_determinism(capsys):
     args = ("verify", "--type", "C", "--rank", "2", "--seed", "11", "--points", "2", "--flow-steps", "40")
     _, first, _ = run_cli(capsys, *args)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import todadual.duality
+from todadual import cli
 from todadual.duality import (
     duality_jacobian,
     goldfish_to_toda,
@@ -19,7 +20,7 @@ from todadual.duality import (
 from todadual.errors import DegenerateSpectrumError, DualityResidualError, ValidationError
 from todadual.goldfish import GoldfishPoint, a_from_p, goldfish_gradients, goldfish_hamiltonians
 from todadual.linalg import iwasawa, lower_triangularize, structured_diagonalize
-from todadual.moser import build_moser_g, log_gap_sums
+from todadual.moser import _moser_g, build_moser_g, check_chamber, log_gap_sums
 from todadual.rootsys import AlgebraType, build_root_datum, cartan_pattern
 from todadual.sampling import sample_goldfish, sample_toda, spawn_rng
 from todadual.toda import TodaPoint, build_lax, toda_hamiltonians
@@ -99,8 +100,8 @@ def test_inverse_positions_match_iwasawa_diagonal():
 
 def test_inverse_map_rejects_a_perturbed_bottom_row(monkeypatch):
     # row N-2 off by 1e-6 moves q and so the rebuilt Lax spectrum
-    def perturbed(datum, mp):
-        g = build_moser_g(datum, mp)
+    def perturbed(datum, x, ahat):
+        g = _moser_g(datum, x, ahat)
         g[datum.size - 2] *= 1.0 + 1.0e-6
         return g
 
@@ -109,7 +110,7 @@ def test_inverse_map_rejects_a_perturbed_bottom_row(monkeypatch):
         gp = toda_to_goldfish(datum, sample_toda(datum, spawn_rng(3, n)))
         goldfish_to_toda(datum, gp)
         with monkeypatch.context() as patch:
-            patch.setattr(todadual.duality, "build_moser_g", perturbed)
+            patch.setattr(todadual.duality, "_moser_g", perturbed)
             with pytest.raises(DualityResidualError, match="rebuilt Lax spectrum"):
                 goldfish_to_toda(datum, gp)
 
@@ -237,14 +238,14 @@ def test_jacobian_runs_the_gated_map_once(monkeypatch):
     gp = sample_goldfish(datum, spawn_rng(0, 9000))
     calls = []
 
-    def counted(datum, mp):
-        calls.append(mp)
-        return build_moser_g(datum, mp)
+    def counted(datum, x, ahat):
+        calls.append(x)
+        return _moser_g(datum, x, ahat)
 
-    monkeypatch.setattr(todadual.duality, "build_moser_g", counted)
+    monkeypatch.setattr(todadual.duality, "_moser_g", counted)
     duality_jacobian(datum, gp)
     assert len(calls) == 1
-    assert np.array_equal(calls[0].qhat, gp.qhat)
+    assert np.array_equal(calls[0], cartan_pattern(datum, gp.qhat))
 
 
 @pytest.mark.parametrize(
@@ -272,6 +273,35 @@ def test_one_chamber_evaluation_per_call(monkeypatch, fn, fam, n, expected):
                     monkeypatch.setattr(module, attr, counted)
     fn(datum, gp)
     assert len(calls) == expected
+
+
+def test_each_map_pass_checks_the_chamber_once(monkeypatch, tmp_path):
+    # every todadual binding of check_chamber is counted, whichever module calls it
+    datum = build_root_datum(AlgebraType("B", 3))
+    point = sample_toda(datum, spawn_rng(0, 3))
+    gp = toda_to_goldfish(datum, point)
+    calls = 0
+
+    def counted(datum, qhat):
+        nonlocal calls
+        calls += 1
+        return check_chamber(datum, qhat)
+
+    for name, module in list(sys.modules.items()):
+        if name == "todadual" or name.startswith("todadual."):
+            for attr, value in list(vars(module).items()):
+                if value is check_chamber:
+                    monkeypatch.setattr(module, attr, counted)
+    toda_to_moser(datum, point)
+    assert calls == 1
+    calls = 0
+    goldfish_to_toda(datum, gp)
+    assert calls == 1
+    calls = 0
+    # two forward maps and a p_from_a each, the dual Hamiltonians, one inverse map
+    argv = ["dual-map", "--type", "B", "--rank", "3", "--seed", "0", "--out", str(tmp_path / "out.json")]
+    assert cli.main(argv) == 0
+    assert calls == 6
 
 
 def test_dual_side_overflow_is_named_and_a_nan_mismatch_is_kept(monkeypatch):
