@@ -61,29 +61,27 @@ def check_chamber(datum: RootDatum, qhat: np.ndarray) -> np.ndarray:
 
     Chamber conditions: A needs qhat strictly decreasing; B and C
     additionally need qhat_n > 0; D needs qhat_1 > .. > qhat_{n-1} >
-    |qhat_n| > 0 (the last coordinate may be negative).  Ordering
-    violations raise ChamberError; a satisfied ordering whose margin falls
-    below POLE_TOL raises SingularConfigurationError.
+    |qhat_n| > 0 (the last coordinate may be negative).  The margins are
+    the gaps between consecutive nodes of the pattern, so the last one is
+    qhat_n (to B's middle node 0), 2 qhat_n for C and 2 |qhat_n| for D (to
+    the mirror node).  Ordering violations raise ChamberError; a satisfied
+    ordering whose margin falls below POLE_TOL raises
+    SingularConfigurationError.
     """
     qhat = np.asarray(qhat, dtype=float)
     n = datum.algebra.rank
     if qhat.shape != (n,):
         raise ValidationError(f"expected {n} chamber coordinates, got {qhat.shape}")
-    fam = datum.algebra.family
-    if fam == "A":
-        margins = qhat[:-1] - qhat[1:]
-    elif fam in ("B", "C"):
-        margins = np.concatenate([qhat[:-1] - qhat[1:], qhat[-1:]])
-    else:  # D
-        head = qhat[: n - 1]
-        margins = np.concatenate(
-            [head[:-1] - head[1:], [head[-1] - abs(qhat[-1]), abs(qhat[-1])]]
-        )
+    x = nodes = cartan_pattern(datum, qhat)
+    if datum.algebra.family == "D":
+        # qhat_n's sign is free: |qhat_n| sits between qhat_{n-1} and its mirror
+        nodes = cartan_pattern(datum, np.concatenate([qhat[:-1], np.abs(qhat[-1:])]))
+    margins = nodes[:-1] - nodes[1:]
     if (margins <= 0.0).any():
         raise ChamberError(f"chamber ordering violated: qhat {qhat}")
     if (margins < POLE_TOL).any():
         raise SingularConfigurationError(f"chamber margin below {POLE_TOL:.1e}: qhat {qhat}")
-    return cartan_pattern(datum, qhat)
+    return x
 
 
 @dataclass(frozen=True)

@@ -87,8 +87,8 @@ class RootDatum:
         since every row is symmetric, lax_basis @ vec(G) holds the traces
         Tr(G h_i) and Tr(G (e_alpha + e_{-alpha})).
     lax_gram : ndarray (rank + num_roots, rank + num_roots)
-        lax_basis @ lax_basis.T: the traces against X itself are
-        lax_gram @ [p, w].
+        lax_basis @ lax_basis.T, diagonal because the generators are
+        orthogonal: the traces against X itself are lax_gram @ [p, w].
     momentum : ndarray (N, N)
         Sum of the lowering vectors; strictly lower triangular.
     alpha_coeffs : ndarray (num_roots, rank)

@@ -26,9 +26,12 @@ Tr(G dX) with G = X^{dk-1} / d, and because every generator is symmetric,
 t = lax_basis @ vec(G) holds the traces of G against the generators;
 dH/dp = t[:n] and dH/dq = alpha_coeffs^T (w * t[n:]).
 toda_gradients reads every H_k at once from the stacked power chain.
-For the physical Hamiltonian G is linear in X, t is lax_gram @ [p, w] up
-to the factor, and no N x N matrix is built.  A root weight past the
-float64 range raises ValidationError naming the root.
+For the physical Hamiltonian G is linear in X and the generators are
+orthogonal, so t is the entrywise product of the diagonal of lax_gram with
+[p, w] up to the factor, and no N x N matrix is built.  integrate_flow
+binds the field once per trajectory (_vector_field) and evaluates it on
+its midpoint buffer in every sweep.  A root weight past the float64 range
+raises ValidationError naming the root.
 """
 
 from __future__ import annotations
@@ -104,12 +107,17 @@ def _root_weights(datum: RootDatum, q: np.ndarray) -> np.ndarray:
     # A finite q gives no NaN here (no root pairs two overflowing terms),
     # and a Python max of the few exponents is cheaper than a.max().
     if a.size and not max(a.ravel().tolist()) <= MAX_EXPONENT:
-        flat = int(np.argmax(~(a <= MAX_EXPONENT)))
-        i = flat % datum.num_roots + 1
-        raise ValidationError(
-            f"Lax root weight exp((alpha_{i}, q)) overflows float64: (alpha_{i}, q) = {a.flat[flat]:.6g}"
-        )
+        raise _weight_overflow(datum, a)
     return np.exp(a)
+
+
+def _weight_overflow(datum: RootDatum, a: np.ndarray) -> ValidationError:
+    """The error naming the first root exponent in a = (alpha, q), shape (..., num_roots), past MAX_EXPONENT."""
+    flat = int(np.argmax(~(a <= MAX_EXPONENT)))
+    i = flat % datum.num_roots + 1
+    return ValidationError(
+        f"Lax root weight exp((alpha_{i}, q)) overflows float64: (alpha_{i}, q) = {a.flat[flat]:.6g}"
+    )
 
 
 def _checked_exp(exponents: np.ndarray, name: str) -> np.ndarray:
@@ -215,22 +223,61 @@ def equations_of_motion(datum: RootDatum, point: TodaPoint, k: int):
     The traces t = lax_basis @ vec(G) of G against the symmetric generators
     give dH/dp = t[:n] and dH/dq = alpha_coeffs^T (w * t[n:]) with
     w = exp((alpha, q)); both are divided by the Poisson scale s = d.  For
-    the physical Hamiltonian G is linear in X, so t = lax_gram @ [p, w] up
-    to the factor and X is never built.
+    the physical Hamiltonian G is linear in X and the generators are
+    orthogonal, so t is the entrywise product of the Gram diagonal with
+    [p, w] up to the factor, and X is never built.  The checks run here;
+    the field itself is _vector_field's kernel.
     """
     _check_index(datum, k)
     _check_rank(datum, point)
+    n = datum.algebra.rank
+    out = np.empty(2 * n)
+    _vector_field(datum, k)(point.q, point.p, out)
+    return out[:n], out[n:]
+
+
+def _vector_field(datum: RootDatum, k: int):
+    """Kernel f(q, p, out) writing (dq/dt, dp/dt) of H_k into out, shape (2n,).
+
+    Everything a trajectory keeps fixed is bound once: n, d and the power
+    dk - 1, the root table alpha_coeffs and its negated transpose, and, for
+    the physical Hamiltonian, the diagonal of lax_gram over d^2 (d^2 is a
+    power of two, so the pre-scaling is exact), or else one coords buffer.
+    The kernel checks neither k nor the shapes of q and p; a root weight
+    past the float64 range still raises _root_weights' ValidationError.
+    """
     n, d = datum.algebra.rank, symplectic_scale(datum)
     power = d * k - 1
-    w = _root_weights(datum, point.q)
-    coords = np.concatenate([point.p, w])
+    alpha_t = datum.alpha_coeffs.T
+    # Negating keeps the transposed layout, so the BLAS route and the bits
+    # match -(alpha_coeffs^T @ v); a contiguous copy would change both.
+    neg_alpha_t = -alpha_t
     if power == 1:
-        t = np.dot(datum.lax_gram, coords)
+        gram = datum.lax_gram.diagonal() / (d * d)
+        gram_p, gram_w = gram[:n], gram[n:]
     else:
-        X = np.dot(coords, datum.lax_basis).reshape(datum.size, datum.size)
-        t = np.dot(datum.lax_basis, np.linalg.matrix_power(X, power).ravel())
-    t /= d * d
-    return t[:n], -np.dot(datum.alpha_coeffs.T, w * t[n:])
+        N, basis = datum.size, datum.lax_basis
+        coords = np.empty(n + datum.num_roots)
+
+    def field(q, p, out):
+        a = np.dot(q, alpha_t)
+        # _root_weights' check; a.size guards A1, which has no roots
+        if a.size and not max(a.tolist()) <= MAX_EXPONENT:
+            raise _weight_overflow(datum, a)
+        w = np.exp(a)
+        if power == 1:
+            np.multiply(gram_p, p, out=out[:n])
+            t_w = gram_w * w
+        else:
+            coords[:n], coords[n:] = p, w
+            X = np.dot(coords, basis).reshape(N, N)
+            t = np.dot(basis, np.linalg.matrix_power(X, power).ravel())
+            t /= d * d
+            out[:n] = t[:n]
+            t_w = t[n:]
+        out[n:] = np.dot(neg_alpha_t, w * t_w)
+
+    return field
 
 
 def toda_gradients(datum: RootDatum, point: TodaPoint) -> np.ndarray:
@@ -279,10 +326,11 @@ def integrate_flow(datum: RootDatum, point: TodaPoint, k: int, dt: float, steps:
     n = datum.algebra.rank
     traj = np.empty((steps + 1, 2 * n))
     traj[0, :n], traj[0, n:] = point.q, point.p
-    # One validated point views the midpoint buffer, which the loop
-    # rewrites in place before each field evaluation.
+    # The field is bound once; the loop rewrites the midpoint buffer in
+    # place and the kernel reads its q and p views.
+    vector_field = _vector_field(datum, k)
     mid = traj[0].copy()
-    mid_point = TodaPoint(q=mid[:n], p=mid[n:])
+    mid_q, mid_p = mid[:n], mid[n:]
     field = np.empty(2 * n)
     w = None  # the iterate; None until f(z_0) has been evaluated
 
@@ -290,7 +338,7 @@ def integrate_flow(datum: RootDatum, point: TodaPoint, k: int, dt: float, steps:
         """z + dt * f((z + w)/2): one fixed-point sweep from the iterate w."""
         np.add(z, w, out=mid)
         np.multiply(mid, 0.5, out=mid)
-        field[:n], field[n:] = equations_of_motion(datum, mid_point, k)
+        vector_field(mid_q, mid_p, field)
         return z + dt * field
 
     try:

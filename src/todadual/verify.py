@@ -35,8 +35,8 @@ from .duality import (
     verify_duality_identities,
 )
 from .errors import DualityResidualError, NonGenericPointError, SingularMatrixError, ValidationError
-from .goldfish import a_from_p, d_h1_pairsum_variant, goldfish_hamiltonians
-from .moser import build_moser_g, minor_oracle_mk, moser_momentum_residual
+from .goldfish import _moser_point, d_h1_pairsum_variant, goldfish_hamiltonians
+from .moser import _moser_g, minor_oracle_mk, moser_momentum_residual
 from .poisson import commutativity_matrix
 from .rootsys import RootDatum
 from .sampling import (
@@ -162,7 +162,8 @@ def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 2
 
     def minor_gap(gp):
         values = goldfish_hamiltonians(datum, gp)
-        g = build_moser_g(datum, a_from_p(datum, gp))
+        mp, x, _ = _moser_point(datum, gp)  # one chamber check for the weights and g
+        g = _moser_g(datum, x, mp.ahat)
         # np.max keeps a NaN gap, which Python's max would drop
         return np.max([_relative_gap(values[k - 1], minor_oracle_mk(datum, g, k)) for k in range(1, n + 1)])
 

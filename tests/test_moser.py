@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from todadual.errors import ChamberError, ValidationError
+from todadual.errors import ChamberError, SingularConfigurationError, ValidationError
 from todadual.goldfish import a_from_p
 from todadual.linalg import extended_solve
 from todadual.moser import (
@@ -41,6 +41,19 @@ def test_chamber_acceptance_and_rejection():
         check_chamber(build_root_datum(AlgebraType("C", 2)), np.array([1.0, -0.2]))
     with pytest.raises(ChamberError):
         check_chamber(build_root_datum(AlgebraType("D", 2)), np.array([0.4, 0.5]))
+
+
+def test_last_chamber_margin_is_the_node_gap():
+    # qhat = (1, 6e-9): B's closest nodes are qhat_2 and its middle 0, 6e-9
+    # apart; C's and D's are qhat_2 and -qhat_2, 1.2e-8 apart.
+    qhat = np.array([1.0, 6e-9])
+    with pytest.raises(SingularConfigurationError):
+        check_chamber(build_root_datum(AlgebraType("B", 2)), qhat)
+    for fam in "CD":
+        datum = build_root_datum(AlgebraType(fam, 2))
+        assert np.array_equal(check_chamber(datum, qhat), cartan_pattern(datum, qhat))
+    negative = np.array([1.0, -6e-9])  # D's last coordinate may be negative
+    assert np.array_equal(check_chamber(datum, negative), cartan_pattern(datum, negative))
 
 
 def test_gl2_moser_g_closed_form():

@@ -83,6 +83,8 @@ def test_lax_basis_rows_reproduce_the_generators():
             assert np.array_equal(basis[n:], datum.raising + datum.lowering), (fam, n)
             assert np.array_equal(basis, basis.transpose(0, 2, 1)), (fam, n)
             assert np.array_equal(datum.lax_gram, datum.lax_basis @ datum.lax_basis.T), (fam, n)
+            # orthogonal generators: the quadratic field reads the Gram diagonal entrywise
+            assert np.array_equal(datum.lax_gram, np.diag(datum.lax_gram.diagonal())), (fam, n)
 
 
 def test_momentum_is_sum_of_lowering_and_strictly_lower():

@@ -11,6 +11,7 @@ from todadual.toda import (
     MAX_EXPONENT,
     MIDPOINT_MAX_ITER,
     MIDPOINT_TOL,
+    PREDICTOR,
     TodaPoint,
     build_lax,
     equations_of_motion,
@@ -53,29 +54,36 @@ def dense_equations_of_motion(datum, point, k):
     return dH_dp / s, -dH_dq / s
 
 
-def euler_start_flow(datum, point, k, dt, steps):
-    """Reference midpoint loop: every step iterates from the Euler guess z + dt * f(z)."""
+def reference_flow(datum, point, k, dt, steps, predict):
+    """Reference midpoint loop over the public field, with integrate_flow's sweeps and stopping rule.
+
+    With predict, every step after the fifth starts from the degree-4
+    extrapolation, as integrate_flow's do; otherwise from the Euler guess
+    z + dt * f(z).
+    """
     n = datum.algebra.rank
 
-    def field(z):
-        dq, dp = equations_of_motion(datum, TodaPoint(q=z[:n], p=z[n:]), k)
-        return np.concatenate([dq, dp])
+    def sweep(z, w):
+        mid = (z + w) * 0.5
+        return z + dt * np.concatenate(equations_of_motion(datum, TodaPoint(q=mid[:n], p=mid[n:]), k))
 
     traj = np.empty((steps + 1, 2 * n))
-    z = np.concatenate([point.q, point.p])
-    traj[0] = z
+    traj[0] = np.concatenate([point.q, point.p])
     for step in range(1, steps + 1):
-        w = z + dt * field(z)
+        z = traj[step - 1]
+        if predict and step > PREDICTOR.size:
+            w = np.dot(PREDICTOR, traj[step - PREDICTOR.size : step])
+        else:
+            w = sweep(z, z)
         for _ in range(MIDPOINT_MAX_ITER):
-            w_next = z + dt * field((z + w) / 2.0)
+            w_next = sweep(z, w)
             delta = np.max(np.abs(w_next - w))
             w = w_next
             if delta <= MIDPOINT_TOL:
                 break
         else:
             raise AssertionError(f"reference iteration stalled at step {step}")
-        z = w
-        traj[step] = z
+        traj[step] = w
     return traj
 
 
@@ -144,6 +152,29 @@ def test_equations_of_motion_match_the_dense_einsum_form():
                 got = np.concatenate(equations_of_motion(datum, point, k))
                 want = np.concatenate(dense_equations_of_motion(datum, point, k))
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (fam, n, j, k)
+
+
+def test_equations_of_motion_equal_the_gram_product_bit_for_bit():
+    # Reference: the Gram matvec lax_gram @ [p, w] for the physical
+    # Hamiltonian, the basis traces otherwise, each scaled by d^2 after the
+    # product; pre-scaling the diagonal by the power of two d^2 keeps the bits.
+    for fam, n in ALL_TO_EIGHT:
+        datum = build_root_datum(AlgebraType(fam, n))
+        d = symplectic_scale(datum)
+        for j in range(3):
+            point = sample_toda(datum, spawn_rng(97, 10 * n + j))
+            w = np.exp(np.dot(point.q, datum.alpha_coeffs.T))
+            coords = np.concatenate([point.p, w])
+            for k in range(1, n + 1):
+                if d * k == 2:
+                    t = np.dot(datum.lax_gram, coords)
+                else:
+                    X = np.dot(coords, datum.lax_basis).reshape(datum.size, datum.size)
+                    t = np.dot(datum.lax_basis, np.linalg.matrix_power(X, d * k - 1).ravel())
+                t /= d * d
+                dq, dp = equations_of_motion(datum, point, k)
+                assert np.array_equal(dq, t[:n]), (fam, n, j, k)
+                assert np.array_equal(dp, -np.dot(datum.alpha_coeffs.T, w * t[n:])), (fam, n, j, k)
 
 
 def test_toda_gradients_match_the_dense_einsum_form():
@@ -400,26 +431,48 @@ def test_midpoint_steps_solve_the_midpoint_equation(fam, n):
             mid = (z + z_next) / 2.0
             f = np.concatenate(equations_of_motion(datum, TodaPoint(q=mid[:n], p=mid[n:]), k))
             assert np.max(np.abs(z_next - z - dt * f)) <= MIDPOINT_TOL
-        reference = euler_start_flow(datum, point, k, dt, 1000)
+        reference = reference_flow(datum, point, k, dt, 1000, predict=False)
         assert np.max(np.abs(traj - reference)) <= 1e-11
+
+
+FLOW_ALGEBRAS = [("A", 4), ("A", 8), ("B", 4), ("C", 6), ("D", 5), ("D", 8)]
 
 
 def test_predictor_settles_a_step_in_one_field_evaluation(monkeypatch):
     calls = 0
-    field = toda.equations_of_motion
+    bind = toda._vector_field
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return field(*args, **kwargs)
+    def counted_binding(datum, k):
+        kernel = bind(datum, k)
 
-    monkeypatch.setattr(toda, "equations_of_motion", counted)
-    for fam, n in [("A", 4), ("A", 8), ("B", 4), ("C", 6), ("D", 5), ("D", 8)]:
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return kernel(*args)
+
+        return counted
+
+    monkeypatch.setattr(toda, "_vector_field", counted_binding)
+    for fam, n in FLOW_ALGEBRAS:
         datum = build_root_datum(AlgebraType(fam, n))
         point = sample_flow_toda(datum, spawn_rng(67, n))
         calls = 0
         integrate_flow(datum, point, quadratic_index(datum), dt=1e-3, steps=1000)
         assert 1000 <= calls <= 1.1 * 1000, f"{fam}{n}: {calls} field evaluations over 1000 steps"
+
+
+@pytest.mark.parametrize(
+    "fam,n,k,steps",
+    [(fam, n, None, 1000) for fam, n in FLOW_ALGEBRAS] + [("A", 4, 3, 50), ("B", 4, 2, 50), ("C", 6, 3, 50), ("D", 5, 4, 50)],
+)
+def test_bound_field_flow_equals_the_public_field_loop(fam, n, k, steps):
+    # The kernel bound once per trajectory gives the same bits as the
+    # checked public field evaluated afresh in every sweep.
+    datum = build_root_datum(AlgebraType(fam, n))
+    k = quadratic_index(datum) if k is None else k
+    point = sample_flow_toda(datum, spawn_rng(89, n))
+    traj = integrate_flow(datum, point, k, dt=1e-3, steps=steps)
+    assert np.array_equal(traj, reference_flow(datum, point, k, 1e-3, steps, predict=True))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

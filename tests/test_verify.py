@@ -7,6 +7,7 @@ import pytest
 
 import todadual.verify
 from todadual.errors import ChamberError, SingularMatrixError, ValidationError
+from todadual.moser import check_chamber
 from todadual.rootsys import AlgebraType, build_root_datum
 from todadual.verify import RANK_CAP, SLOTS, TOLERANCES, run_suite
 
@@ -209,3 +210,22 @@ def test_every_point_skipped_fails(monkeypatch):
     assert record["worst_residual"] == float("inf")
     assert not record["passed"]
     assert record["note"].startswith("3 non-generic draw(s) skipped (0: qhat on a chamber wall")
+
+
+def test_minor_gap_checks_the_chamber_once_per_point(monkeypatch):
+    # every todadual binding of check_chamber is counted, whichever module
+    # calls it; minor_gap checks each of its 8 points once
+    calls = 0
+
+    def counted(datum, qhat):
+        nonlocal calls
+        calls += 1
+        return check_chamber(datum, qhat)
+
+    for name, module in list(sys.modules.items()):
+        if name == "todadual" or name.startswith("todadual."):
+            for attr, value in list(vars(module).items()):
+                if value is check_chamber:
+                    monkeypatch.setattr(module, attr, counted)
+    run_suite(build_root_datum(AlgebraType("B", 2)), seed=0)
+    assert calls == 79
