@@ -137,13 +137,13 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _datum_for(args, enumerates_minors: bool = False) -> RootDatum:
-    """Root datum of --type/--rank; warns above RANK_CAP for commands that enumerate minors."""
+def _datum_for(args, runs_duality_maps: bool = False) -> RootDatum:
+    """Root datum of --type/--rank; warns above RANK_CAP for commands that run the duality maps."""
     datum = build_root_datum(AlgebraType(args.type, args.rank))
-    if enumerates_minors and args.rank > RANK_CAP:
+    if runs_duality_maps and args.rank > RANK_CAP:
         print(
             f"warning: rank {args.rank} exceeds the desk-scale bound {RANK_CAP}; "
-            "minor enumeration cost grows combinatorially",
+            "the forward map's bottom-row gate fails on more draws as the rank grows",
             file=sys.stderr,
         )
     return datum
@@ -209,7 +209,7 @@ def cmd_lax(args) -> tuple[int, str]:
 
 def cmd_verify(args) -> tuple[int, str]:
     _require_format(args, ("json",), "verify")
-    datum = _datum_for(args, enumerates_minors=True)
+    datum = _datum_for(args, runs_duality_maps=True)
     seed = _resolve_seed(args)
     report = run_suite(datum, seed, npoints=args.points, flow_steps=args.flow_steps)
     report["header"] = {
@@ -224,7 +224,7 @@ def cmd_verify(args) -> tuple[int, str]:
 
 def cmd_dual_map(args) -> tuple[int, str]:
     _require_format(args, ("json",), "dual-map")
-    datum = _datum_for(args, enumerates_minors=True)
+    datum = _datum_for(args, runs_duality_maps=True)
     point, seed = _toda_point(args, datum)
     kmax = args.kmax if args.kmax is not None else datum.algebra.rank
     gp = toda_to_goldfish(datum, point)

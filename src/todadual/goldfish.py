@@ -5,25 +5,28 @@ and the momenta are related by a canonical change of variables whose
 chamber factor F_i is a product of gaps of the diagonal pattern x (one
 moser.log_gap_sums row) that stays positive on the whole chamber;
 ahat_i = exp(phat_i) sqrt(F_i).  One chamber evaluation per call,
-_half_log_factors, gives x, log F / 2 and its qhat-derivative to the maps,
-the minor engine and both Jacobians (here and in duality).
+_half_log_factors, gives x, log F / 2 and its qhat-derivative to the maps
+and to the inverse map's Jacobian (in duality).
 
 The dual Hamiltonian H-hat_k is the bottom-right k x k principal minor of
 g g^dagger for the lower-triangular momentum-equation solution g.  By the
 Cauchy-Binet theorem it is the sum over column sets S of the squared k x k
-minors of the bottom k rows of g.  Those rows are rows of the Cauchy-type
-matrix of moser.ruijsenaars_spec_for, whose minors factor in product form
-(moser.signed_log_minors), so every H-hat_k of every family is one masked
-sum over the subsets of the columns.  The only exception is the top
-invariant of family D, whose bottom n rows start with the fused-root row;
-each maximal minor there is a Laplace expansion along that row against the
-product-form (n-1)-minors below it, whose entries are gap products too.
-goldfish_gradients differentiates the same sums exactly, through
-moser.log_minor_gradients, the log_gap_sums gradients and the pattern.
+minors of the bottom k rows of g, and those minors factor in product form
+(moser.closed_form_minor), so the sum is Heine's Hankel determinant
+det[sum_c u_c^2 x_c^(i+j)]_{i,j<k} of the positive measure
+sum_c u_c^2 delta_{x_c}, with u the moduli of the bottom row of g:
+u_c^2 = exp(2 pattern(phat)_c) / prod_j |x_c - x_j| over the nodes j != c
+(less D's mirror node).  One Lanczos pass on diag(x) from u gives every
+H-hat_k as a product of orthogonal-polynomial norms (_heine_pass), with no
+g built and no subsets enumerated.  The only exception is the top invariant
+of family D, whose bottom n rows start with the fused-root row: it is
+H-hat_{n-1} times the squared distance of that row from the span of the
+n-1 Lanczos vectors.  goldfish_gradients differentiates the same pass
+exactly.
 
 The values are verified against an independent minor oracle,
-moser.minor_oracle_mk (the Gram minors of the bottom rows from their QR), in
-the tests and in `todadual verify`.
+moser.minor_oracle_mk (the Gram minors of the bottom rows of g from their
+QR), in the tests and in `todadual verify`.
 """
 
 from __future__ import annotations
@@ -35,15 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SingularConfigurationError, ValidationError
-from .moser import (
-    MoserPoint,
-    check_chamber,
-    log_gap_sums,
-    log_minor_gradients,
-    node_tables,
-    ruijsenaars_spec_for,
-    signed_log_minors,
-)
+from .moser import MoserPoint, check_chamber, log_gap_sums, node_tables
 from .rootsys import RootDatum
 from .toda import _checked_exp
 
@@ -125,88 +120,103 @@ def _subset_masks(n: int, k: int) -> np.ndarray:
     return mask
 
 
-@lru_cache(maxsize=None)
-def _stacked_masks(m: int, kmax: int):
-    """_subset_masks(m, k) for k = 1..kmax stacked, with the first row of each block."""
-    blocks = [_subset_masks(m, k) for k in range(1, kmax + 1)]
-    starts = np.cumsum([0] + [block.shape[0] for block in blocks[:-1]])
-    masks = np.vstack(blocks)
-    masks.flags.writeable = starts.flags.writeable = False  # shared by every caller
-    return masks, starts
+def _residual(Q: np.ndarray, w: np.ndarray):
+    """(w less its projection on the orthonormal columns of Q, the residual's norm).
 
-
-@lru_cache(maxsize=None)
-def _laplace_tables(m: int, k: int):
-    """Laplace expansion of every k-subset minor along its first row.
-
-    For row t of _subset_masks(m, k) and position i of its sorted columns:
-    the column cols[t, i], the sign parity[i] = (-1)^i, and the row
-    rest[t, i] of _subset_masks(m, k - 1) that holds the other columns.
+    The projection repeats until a sweep no longer shrinks w by 1/sqrt(2):
+    twice when nodes and weights are of one scale, more while rounding noise
+    on the heavy nodes still hides a residual carried by far lighter ones.
+    Norms are hypot reductions, so squares of tiny entries do not underflow.
     """
-    top = _subset_masks(m, k)
-    cols = np.nonzero(top)[1].reshape(-1, k)
-    bits = np.left_shift(1, np.arange(m, dtype=np.int64))
-    rest_codes = (top.astype(np.int64) @ bits)[:, None] - bits[cols]
-    lower_codes = _subset_masks(m, k - 1).astype(np.int64) @ bits
-    order = np.argsort(lower_codes)
-    rest = order[np.searchsorted(lower_codes, rest_codes, sorter=order)]
-    cols.flags.writeable = rest.flags.writeable = False  # shared by every caller
-    return cols, (-1.0) ** np.arange(k), rest
+    norm = np.hypot.reduce(w)
+    while True:
+        w = w - Q @ (Q.T @ w)
+        before, norm = norm, np.hypot.reduce(w)
+        if not 0.0 < norm < np.sqrt(0.5) * before:
+            return w, norm
 
 
-def _minor_terms(datum: RootDatum, point: GoldfishPoint, kmax: int):
-    """The evaluation goldfish_hamiltonians sums and goldfish_gradients chains.
+def _heine_pass(datum: RootDatum, point: GoldfishPoint, kmax: int):
+    """(log H-hat_k, d log H-hat_k / d(phat, qhat)) for k = 1..kmax from one Lanczos pass.
 
-    Returns (spec, masks, starts, logabs, half_dlog_F, laplace): the
-    product-form log minors of the spec over every column subset of sizes
-    1..kmax (at most n-1 for family D), stacked as in _stacked_masks, and
-    _moser_point's d(log F / 2) / d qhat.  For the D top invariant
-    (kmax = n), laplace = (cols, rest, terms, row_grad): terms[t, i] is the
-    i-th term of maximal minor t expanded along the fused-root row (row n
-    of g; at unit weights -1 / ((q_j + q_{n-1}) prod_{j<k<n-1} (q_j - q_k))
-    for j < n-1 and 1 in column n), rest indexes the (n-1)-subset block and
-    row_grad is the x-gradient of the row's fused_row log_gap_sums; else None.
+    H-hat_k is the Hankel determinant of the measure sum_c u_c^2 delta_{x_c}
+    with log u = pattern(phat) + the weights row of log_gap_sums: k steps of
+    Lanczos on diag(x) from u give its monic orthogonal polynomials pi_i, and
+    log H-hat_k = 2 sum_{i<k} log||pi_i||.  The pass runs in units of
+    max(u) and reorthogonalises every step (_residual).  With Q the
+    Lanczos vectors and Q' their x-derivatives at fixed u,
+    beta_{i+1} Q'_{i+1} = Q_i + (x - alpha_i) Q'_i - beta_i Q'_{i-1},
+    d log H-hat_k = 2 sum_{i<k} (Q_ci^2 d log u_c + Q_ci Q'_ci dx_c).
+    D's top invariant (kmax = n) is H-hat_{n-1} ||r||^2, with r the
+    fused-root row f (its modulus, f = u times the fused_row gaps) projected
+    off the n-1 Lanczos vectors, and
+    d||r||^2 = 2 sum_c r_c (r_c d log u_c + f_c d log(f_c / u_c) - (Q' Q^T f)_c dx_c).
+    When the weights not yet spanned underflow next to max(u), the
+    residual vanishes, the pass stops and the remaining H-hat_k come out 0.
     """
-    n = datum.algebra.rank
-    mp, x, half_dlog_F = _moser_point(datum, point)
-    spec = ruijsenaars_spec_for(datum, mp)
-    fused = datum.algebra.family == "D"
-    masks, starts = _stacked_masks(spec.size, min(kmax, n - 1) if fused else kmax)
-    sign, logabs = signed_log_minors(spec, masks)
-    laplace = None
-    if fused and kmax == n:
-        cols, parity, rest = _laplace_tables(spec.size, n)
-        log_gaps, row_grad = log_gap_sums(x, node_tables(datum.algebra).fused_row)
-        row = np.zeros(2 * n)
-        row[: n - 1] = -np.exp(log_gaps) * mp.ahat[: n - 1]
-        row[n] = 1.0 / mp.ahat[-1]
-        below = starts[-1]
-        terms = parity * row[cols] * sign[rest + below] * np.exp(logabs[rest + below])
-        laplace = (cols, rest, terms, row_grad)
-    return spec, masks, starts, logabs, half_dlog_F, laplace
+    n, N, P = datum.algebra.rank, datum.size, datum.pattern
+    tables = node_tables(datum.algebra)
+    x = check_chamber(datum, point.qhat)
+    log_gaps, gaps_grad = log_gap_sums(x, tables.weights)
+    log_u = P @ point.phat + log_gaps
+    top = kmax == n and tables.fused_row.size > 0  # only D has a fused-root row
+    m = kmax - top
+    Q, dQ, beta = np.zeros((N, m)), np.zeros((N, m)), np.zeros(m)
+    scale = log_u.max()
+    u = np.exp(log_u - scale)
+    beta[0] = np.hypot.reduce(u)
+    Q[:, 0] = u / beta[0]
+    for i in range(1, m):
+        w = x * Q[:, i - 1]
+        alpha = Q[:, i - 1] @ w
+        w, norm = _residual(Q[:, :i], w)
+        if norm == 0.0:
+            break
+        beta[i] = norm
+        Q[:, i] = w / beta[i]
+        back = beta[i - 1] * dQ[:, i - 2] if i > 1 else 0.0
+        dQ[:, i] = (Q[:, i - 1] + (x - alpha) * dQ[:, i - 1] - back) / beta[i]
+    with np.errstate(divide="ignore"):
+        log_h = 2.0 * np.cumsum(scale + np.cumsum(np.log(beta)))
+    # coefficients of d log u and dx in each d log H-hat_k
+    cu = 2.0 * np.cumsum(Q**2, axis=1).T
+    cx = 2.0 * np.cumsum(Q * dQ, axis=1).T
+    if top:
+        f_gaps, f_grad = log_gap_sums(x, tables.fused_row)
+        support = np.flatnonzero(tables.fused_row.any(axis=1))
+        log_f = log_u[support] + f_gaps[support]
+        f = np.zeros(N)
+        f[support] = np.exp(log_f - log_f.max())
+        r, norm = _residual(Q, f)
+        log_h = np.append(log_h, log_h[-1] + 2.0 * (log_f.max() + np.log(norm)))
+        r /= norm
+        top_x = ((r * f)[: n + 1] @ f_grad - r * (dQ @ (Q.T @ f))) / norm
+        cu = np.vstack([cu, cu[-1] + 2.0 * r * r])
+        cx = np.vstack([cx, cx[-1] + 2.0 * top_x])
+    return log_h, np.hstack([cu @ P, (cu @ gaps_grad + cx) @ P])
+
+
+def _checked_values(log_h: np.ndarray) -> np.ndarray:
+    """exp(log_h), or ValidationError naming the first H-hat_k past the float64 range."""
+    with np.errstate(over="ignore"):
+        values = np.exp(log_h)
+    if not np.isfinite(values).all():
+        k = int(np.argmin(np.isfinite(values))) + 1
+        raise ValidationError(f"dual Hamiltonian H-hat_{k}, a sum of squared minors, overflows float64")
+    return values
 
 
 def goldfish_hamiltonians(datum: RootDatum, point: GoldfishPoint, kmax: int | None = None) -> np.ndarray:
     """Dual Hamiltonians (H-hat_1, ..., H-hat_kmax) = m_k(g g^dagger); kmax defaults to the rank.
 
-    One product-form minor evaluation over all column subsets of sizes
-    1..kmax (at most n-1 for family D), summed per size; the D top
-    invariant expands each maximal minor along the fused-root row.  A value
-    past the float64 range raises ValidationError naming it.
+    One Lanczos pass on the Moser measure (_heine_pass).  A value past the
+    float64 range raises ValidationError naming it.
     """
     n = datum.algebra.rank
     kmax = n if kmax is None else int(kmax)
     if not 1 <= kmax <= n:
         raise ValidationError(f"kmax must lie in 1..{n}, got {kmax}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, _, starts, logabs, _, laplace = _minor_terms(datum, point, kmax)
-        values = np.add.reduceat(np.exp(2.0 * logabs), starts)
-        if laplace is not None:
-            values = np.append(values, np.sum(laplace[2].sum(axis=1) ** 2))
-    if not np.isfinite(values).all():
-        k = int(np.argmin(np.isfinite(values))) + 1
-        raise ValidationError(f"dual Hamiltonian H-hat_{k}, a sum of squared minors, overflows float64")
-    return values
+    return _checked_values(_heine_pass(datum, point, kmax)[0])
 
 
 def goldfish_hamiltonian(datum: RootDatum, point: GoldfishPoint, k: int) -> float:
@@ -220,37 +230,12 @@ def goldfish_hamiltonian(datum: RootDatum, point: GoldfishPoint, k: int) -> floa
 def goldfish_gradients(datum: RootDatum, point: GoldfishPoint) -> np.ndarray:
     """Exact gradients of (H-hat_1, ..., H-hat_n): row k-1 is dH-hat_k in (phat, qhat) order.
 
-    The same minor evaluation as goldfish_hamiltonians: each H-hat_k is a
-    sum of squared minors exp(2 l_S), so dH-hat_k = sum_S 2 exp(2 l_S) dl_S,
-    with dl_S from moser.log_minor_gradients chained through the spec's
-    dependence on (phat, qhat): log ahat = phat + log F / 2, log|b| =
-    pattern(log ahat) (+ log 2|qhat_c| for D) and x = sigma pattern(qhat).
-    The D top invariant sum_T M_T^2, with M_T the Laplace sum of row_c
-    times the (n-1)-minors below, takes dM_T term by term as
-    (row_c minor) (d log|row_c| + dl_rest).
+    The same pass as goldfish_hamiltonians, differentiated exactly:
+    dH-hat_k = H-hat_k d log H-hat_k, chained through log u = pattern(phat)
+    + log_gap_sums(x) and x = pattern(qhat).
     """
-    n = datum.algebra.rank
-    spec, masks, starts, logabs, half_dlog_F, laplace = _minor_terms(datum, point, n)
-    dl = log_minor_gradients(spec, masks)
-    spec_grads = np.add.reduceat(2.0 * np.exp(2.0 * logabs)[:, None] * dl, starts)
-    P, sigma = datum.pattern, node_tables(datum.algebra).sigma
-    dL = np.hstack([np.eye(n), half_dlog_F])  # d log ahat / d(phat, qhat)
-    spec_jacobian = np.vstack([P @ dL, np.hstack([np.zeros_like(P), sigma * P])])
-    if laplace is None:
-        return spec_grads @ spec_jacobian
-    cols, rest, terms, row_grad = laplace
-    spec_jacobian[:n, n:] += np.diag(1.0 / point.qhat)  # D's log 2|qhat_c| in log|b|
-    below = starts[-1]
-    u = 2.0 * terms.sum(axis=1, keepdims=True) * terms  # 2 M_T times each Laplace term
-    rest_weights = np.bincount(rest.ravel(), weights=u.ravel(), minlength=masks.shape[0] - below)
-    out = np.vstack([spec_grads, rest_weights @ dl[below:]]) @ spec_jacobian
-    # d log|row_c| / d(phat, qhat) of the fused-root row, zero at its zero entries
-    row_jacobian = np.zeros((2 * n, 2 * n))
-    row_jacobian[: n - 1] = dL[: n - 1]
-    row_jacobian[: n - 1, n:] += row_grad @ P
-    row_jacobian[n] = -dL[n - 1]
-    out[-1] += np.bincount(cols.ravel(), weights=u.ravel(), minlength=spec.size) @ row_jacobian
-    return out
+    log_h, dlog_h = _heine_pass(datum, point, datum.algebra.rank)
+    return _checked_values(log_h)[:, None] * dlog_h
 
 
 def _cross_products(F: np.ndarray, k: int):

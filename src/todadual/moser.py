@@ -10,12 +10,16 @@ with lam the principal lowering element.  Row by row this is a triangular
 linear recurrence, so g is built directly, no decomposition needed.  The
 bottom rows of g coincide (up to fixed column signs absorbed into the weight
 vector) with rows of a rational Cauchy-type matrix built from weights b and
-nodes x; its maximal minors against the bottom rows factor in closed form,
-which is what makes the dual Hamiltonians explicit.
+nodes x (ruijsenaars_spec_for).  Its minors against the bottom rows factor
+in product form (closed_form_minor), and by Cauchy-Binet the sum of their
+squares over the column sets of one size is a Hankel determinant of one
+positive measure on the nodes, the dual Hamiltonian that goldfish evaluates
+by a Lanczos pass.
 
 Its nodes are pattern(qhat) up to a sign.  The chamber factors, the
-unit-weight bottom row and D's fused-root row are node-gap products too:
-log_gap_sums reads each as sum_j C_ij log|x_i - x_j| over a node_tables table.
+unit-weight bottom row, the measure's weights and D's fused-root row are
+node-gap products too: log_gap_sums reads each as sum_j C_ij log|x_i - x_j|
+over a node_tables table.
 """
 
 from __future__ import annotations
@@ -114,52 +118,24 @@ class RuijsenaarsMatrixSpec:
         return self.b.size
 
 
-def signed_log_minors(spec: RuijsenaarsMatrixSpec, masks: np.ndarray):
-    """Sign and log-modulus of bottom-row minors, one per 0/1 column mask.
-
-    Row t of `masks` selects a column set S of size k; the minor of the
-    bottom k rows of the matrix against S equals
-    prod_{c in S} b_c / prod_{c in S} prod_{j > c, j not in S} (x_c - x_j),
-    derived by row-reducing the Cauchy-type columns.  Returns (sign, log|minor|).
-    """
-    S = np.asarray(masks, dtype=float)
-    diff = spec.x[:, None] - spec.x[None, :]
-    later = np.triu(np.ones(diff.shape, dtype=bool), k=1)  # pairs j > c
-    logden = np.log(np.abs(np.where(later, diff, 1.0)))
-    flipden = later & (diff < 0.0)
-    out = 1.0 - S
-    logabs = S @ np.log(np.abs(spec.b)) - ((S @ logden) * out).sum(axis=1)
-    flips = S @ (spec.b < 0.0) + ((S @ flipden) * out).sum(axis=1)
-    return 1.0 - 2.0 * (np.rint(flips) % 2.0), logabs
-
-
-def log_minor_gradients(spec: RuijsenaarsMatrixSpec, masks: np.ndarray) -> np.ndarray:
-    """Exact d log|minor| / d(log|b|, x) of signed_log_minors, one row per mask.
-
-    The first spec.size columns are the mask itself (d/d log|b_c| = S_c);
-    the rest are d/dx_m = -S_m sum_{j>m} (1-S_j)/(x_m-x_j)
-    + (1-S_m) sum_{c<m} S_c/(x_c-x_m).
-    """
-    S = np.asarray(masks, dtype=float)
-    diff = spec.x[:, None] - spec.x[None, :]
-    later = np.triu(np.ones(diff.shape, dtype=bool), k=1)  # pairs j > c
-    U = np.where(later, 1.0 / np.where(later, diff, 1.0), 0.0)
-    out = 1.0 - S
-    return np.hstack([S, out * (S @ U) - S * (out @ U.T)])
-
-
 def closed_form_minor(spec: RuijsenaarsMatrixSpec, cols) -> float:
-    """Minor of the bottom k rows of the matrix against columns `cols`."""
+    """Minor of the bottom k rows of the matrix against columns `cols`.
+
+    The product over c in S = cols of b_c / prod_{j > c, j not in S} (x_c - x_j),
+    derived by row-reducing the Cauchy-type columns.
+    """
     cols = tuple(cols)
     m = spec.size
     if len(cols) == 0 or list(cols) != sorted(set(cols)):
         raise ValidationError(f"cols must be nonempty, sorted, distinct, got {cols}")
     if cols[0] < 0 or cols[-1] >= m:
         raise ValidationError(f"cols out of range 0..{m - 1}: {cols}")
-    mask = np.zeros((1, m))
-    mask[0, list(cols)] = 1.0
-    sign, logabs = signed_log_minors(spec, mask)
-    return float(sign[0] * np.exp(logabs[0]))
+    outside = np.ones(m, dtype=bool)
+    outside[list(cols)] = False
+    value = 1.0
+    for c in cols:
+        value *= spec.b[c] / np.prod(spec.x[c] - spec.x[c + 1 :][outside[c + 1 :]])
+    return float(value)
 
 
 def _full_diagonal(datum: RootDatum, ahat: np.ndarray) -> np.ndarray:
@@ -229,9 +205,9 @@ def minor_oracle_mk(datum: RootDatum, g: np.ndarray, k: int) -> float:
 
     The minor is the Gram determinant of the bottom k rows of g, which is
     prod |R_ii|^2 of linalg.bottom_row_qr; the row-sorted QR keeps the
-    digits a double-precision Gram determinant loses.  It shares no code
-    with the product-form minors behind the closed-form dual Hamiltonians,
-    so it serves as their independent oracle.
+    digits a double-precision Gram determinant loses.  It reads g, which
+    the Lanczos pass behind the dual Hamiltonians never builds, so it
+    serves as their independent oracle.
     """
     g = np.asarray(g)
     N = datum.size
@@ -259,7 +235,7 @@ def ruijsenaars_spec_for(datum: RootDatum, point: MoserPoint) -> RuijsenaarsMatr
     return RuijsenaarsMatrixSpec(b=b, x=sigma * cartan_pattern(datum, point.qhat))
 
 
-NodeTables = namedtuple("NodeTables", "sigma chamber bottom_row fused_row")
+NodeTables = namedtuple("NodeTables", "sigma chamber bottom_row weights fused_row")
 
 
 @lru_cache(maxsize=None)
@@ -267,23 +243,30 @@ def node_tables(algebra: AlgebraType) -> NodeTables:
     """Read-only tables over the diagonal pattern x = datum.pattern @ qhat, built once per algebra.
 
     The spec nodes are sigma x.  The rest are log_gap_sums tables: the
-    chamber factors (sign(j - i)), the unit bottom row (-1 for j > c), both
-    less D's mirror pair 2|qhat_c|, and D's unit fused-root row (-1 for
-    c < j < n - 1 and j = n; no rows for A, B, C).  Each has one row per
-    node i and one column per node j of the N = matrix_size(algebra) nodes.
+    chamber factors (sign(j - i)) and the unit bottom row (-1 for j > c),
+    one row per coordinate; the goldfish weights (-1/2 for j != c), one row
+    per node; all three less D's mirror pairs 2|qhat_c|.  D's fused-root
+    row is read against those weights: +1 for j = n - 1 and for the
+    mirrors j > n of the nodes c' < n - 1 other than c, on rows c < n - 1;
+    +1 for j > n on row n; row n - 1, where the fused row vanishes, is zero
+    (no rows for A, B, C).  Each table has one column per node j of the
+    N = matrix_size(algebra) nodes.
     """
     n, N = algebra.rank, matrix_size(algebra)
     chamber = np.sign(np.arange(N) - np.arange(n)[:, None]).astype(float)
     bottom_row = np.where(chamber > 0.0, -1.0, 0.0)
+    weights = -0.5 * (1.0 - np.eye(N))
     fused_row = np.zeros((0, N))
     if algebra.family == "D":
         mirror = (np.arange(n), N - 1 - np.arange(n))
-        chamber[mirror] = bottom_row[mirror] = 0.0
-        fused_row = np.where(np.arange(N) < n - 1, bottom_row[: n - 1], 0.0)
-        fused_row[:, n] = -1.0
-    for table in (chamber, bottom_row, fused_row):
+        chamber[mirror] = bottom_row[mirror] = weights[mirror] = weights[mirror[::-1]] = 0.0
+        fused_row = np.zeros((n + 1, N))
+        fused_row[np.r_[: n - 1, n], n + 1 :] = 1.0
+        fused_row[: n - 1, n - 1] = 1.0
+        fused_row[mirror[0][: n - 1], mirror[1][: n - 1]] = 0.0
+    for table in (chamber, bottom_row, weights, fused_row):
         table.flags.writeable = False
-    return NodeTables(1.0 if algebra.family == "A" else -1.0, chamber, bottom_row, fused_row)
+    return NodeTables(1.0 if algebra.family == "A" else -1.0, chamber, bottom_row, weights, fused_row)
 
 
 def log_gap_sums(x: np.ndarray, table: np.ndarray):

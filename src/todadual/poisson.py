@@ -5,8 +5,8 @@ Both families live on a phase space with the bracket
 per-family symplectic scale (1 for A, 2 for B/C/D).  The commutativity
 matrix pairs exact gradients of the whole Hamiltonian vector, one engine
 call per point: toda.toda_gradients differentiates the trace powers
-through the Lax power chain, goldfish.goldfish_gradients the closed-form
-minors.
+through the Lax power chain, goldfish.goldfish_gradients the Lanczos pass
+on the Moser measure that gives the dual Hamiltonians.
 """
 
 from __future__ import annotations

@@ -10,12 +10,12 @@ minor of the rank-2 C chain), and the overall verdict.
 Every sampled property runs through one per-point loop with one failure
 policy: a non-generic draw is skipped, a residual failure or a singular
 matrix marks its point broken, and either is named in the record's note by
-its point index; a non-finite residual breaks its point too.  The
-closed-form dual Hamiltonians are checked against moser.minor_oracle_mk,
-the QR route to the same Gram minors.  Both commutativity properties pair
-exact gradients (poisson.commutativity_matrix), and the symplectomorphism
-check differentiates the inverse map exactly in forward mode; no property
-runs a finite-difference stencil.
+its point index; a non-finite residual breaks its point too.  The dual
+Hamiltonians, one Lanczos pass on the Moser measure, are checked against
+moser.minor_oracle_mk, the QR of the bottom rows of g.  Both commutativity
+properties pair exact gradients (poisson.commutativity_matrix), and the
+symplectomorphism check differentiates the inverse map exactly in forward
+mode; no property runs a finite-difference stencil.
 
 Counters are allocated as 1000 * property_slot + point_index, so any
 reported point can be resampled in isolation.
@@ -205,7 +205,8 @@ def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 2
 
     per_point("toda-momentum-residual", npoints, sample_toda, partial(toda_momentum_residual, datum))
     per_point("moser-momentum-residual", npoints, sample_moser, partial(moser_momentum_residual, datum))
-    per_point("closed-form-vs-minor-oracle", npoints, sample_goldfish, minor_gap)
+    minor_note = "Lanczos pass on the Moser measure against the QR of g's bottom rows"
+    per_point("closed-form-vs-minor-oracle", npoints, sample_goldfish, minor_gap, minor_note)
     if fam != "A":
         per_point("odd-trace-vanishing", npoints, sample_toda, odd_trace)
     per_point("duality-identities", npoints, sample_toda, duality_mismatch)
@@ -244,7 +245,7 @@ def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 2
                     "phat": [float(v) for v in gp.phat],
                     "counter": COUNTER_STRIDE * SLOTS["discrepancy-log"] + j,
                     "note": "sum-over-pairs first invariant disagrees with the minor "
-                    "oracle; the oracle-backed closed form is what the library evaluates",
+                    "oracle; the oracle-backed Lanczos pass is what the library evaluates",
                 }
             )
     if fam == "C" and n == 2:
@@ -280,6 +281,6 @@ def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 2
     if n > RANK_CAP:
         report["header"]["rank_cap_warning"] = (
             f"rank {n} exceeds the desk-scale bound {RANK_CAP}; "
-            "subset enumeration cost grows combinatorially"
+            "the forward map's bottom-row gate fails on more draws as the rank grows"
         )
     return report

@@ -252,7 +252,7 @@ def test_jacobian_runs_the_gated_map_once(monkeypatch):
     "fn, fam, n, expected",
     [
         (goldfish_gradients, "B", 3, 1),
-        (goldfish_gradients, "D", 4, 2),  # the chamber and the fused-root row
+        (goldfish_gradients, "D", 4, 2),  # the weights and the fused-root row
         (duality_jacobian, "C", 3, 1),
     ],
 )

@@ -12,13 +12,14 @@ from todadual.goldfish import (
     a_from_p,
     chamber_factors,
     d_h1_pairsum_variant,
+    goldfish_gradients,
     goldfish_hamiltonian,
     goldfish_hamiltonian_signed_A,
     goldfish_hamiltonians,
     p_from_a,
     rs_hamiltonian_A,
 )
-from todadual.moser import build_moser_g, minor_oracle_mk
+from todadual.moser import build_moser_g, closed_form_minor, minor_oracle_mk, ruijsenaars_spec_for
 from todadual.rootsys import FAMILIES, AlgebraType, build_root_datum
 from todadual.sampling import sample_goldfish, sample_moser, spawn_rng
 
@@ -147,16 +148,34 @@ def test_closed_forms_match_minor_oracle():
                 closed = goldfish_hamiltonian(datum, gp, k)
                 assert abs(closed - oracle) < 1e-8 * max(1.0, abs(oracle))
     # rank-8 draws of the seed-0 verify property, whose Gram blocks are so
-    # ill-conditioned that a double-precision determinant loses 8 digits
-    for fam in ("B", "C", "D"):
-        datum = build_root_datum(AlgebraType(fam, 8))
+    # ill-conditioned that a double-precision determinant loses 8 digits,
+    # and rank-10 draws past the verify rank cap
+    for fam, n in [("B", 8), ("C", 8), ("D", 8), ("A", 10), ("B", 10), ("C", 10), ("D", 10)]:
+        datum = build_root_datum(AlgebraType(fam, n))
         for j in range(2):
             gp = sample_goldfish(datum, spawn_rng(0, 2000 + j))
             g = build_moser_g(datum, a_from_p(datum, gp))
             values = goldfish_hamiltonians(datum, gp)
-            for k in range(1, 9):
+            for k in range(1, n + 1):
                 oracle = minor_oracle_mk(datum, g, k)
-                assert abs(values[k - 1] - oracle) < 1e-8 * oracle, f"{fam}8 draw {j} k={k}"
+                assert abs(values[k - 1] - oracle) < 1e-8 * oracle, f"{fam}{n} draw {j} k={k}"
+
+
+def test_hamiltonians_are_the_cauchy_binet_sums():
+    # the paper's formula: H-hat_k is the sum over the k-subsets S of the
+    # columns of the squared product-form minors of the bottom k rows of g,
+    # enumerated here by brute force (D's top invariant is not one of them)
+    for fam in FAMILIES:
+        for n in range(1 + (fam == "D"), 6):
+            datum = build_root_datum(AlgebraType(fam, n))
+            for j in range(3):
+                gp = sample_goldfish(datum, spawn_rng(67, 10 * n + j))
+                spec = ruijsenaars_spec_for(datum, a_from_p(datum, gp))
+                values = goldfish_hamiltonians(datum, gp)
+                for k in range(1, n + (fam != "D")):
+                    subsets = itertools.combinations(range(spec.size), k)
+                    total = sum(closed_form_minor(spec, S) ** 2 for S in subsets)
+                    assert abs(values[k - 1] - total) < 1e-12 * total, f"{fam}{n} draw {j} k={k}"
 
 
 def test_d_pairsum_variant_disagrees_at_rank_three():
@@ -215,6 +234,25 @@ def test_subset_sums_match_term_by_term_loops():
                 rs = _cross_product_sum(q, p, k, lambda d: (d + nu) / d)
                 scale = _cross_product_sum(q, p, k, lambda d: abs((d + nu) / d))
                 assert abs(rs_hamiltonian_A(gp, RSCoupling(nu=nu), k) - rs) < 1e-12 * scale
+
+
+def test_nodes_and_weights_spanning_many_decades_keep_their_digits():
+    # rounding on the heavy outer nodes hides the residual the light middle
+    # node carries, far below eps^2 of them (the forward map gives such
+    # points for Toda positions spread by about 60): the pass still matches
+    # the term-by-term sum, and a weight that underflows next to the
+    # largest gives H-hat_k = 0 with finite gradients
+    datum = build_root_datum(AlgebraType("A", 3))
+    for qhat, phat in [([1e50, 36.0, -1e50], [-34.0, -137.0, -34.0]), ([1e54, 98.0, -1e54], [22.0, -64.0, 22.0])]:
+        gp = GoldfishPoint(qhat=qhat, phat=phat)
+        values = goldfish_hamiltonians(datum, gp)
+        for k in range(1, 4):
+            want = _cross_product_sum(gp.qhat, gp.phat, k, lambda d: 1.0 / abs(d))
+            assert abs(values[k - 1] - want) < 1e-12 * want, f"{qhat} k={k}"
+    datum = build_root_datum(AlgebraType("A", 2))
+    gp = GoldfishPoint(qhat=[1.0, -1.0], phat=[0.0, -1000.0])
+    assert np.array_equal(goldfish_hamiltonians(datum, gp), [0.5, 0.0])
+    assert np.isfinite(goldfish_gradients(datum, gp)).all()
 
 
 def test_rs_hamiltonian_strong_coupling_limit():

@@ -121,7 +121,8 @@ def test_dual_hamiltonians_commute():
         assert M.max() < 1e-6, f"{fam}{n}: {M.max():.3e}"
 
 
-@pytest.mark.parametrize("fam, n", ALGEBRAS)
+# D10 is left out: its stencil gap, a few 1e-8, sits too close to the gate.
+@pytest.mark.parametrize("fam, n", ALGEBRAS + [("A", 10), ("B", 10), ("C", 10)])
 def test_exact_gradients_match_the_stencil(fam, n):
     # both gradient routes agree with the central-difference oracle row by row,
     # and the exact brackets sit at rounding level
