@@ -12,18 +12,19 @@ group element k and transports g into that frame.  The unipotent upper
 factor separating the transported element from the Moser gauge leaves its
 bottom row alone, so log ahat is read off that row in log space, against
 the unit-weight row's node gaps, and the momentum equation pins everything
-else.  goldfish_to_toda reads (q, p) back from one QR of the bottom rows of
-the Moser element.  Both directions verify their defining residuals and
-raise DualityResidualError instead of returning drifted coordinates.
+else.  goldfish_to_toda reads (q, p) back from the Lanczos pass on the
+Moser measure that gives the dual Hamiltonians, and builds no g.  Both
+directions verify their defining residuals and raise DualityResidualError
+instead of returning drifted coordinates.
 
 Two families of invariant functions certify the map: the trailing
 principal minors of g g^dagger (trivial in the Toda gauge, the dual
 Hamiltonians in the Moser gauge) and the trace powers of X (the Toda
 Hamiltonians in one gauge, spectral power sums in the other).  The
-symplectomorphism certificate differentiates the inverse map, which runs
-on the QR and no eigensolver, exactly in forward mode through the same
-pass; the inverse is antisymplectic exactly when the forward map is, and
-the round-trip property ties the two together.
+symplectomorphism certificate differentiates that pass, the inverse map,
+which runs no eigensolver, exactly in forward mode; the inverse is
+antisymplectic exactly when the forward map is, and the round-trip
+property ties the two together.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DualityResidualError
-from .goldfish import GoldfishPoint, _moser_point, goldfish_hamiltonians, p_from_a
-from .linalg import bottom_row_qr, structured_diagonalize
+from .errors import DualityResidualError, SingularMatrixError
+from .goldfish import GoldfishPoint, _heine_pass, goldfish_hamiltonians, p_from_a
+from .linalg import structured_diagonalize
 from .moser import MoserPoint, _moser_g, check_chamber, log_gap_sums, momentum_equation_residual, node_tables
 from .rootsys import RootDatum, cartan_pattern
 from .toda import TodaPoint, _checked_exp, build_lax, symplectic_form, symplectic_scale, toda_hamiltonians
@@ -122,40 +123,33 @@ def toda_to_goldfish(datum: RootDatum, point: TodaPoint) -> GoldfishPoint:
 
 
 def _inverse_pass(datum: RootDatum, point: GoldfishPoint):
-    """goldfish_to_toda's one evaluation: (recovered, g, xhat, half_dlog_F, Q, R), spectrum-gated.
-
-    goldfish._moser_point's one chamber evaluation gives mp, xhat and half_dlog_F = d(log F / 2) / d qhat.
-    The tail rule pattern(q)[::-1][:n] = log|R_ii| (psi_i for p) reads q and p through the signed
-    permutation tail = pattern[::-1][:n], for which pattern(q)[::-1][:n] = tail @ q.
-    """
+    """goldfish_to_toda's one evaluation: (recovered, the Lanczos pass), spectrum-gated."""
     n = datum.algebra.rank
-    mp, xhat, half_dlog_F = _moser_point(datum, point)
-    g = _moser_g(datum, xhat, mp.ahat)
-    Q, R = bottom_row_qr(g, n)
+    lp = _heine_pass(datum, point, n)
+    log_norm, alpha, _, beta, x, _, _ = lp
+    if not beta.all():
+        i = int(np.argmin(beta))
+        raise SingularMatrixError(f"Lanczos step {i}: ||pi_{i}|| underflows to 0 beside the largest Moser weight")
     tail = datum.pattern[::-1][:n]
-    log_r = np.log(np.abs(np.diagonal(R)))
-    psi = xhat @ Q**2
-    recovered = TodaPoint(q=log_r @ tail, p=psi @ tail)
-
+    recovered = TodaPoint(q=log_norm @ tail, p=alpha @ tail)
     spectrum = np.linalg.eigvalsh(build_lax(datum, recovered))
-    scale = max(1.0, float(np.max(np.abs(xhat))))
-    gap = float(np.max(np.abs(spectrum - np.sort(xhat)))) / scale
+    scale = max(1.0, float(np.max(np.abs(x))))
+    gap = float(np.max(np.abs(spectrum - np.sort(x)))) / scale
     if gap > DUALITY_RTOL:
         raise DualityResidualError(f"rebuilt Lax spectrum misses pattern(qhat) by {gap:.3e}")
-    return recovered, g, xhat, half_dlog_F, Q, R
+    return recovered, lp
 
 
 def goldfish_to_toda(datum: RootDatum, point: GoldfishPoint) -> TodaPoint:
     """Toda-gauge representative of a dual-system point.
 
     An upper unipotent factor leaves the trailing minors J_k of g g^dagger
-    alone, so the thin QR of the bottom n rows of the Moser element g fixes
-    both tail sums: of pattern(q), half of log J_k = sum_{i<k} log|R_ii|;
-    of pattern(p), its derivative along Xhat, sum_{i<k} psi_i.  Hence the
-    tail rule pattern(q)[::-1][:n] = log|R_ii| (psi_i for p); that tail of
-    the pattern is the reversal for A and -I for B/C/D.  The rebuilt
-    Lax spectrum must match pattern(qhat) within DUALITY_RTOL, else
-    DualityResidualError; a zero R_ii raises SingularMatrixError.
+    alone, and J_k = H-hat_k = prod_{i<k} ||pi_i||^2 (goldfish._heine_pass),
+    so the tail rule pattern(q)[::-1][:n] = log||pi_i|| holds, and for p,
+    the derivative along Xhat, the Rayleigh quotients alpha_i; that tail of
+    the pattern is the reversal for A and -I for B/C/D.  The rebuilt Lax
+    spectrum must match pattern(qhat) within DUALITY_RTOL, else
+    DualityResidualError; a zero ||pi_i|| raises SingularMatrixError.
     """
     return _inverse_pass(datum, point)[0]
 
@@ -214,40 +208,41 @@ def verify_duality_identities(
 def duality_jacobian(datum: RootDatum, point: GoldfishPoint) -> np.ndarray:
     """Exact Jacobian of the inverse map (phat, qhat) -> (p, q), rows (p, q).
 
-    Forward mode through goldfish_to_toda's own pass, all 2n input
-    directions at once, with dx = d pattern(qhat):
-    * diag(g) moves by diag(g) (pattern @ d log ahat), log ahat = phat + log F / 2;
-    * the recurrence row by row, dg[i, j] = (lam[i, :i] @ dg[:i, j]
-      - g[i, j] (dx_j - dx_i)) / (x_j - x_i);
-    * the QR M = Q R of the bottom rows, with Y = dM R^{-1} (one inverse
-      of the upper triangular R, shared by every direction) and X = Q^T Y:
-      d log|R_ii| = X_ii and dQ = Q Omega + Y - Q X, where
-      Omega = tril(X, -1) - tril(X, -1)^T;
-    * psi = xhat @ Q^2 gives dpsi = dx @ Q^2 + 2 xhat @ (Q dQ);
-    * the tail rule pattern(q)[::-1][:n] = log|R_ii| (psi_i for p) reads
-      the rows through the signed permutation tail = pattern[::-1][:n].
-    The map's spectrum gate runs once, at the point itself.
+    Forward mode through goldfish_to_toda's own Lanczos pass, all 2n
+    input directions at once, from dx = P dqhat and d log u = P dphat +
+    (gaps_grad P) dqhat, P = datum.pattern.  Step i, w = (I - Q Q^T) w0 from
+    w0 = u, x Q_{i-1} or D's fused-root row, moves by
+    dw = (I - Q Q^T) dw0 - dQ (Q^T w0) - Q (dQ^T w0), so d beta_i = Q_i^T dw,
+    dQ_i = (dw - Q_i d beta_i) / beta_i, d alpha_i = Q_i^2.dx + 2 (x Q_i).dQ_i.
+    The pass's repeated _residual sweeps re-apply the same projection, so
+    this is the exact derivative of the pass that runs.  The tail rule reads
+    the rows; the map's spectrum gate runs once, at the point itself.
     """
-    n, N = datum.algebra.rank, datum.size
-    _, g, x, half_dlog_F, Q, R = _inverse_pass(datum, point)
-    P = datum.pattern
-    tail = P[::-1][:n]
+    n, P = datum.algebra.rank, datum.pattern
+    _, _, Q, beta, x, gaps_grad, fused = _inverse_pass(datum, point)[1]
+    m = Q.shape[1]  # the step of D's fused-root row, if any
+    Q = np.column_stack([Q, fused[2]]) if fused else Q
     dx = np.hstack([np.zeros_like(P), P])
-    d_log_ahat = np.hstack([np.eye(n), half_dlog_F])
-    dg = np.zeros((2 * n, N, N))
-    dg[:, np.arange(N), np.arange(N)] = (np.diagonal(g)[:, None] * (P @ d_log_ahat)).T
-    lam = datum.momentum
-    for i in range(1, N):
-        dg[:, i, :i] = (lam[i, :i] @ dg[:, :i, :i] - g[i, :i] * (dx[:i] - dx[i]).T) / (x[:i] - x[i])
-
-    dM = dg[:, ::-1][:, :n].transpose(0, 2, 1)
-    Y = dM @ np.linalg.inv(R)
-    X = Q.T @ Y
-    lower = np.tril(X, -1)
-    dQ = Y + Q @ (lower - lower.transpose(0, 2, 1) - X)
-    d_log_r = np.diagonal(X, axis1=1, axis2=2).T
-    d_psi = (dx.T @ Q**2 + 2.0 * (x @ (Q * dQ))).T
-    return np.vstack([tail.T @ d_psi, tail.T @ d_log_r])
+    d_log_u = np.hstack([P, gaps_grad @ P])
+    dQ, d_log_beta = np.zeros((n, *dx.shape)), np.zeros((n, 2 * n))
+    for i in range(n):
+        if 0 < i < m:
+            w0 = x * Q[:, i - 1]
+            dw0 = dx * Q[:, i - 1, None] + x[:, None] * dQ[i - 1]
+        else:  # u, or D's fused-root row f, nonzero on nodes c <= n: d log f = d log u + f_grad dx
+            w0 = fused[0] if i else beta[0] * Q[:, 0]
+            dw0 = w0[:, None] * d_log_u
+            if i:
+                dw0[: n + 1] += w0[: n + 1, None] * (fused[1] @ dx)
+        prev = Q[:, :i]
+        dw = dw0 - prev @ (prev.T @ dw0 + w0 @ dQ[:i]) - ((w0 @ prev) @ dQ[:i].reshape(i, dw0.size)).reshape(dw0.shape)
+        d_log_beta[i] = Q[:, i] @ dw / beta[i]
+        dQ[i] = dw / beta[i] - Q[:, i, None] * d_log_beta[i]
+    d_alpha = (Q**2).T @ dx + 2.0 * np.einsum("ci,icj->ij", x[:, None] * Q, dQ)
+    d_log_norm = np.cumsum(d_log_beta, axis=0)
+    d_log_norm[m:] = d_log_beta[m:]  # D's top norm is the fused row's own, not a running product
+    tail = P[::-1][:n]
+    return np.vstack([tail.T @ d_alpha, tail.T @ d_log_norm])
 
 
 def symplectomorphism_check(datum: RootDatum, point: GoldfishPoint) -> tuple[float, float]:
@@ -258,7 +253,9 @@ def symplectomorphism_check(datum: RootDatum, point: GoldfishPoint) -> tuple[flo
     (residual, sigma); the sign is measured, not asserted, since either
     orientation is acceptable.  The inverse of a map with J^T W J = sigma W
     satisfies the same identity with the same sigma, so together with the
-    round-trip property this certifies the forward map too.
+    round-trip property this certifies the forward map too.  J is the
+    inverse map's forward-mode tangent; goldfish-commutativity pairs the
+    closed-form goldfish_gradients, so the two share no derivative.
     """
     W = symplectic_form(datum)
     J = duality_jacobian(datum, point)

@@ -4,9 +4,8 @@ Phase space is the open chamber in (qhat, phat).  The positive weights ahat
 and the momenta are related by a canonical change of variables whose
 chamber factor F_i is a product of gaps of the diagonal pattern x (one
 moser.log_gap_sums row) that stays positive on the whole chamber;
-ahat_i = exp(phat_i) sqrt(F_i).  One chamber evaluation per call,
-_half_log_factors, gives x, log F / 2 and its qhat-derivative to the maps
-and to the inverse map's Jacobian (in duality).
+ahat_i = exp(phat_i) sqrt(F_i), from one chamber evaluation per call
+(_half_log_factors).
 
 The dual Hamiltonian H-hat_k is the bottom-right k x k principal minor of
 g g^dagger for the lower-triangular momentum-equation solution g.  By the
@@ -21,8 +20,9 @@ H-hat_k as a product of orthogonal-polynomial norms (_heine_pass), with no
 g built and no subsets enumerated.  The only exception is the top invariant
 of family D, whose bottom n rows start with the fused-root row: it is
 H-hat_{n-1} times the squared distance of that row from the span of the
-n-1 Lanczos vectors.  goldfish_gradients differentiates the same pass
-exactly.
+n-1 Lanczos vectors.  goldfish_gradients differentiates the pass exactly
+in closed form.  The pass is the inverse duality map too (duality), which
+has its own forward-mode tangent.
 
 The values are verified against an independent minor oracle,
 moser.minor_oracle_mk (the Gram minors of the bottom rows of g from their
@@ -77,18 +77,16 @@ class RSCoupling:
 
 
 def _half_log_factors(datum: RootDatum, qhat: np.ndarray):
-    """The one chamber evaluation: pattern x, log F / 2 (finite where F is not) and its qhat-derivative."""
-    tables = node_tables(datum.algebra)
+    """The one chamber evaluation: pattern x and log F / 2 (finite where F is not)."""
     x = check_chamber(datum, qhat)
-    log_F, grad = log_gap_sums(x, tables.chamber)
-    return x, 0.5 * log_F, 0.5 * grad @ datum.pattern
+    return x, 0.5 * log_gap_sums(x, node_tables(datum.algebra).chamber)[0]
 
 
 def _moser_point(datum: RootDatum, point: GoldfishPoint):
-    """(a_from_p(point), x, d(log F / 2) / d qhat) from one chamber evaluation."""
-    x, half_log_F, half_dlog_F = _half_log_factors(datum, point.qhat)
+    """(a_from_p(point), x) from one chamber evaluation."""
+    x, half_log_F = _half_log_factors(datum, point.qhat)
     ahat = _checked_exp(point.phat + half_log_F, "Moser weight ahat_{}")
-    return MoserPoint(qhat=point.qhat, ahat=ahat), x, half_dlog_F
+    return MoserPoint(qhat=point.qhat, ahat=ahat), x
 
 
 def chamber_factors(datum: RootDatum, qhat: np.ndarray) -> np.ndarray:
@@ -137,63 +135,51 @@ def _residual(Q: np.ndarray, w: np.ndarray):
 
 
 def _heine_pass(datum: RootDatum, point: GoldfishPoint, kmax: int):
-    """(log H-hat_k, d log H-hat_k / d(phat, qhat)) for k = 1..kmax from one Lanczos pass.
+    """One Lanczos pass on the Moser measure for k = 1..kmax: (log_norm, alpha, Q, beta, x, gaps_grad, fused).
 
-    H-hat_k is the Hankel determinant of the measure sum_c u_c^2 delta_{x_c}
-    with log u = pattern(phat) + the weights row of log_gap_sums: k steps of
-    Lanczos on diag(x) from u give its monic orthogonal polynomials pi_i, and
-    log H-hat_k = 2 sum_{i<k} log||pi_i||.  The pass runs in units of
-    max(u) and reorthogonalises every step (_residual).  With Q the
-    Lanczos vectors and Q' their x-derivatives at fixed u,
-    beta_{i+1} Q'_{i+1} = Q_i + (x - alpha_i) Q'_i - beta_i Q'_{i-1},
-    d log H-hat_k = 2 sum_{i<k} (Q_ci^2 d log u_c + Q_ci Q'_ci dx_c).
-    D's top invariant (kmax = n) is H-hat_{n-1} ||r||^2, with r the
-    fused-root row f (its modulus, f = u times the fused_row gaps) projected
-    off the n-1 Lanczos vectors, and
-    d||r||^2 = 2 sum_c r_c (r_c d log u_c + f_c d log(f_c / u_c) - (Q' Q^T f)_c dx_c).
-    When the weights not yet spanned underflow next to max(u), the
-    residual vanishes, the pass stops and the remaining H-hat_k come out 0.
+    log u = pattern(phat) + the weights row of log_gap_sums (x-gradient
+    gaps_grad).  Lanczos on diag(x) from u, in units of max(u) and
+    reorthogonalised every step (_residual), gives the monic orthogonal
+    polynomials pi_i of sum_c u_c^2 delta_{x_c}: log_norm_i = log||pi_i||,
+    and log H-hat_k = 2 sum_{i<k} log_norm_i.  Q holds the Lanczos vectors,
+    beta the residual norms that normalise them, alpha_i = Q_i^T diag(x) Q_i.
+    D's top (kmax = n) is fused = (f, f's x-gradient, r): the fused-root
+    row f (u times the fused_row gaps, in units of its max) leaves the
+    residual beta_{n-1} r off Q.  A residual that vanishes (weights not
+    yet spanned underflow next to max(u)) leaves beta_i = 0 and H-hat_k = 0.
     """
-    n, N, P = datum.algebra.rank, datum.size, datum.pattern
+    n, N = datum.algebra.rank, datum.size
     tables = node_tables(datum.algebra)
     x = check_chamber(datum, point.qhat)
     log_gaps, gaps_grad = log_gap_sums(x, tables.weights)
-    log_u = P @ point.phat + log_gaps
-    top = kmax == n and tables.fused_row.size > 0  # only D has a fused-root row
-    m = kmax - top
-    Q, dQ, beta = np.zeros((N, m)), np.zeros((N, m)), np.zeros(m)
-    scale = log_u.max()
-    u = np.exp(log_u - scale)
-    beta[0] = np.hypot.reduce(u)
-    Q[:, 0] = u / beta[0]
-    for i in range(1, m):
-        w = x * Q[:, i - 1]
-        alpha = Q[:, i - 1] @ w
-        w, norm = _residual(Q[:, :i], w)
-        if norm == 0.0:
-            break
-        beta[i] = norm
-        Q[:, i] = w / beta[i]
-        back = beta[i - 1] * dQ[:, i - 2] if i > 1 else 0.0
-        dQ[:, i] = (Q[:, i - 1] + (x - alpha) * dQ[:, i - 1] - back) / beta[i]
-    with np.errstate(divide="ignore"):
-        log_h = 2.0 * np.cumsum(scale + np.cumsum(np.log(beta)))
-    # coefficients of d log u and dx in each d log H-hat_k
-    cu = 2.0 * np.cumsum(Q**2, axis=1).T
-    cx = 2.0 * np.cumsum(Q * dQ, axis=1).T
-    if top:
+    log_u = datum.pattern @ point.phat + log_gaps
+    m = kmax - (kmax == n and tables.fused_row.size > 0)  # only D has a fused-root row
+    Q, alpha, beta, fused = np.zeros((N, m)), np.zeros(kmax), np.zeros(kmax), None
+    w = np.exp(log_u - log_u.max())
+    for i in range(m):
+        if i:
+            w = x * Q[:, i - 1]
+        w, beta[i] = _residual(Q[:, :i], w)
+        if beta[i]:
+            Q[:, i] = w / beta[i]
+            alpha[i] = Q[:, i] @ (x * Q[:, i])
+    if m < kmax:
         f_gaps, f_grad = log_gap_sums(x, tables.fused_row)
         support = np.flatnonzero(tables.fused_row.any(axis=1))
         log_f = log_u[support] + f_gaps[support]
         f = np.zeros(N)
         f[support] = np.exp(log_f - log_f.max())
-        r, norm = _residual(Q, f)
-        log_h = np.append(log_h, log_h[-1] + 2.0 * (log_f.max() + np.log(norm)))
-        r /= norm
-        top_x = ((r * f)[: n + 1] @ f_grad - r * (dQ @ (Q.T @ f))) / norm
-        cu = np.vstack([cu, cu[-1] + 2.0 * r * r])
-        cx = np.vstack([cx, cx[-1] + 2.0 * top_x])
-    return log_h, np.hstack([cu @ P, (cu @ gaps_grad + cx) @ P])
+        r, beta[m] = _residual(Q, f)
+        if beta[m]:
+            r /= beta[m]
+            alpha[m] = r @ (x * r)
+        fused = f, f_grad, r
+    with np.errstate(divide="ignore"):
+        log_beta = np.log(beta)
+    log_norm = log_u.max() + np.cumsum(log_beta[:m])
+    if fused:
+        log_norm = np.append(log_norm, log_f.max() + log_beta[m])
+    return log_norm, alpha, Q, beta, x, gaps_grad, fused
 
 
 def _checked_values(log_h: np.ndarray) -> np.ndarray:
@@ -216,7 +202,7 @@ def goldfish_hamiltonians(datum: RootDatum, point: GoldfishPoint, kmax: int | No
     kmax = n if kmax is None else int(kmax)
     if not 1 <= kmax <= n:
         raise ValidationError(f"kmax must lie in 1..{n}, got {kmax}")
-    return _checked_values(_heine_pass(datum, point, kmax)[0])
+    return _checked_values(2.0 * np.cumsum(_heine_pass(datum, point, kmax)[0]))
 
 
 def goldfish_hamiltonian(datum: RootDatum, point: GoldfishPoint, k: int) -> float:
@@ -230,12 +216,31 @@ def goldfish_hamiltonian(datum: RootDatum, point: GoldfishPoint, k: int) -> floa
 def goldfish_gradients(datum: RootDatum, point: GoldfishPoint) -> np.ndarray:
     """Exact gradients of (H-hat_1, ..., H-hat_n): row k-1 is dH-hat_k in (phat, qhat) order.
 
-    The same pass as goldfish_hamiltonians, differentiated exactly:
-    dH-hat_k = H-hat_k d log H-hat_k, chained through log u = pattern(phat)
-    + log_gap_sums(x) and x = pattern(qhat).
+    The pass of goldfish_hamiltonians, differentiated in closed form through
+    log u and x = pattern(qhat): with Q' the x-derivatives of the Lanczos
+    vectors at fixed u, beta_{i+1} Q'_{i+1} = Q_i + (x - alpha_i) Q'_i -
+    beta_i Q'_{i-1}, d log H-hat_k = 2 sum_{i<k} (Q_ci^2 d log u_c + Q_ci Q'_ci dx_c),
+    and D's top residual R = beta_{n-1} r moves by
+    d||R||^2 = 2 sum_c R_c (R_c d log u_c + f_c d log(f_c / u_c) - (Q' Q^T f)_c dx_c).
     """
-    log_h, dlog_h = _heine_pass(datum, point, datum.algebra.rank)
-    return _checked_values(log_h)[:, None] * dlog_h
+    log_norm, alpha, Q, beta, x, gaps_grad, fused = _heine_pass(datum, point, datum.algebra.rank)
+    P, (N, m) = datum.pattern, Q.shape
+    dQ = np.zeros((N, m))
+    for i in range(1, m):
+        if not beta[i]:
+            break
+        back = beta[i - 1] * dQ[:, i - 2] if i > 1 else 0.0
+        dQ[:, i] = (Q[:, i - 1] + (x - alpha[i - 1]) * dQ[:, i - 1] - back) / beta[i]
+    # coefficients of d log u and dx in each d log H-hat_k
+    cu = 2.0 * np.cumsum(Q**2, axis=1).T
+    cx = 2.0 * np.cumsum(Q * dQ, axis=1).T
+    if fused:
+        f, f_grad, r = fused
+        top_x = ((r * f)[: f_grad.shape[0]] @ f_grad - r * (dQ @ (Q.T @ f))) / beta[m]
+        cu = np.vstack([cu, cu[-1] + 2.0 * r * r])
+        cx = np.vstack([cx, cx[-1] + 2.0 * top_x])
+    dlog_h = np.hstack([cu @ P, (cu @ gaps_grad + cx) @ P])
+    return _checked_values(2.0 * np.cumsum(log_norm))[:, None] * dlog_h
 
 
 def _cross_products(F: np.ndarray, k: int):

@@ -3,8 +3,8 @@
 * structured_diagonalize: conjugate a real symmetric algebra element (the
   Lax matrix) into the canonical diagonal pattern by a real orthogonal
   group element.
-* bottom_row_qr: row-sorted thin QR of the bottom rows of g; its R
-  diagonal gives the trailing principal minors of g g^dagger.
+* bottom_row_qr: R of the row-sorted thin QR of the bottom rows of g; its
+  diagonal gives the trailing minors of g g^dagger to the minor oracle.
 * extended_solve: pivoted elimination in extended complex precision; no
   production caller is left (the momentum gate runs a real triangular
   solve), and the tests keep it as an oracle.
@@ -234,24 +234,19 @@ def iwasawa(datum: RootDatum, g):
     return nfactor, afactor, kfactor
 
 
-def bottom_row_qr(g, k: int):
-    """Thin QR of the bottom k rows of g, taken last row first.
+def bottom_row_qr(g, k: int) -> np.ndarray:
+    """R of the thin QR of the bottom k rows of g, taken last row first.
 
     M = g[::-1][:k]^dagger is N x k, so the trailing j x j block of
     g g^dagger has determinant prod_{i<j} |R_ii|^2.  Rows of M spanning
     many decades are sorted largest modulus first, which keeps Householder
-    QR row-wise stable (Cox & Higham 1998); unsorted, the inverse duality
-    map fails on 3 of 40 seed-0 draws at C10.  Returns (Q, R) with M = Q R
-    in the original row order; a zero R_ii raises SingularMatrixError.
+    QR row-wise stable (Cox & Higham 1998); sorting leaves M^dagger M =
+    R^dagger R unchanged, so R is M's own factor up to the signs of its
+    rows.  A zero R_ii raises SingularMatrixError.
     """
     M = np.asarray(g)[::-1][:k].conj().T
     order = np.argsort(-np.max(np.abs(M), axis=1), kind="stable")
-    Qs, R = np.linalg.qr(M[order], mode="reduced")
+    R = np.linalg.qr(M[order], mode="r")
     if (np.diagonal(R) == 0.0).any():
         raise SingularMatrixError("zero diagonal entry in the bottom-row QR")
-    # Fortran order, the layout LAPACK works in: the inverse map's
-    # xhat @ Q**2 sums in an order that depends on Q's layout, and a
-    # C-ordered Q moves its p in the last digit.
-    Q = np.empty_like(Qs, order="F")
-    Q[order] = Qs
-    return Q, R
+    return R

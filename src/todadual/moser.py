@@ -215,7 +215,7 @@ def minor_oracle_mk(datum: RootDatum, g: np.ndarray, k: int) -> float:
         raise ValidationError(f"expected shape {(N, N)}, got {g.shape}")
     if not 1 <= k <= datum.algebra.rank:
         raise ValidationError(f"k must lie in 1..{datum.algebra.rank}, got {k}")
-    return float(np.prod(np.abs(np.diagonal(bottom_row_qr(g, k)[1])) ** 2))
+    return float(np.prod(np.abs(np.diagonal(bottom_row_qr(g, k))) ** 2))
 
 
 def ruijsenaars_spec_for(datum: RootDatum, point: MoserPoint) -> RuijsenaarsMatrixSpec:

@@ -13,9 +13,10 @@ matrix marks its point broken, and either is named in the record's note by
 its point index; a non-finite residual breaks its point too.  The dual
 Hamiltonians, one Lanczos pass on the Moser measure, are checked against
 moser.minor_oracle_mk, the QR of the bottom rows of g.  Both commutativity
-properties pair exact gradients (poisson.commutativity_matrix), and the
-symplectomorphism check differentiates the inverse map exactly in forward
-mode; no property runs a finite-difference stencil.
+properties pair exact gradients; the dual ones are goldfish_gradients'
+closed form, independent of the forward-mode tangent through that same
+pass by which the symplectomorphism check differentiates the inverse map.
+No property runs a finite-difference stencil.
 
 Counters are allocated as 1000 * property_slot + point_index, so any
 reported point can be resampled in isolation.
@@ -162,7 +163,7 @@ def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 2
 
     def minor_gap(gp):
         values = goldfish_hamiltonians(datum, gp)
-        mp, x, _ = _moser_point(datum, gp)  # one chamber check for the weights and g
+        mp, x = _moser_point(datum, gp)  # one chamber check for the weights and g
         g = _moser_g(datum, x, mp.ahat)
         # np.max keeps a NaN gap, which Python's max would drop
         return np.max([_relative_gap(values[k - 1], minor_oracle_mk(datum, g, k)) for k in range(1, n + 1)])
@@ -225,7 +226,7 @@ def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 2
 
     name = "symplectomorphism"
     worst, extra = _per_point(datum, seed, name, min(npoints, 3), sample_goldfish, symplectic_residual)
-    note = f"sigma values {sorted(set(sigmas))}; exact forward-mode Jacobian of the inverse map's QR route; round-trip ties it to the forward map"
+    note = f"sigma values {sorted(set(sigmas))}; exact forward-mode Jacobian of the inverse map's Lanczos pass; round-trip ties it to the forward map"
     properties.append(_record(name, worst, note, extra))
 
     log = []

@@ -1,6 +1,8 @@
 """Gauge maps between chain and dual coordinates, and their certificates."""
 
+import itertools
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,14 +19,14 @@ from todadual.duality import (
     toda_to_moser,
     verify_duality_identities,
 )
-from todadual.errors import DegenerateSpectrumError, DualityResidualError, ValidationError
-from todadual.goldfish import GoldfishPoint, a_from_p, goldfish_gradients, goldfish_hamiltonians
+from todadual.errors import DegenerateSpectrumError, DualityResidualError, SingularMatrixError, ValidationError
+from todadual.goldfish import GoldfishPoint, _heine_pass, a_from_p, goldfish_gradients, goldfish_hamiltonians
 from todadual.linalg import iwasawa, lower_triangularize, structured_diagonalize
-from todadual.moser import _moser_g, build_moser_g, check_chamber, log_gap_sums
-from todadual.rootsys import AlgebraType, build_root_datum, cartan_pattern
+from todadual.moser import build_moser_g, check_chamber, closed_form_minor, log_gap_sums, ruijsenaars_spec_for
+from todadual.rootsys import FAMILIES, AlgebraType, build_root_datum, cartan_pattern
 from todadual.sampling import sample_goldfish, sample_toda, spawn_rng
 from todadual.toda import TodaPoint, build_lax, toda_hamiltonians
-from todadual.verify import run_suite
+from todadual.verify import _per_point, run_suite
 
 from stencil import central_difference
 
@@ -76,7 +78,7 @@ def test_moser_representative_is_canonical():
 
 def test_high_rank_draws_map_forward():
     # well-separated spectra whose Moser elements are badly conditioned;
-    # the bottom-row QR maps every one of them back within the budget
+    # the Lanczos pass maps every one of them back within the budget
     for fam, n in [("B", 7), ("D", 8)]:
         datum = build_root_datum(AlgebraType(fam, n))
         for j in range(40):
@@ -87,7 +89,7 @@ def test_high_rank_draws_map_forward():
 
 
 def test_inverse_positions_match_iwasawa_diagonal():
-    # q from the bottom-row QR against the a factor of the full Iwasawa split
+    # q from the Lanczos pass against the a factor of the full Iwasawa split
     for fam, n in ALGEBRAS:
         datum = build_root_datum(AlgebraType(fam, n))
         for j in range(4):
@@ -99,20 +101,59 @@ def test_inverse_positions_match_iwasawa_diagonal():
 
 
 def test_inverse_map_rejects_a_perturbed_bottom_row(monkeypatch):
-    # row N-2 off by 1e-6 moves q and so the rebuilt Lax spectrum
-    def perturbed(datum, x, ahat):
-        g = _moser_g(datum, x, ahat)
-        g[datum.size - 2] *= 1.0 + 1.0e-6
-        return g
+    # the norm ||pi_1|| of the pass's step 1, the distance of row N-2 of g
+    # from the bottom row, off by 1e-6 moves q and so the rebuilt Lax spectrum
+    def perturbed(datum, point, kmax):
+        log_norm, *rest = _heine_pass(datum, point, kmax)
+        return log_norm + 1.0e-6 * (np.arange(kmax) == 1), *rest
 
     for fam, n in [("A", 3), ("B", 2), ("C", 3), ("D", 3)]:
         datum = build_root_datum(AlgebraType(fam, n))
         gp = toda_to_goldfish(datum, sample_toda(datum, spawn_rng(3, n)))
         goldfish_to_toda(datum, gp)
         with monkeypatch.context() as patch:
-            patch.setattr(todadual.duality, "_moser_g", perturbed)
+            patch.setattr(todadual.duality, "_heine_pass", perturbed)
             with pytest.raises(DualityResidualError, match="rebuilt Lax spectrum"):
                 goldfish_to_toda(datum, gp)
+
+
+def test_inverse_map_gives_the_cauchy_binet_tail_sums():
+    # an inverse-map oracle with no QR and no Lanczos: the tail sums of
+    # pattern(q) are (1/2) log H-hat_k and those of pattern(p) are
+    # qhat . grad_phat (1/2) log H-hat_k, with H-hat_k the brute-force sum of
+    # squared product-form minors over the k-subsets S of the columns; the
+    # phat-gradient of log(minor_S^2) is exactly 2 sum_{c in S} pattern[c]
+    # (D's top invariant is not such a sum)
+    for fam in FAMILIES:
+        for n in range(1 + (fam == "D"), 6):
+            datum = build_root_datum(AlgebraType(fam, n))
+            for j in range(3):
+                gp = sample_goldfish(datum, spawn_rng(67, 10 * n + j))
+                spec = ruijsenaars_spec_for(datum, a_from_p(datum, gp))
+                tp = goldfish_to_toda(datum, gp)
+                q_tails = np.cumsum(cartan_pattern(datum, tp.q)[::-1])
+                p_tails = np.cumsum(cartan_pattern(datum, tp.p)[::-1])
+                for k in range(1, n + (fam != "D")):
+                    subsets = [list(S) for S in itertools.combinations(range(spec.size), k)]
+                    terms = np.array([closed_form_minor(spec, S) ** 2 for S in subsets])
+                    grad = sum(t * datum.pattern[S].sum(axis=0) for t, S in zip(terms, subsets)) / terms.sum()
+                    where = f"{fam}{n} draw {j} k={k}"
+                    assert abs(q_tails[k - 1] - 0.5 * np.log(terms.sum())) < 1e-12, where
+                    assert abs(p_tails[k - 1] - gp.qhat @ grad) < 1e-12 * max(1.0, abs(p_tails[k - 1])), where
+
+
+def test_an_exhausted_pass_names_its_step():
+    # the weight e^-1000 underflows next to 1, so the pass's step-1 residual
+    # vanishes: the inverse map and its Jacobian name that step, and verify
+    # counts the point as broken rather than crashing on it
+    datum = build_root_datum(AlgebraType("A", 2))
+    gp = GoldfishPoint(qhat=[1.0, -1.0], phat=[0.0, -1000.0])
+    for fn in (goldfish_to_toda, duality_jacobian):
+        with pytest.raises(SingularMatrixError, match=r"Lanczos step 1: \|\|pi_1\|\| underflows to 0"):
+            fn(datum, gp)
+    worst, note = _per_point(datum, 0, "round-trip", 1, lambda datum, rng: gp, partial(goldfish_to_toda, datum))
+    assert worst == np.inf
+    assert note == "1 residual failure(s) (0: Lanczos step 1: ||pi_1|| underflows to 0 beside the largest Moser weight)"
 
 
 def test_round_trip_all_families():
@@ -233,19 +274,19 @@ def test_exact_jacobian_is_antisymplectic_to_rounding():
 
 
 def test_jacobian_runs_the_gated_map_once(monkeypatch):
-    # one build of g at the point itself, no perturbed evaluation
+    # one Lanczos pass at the point itself, no perturbed evaluation
     datum = build_root_datum(AlgebraType("C", 3))
     gp = sample_goldfish(datum, spawn_rng(0, 9000))
     calls = []
 
-    def counted(datum, x, ahat):
-        calls.append(x)
-        return _moser_g(datum, x, ahat)
+    def counted(datum, point, kmax):
+        calls.append(point)
+        return _heine_pass(datum, point, kmax)
 
-    monkeypatch.setattr(todadual.duality, "_moser_g", counted)
+    monkeypatch.setattr(todadual.duality, "_heine_pass", counted)
     duality_jacobian(datum, gp)
     assert len(calls) == 1
-    assert np.array_equal(calls[0], cartan_pattern(datum, gp.qhat))
+    assert calls[0] is gp
 
 
 @pytest.mark.parametrize(

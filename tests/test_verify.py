@@ -99,14 +99,14 @@ def test_singular_matrix_is_a_residual_failure(monkeypatch):
     # a numerically singular matrix met by a map fails the property and is
     # named with its point index; it is not a skip, and the report is written
     def singular(datum, point):
-        raise SingularMatrixError("zero diagonal entry in the bottom-row QR")
+        raise SingularMatrixError("Lanczos step 1: ||pi_1|| underflows to 0 beside the largest Moser weight")
 
     monkeypatch.setattr(todadual.verify, "goldfish_to_toda", singular)
     report = run_suite(build_root_datum(AlgebraType("C", 2)), seed=0, npoints=3, flow_steps=2)
     record = next(r for r in report["properties"] if r["property"] == "round-trip")
     assert not record["passed"]
     assert "3 residual failure(s)" in record["note"]
-    assert "2: zero diagonal entry" in record["note"]
+    assert "2: Lanczos step 1: ||pi_1|| underflows" in record["note"]
 
 
 def test_singular_minor_oracle_is_a_reported_failure(monkeypatch):
