@@ -50,7 +50,6 @@ from .toda import (
     build_lax,
     toda_group_element,
     toda_momentum_residual,
-    toda_hamiltonian,
     toda_hamiltonians,
     toda_gradients,
     equations_of_motion,
@@ -116,7 +115,6 @@ __all__ = [
     "build_lax",
     "toda_group_element",
     "toda_momentum_residual",
-    "toda_hamiltonian",
     "toda_hamiltonians",
     "toda_gradients",
     "equations_of_motion",

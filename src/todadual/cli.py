@@ -40,7 +40,7 @@ from .toda import (
     quadratic_index,
     toda_group_element,
 )
-from .verify import RANK_CAP, run_suite
+from .verify import RANK_CAP, RANK_CAP_WARNING, TOLERANCES, run_suite
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -141,11 +141,7 @@ def _datum_for(args, runs_duality_maps: bool = False) -> RootDatum:
     """Root datum of --type/--rank; warns above RANK_CAP for commands that run the duality maps."""
     datum = build_root_datum(AlgebraType(args.type, args.rank))
     if runs_duality_maps and args.rank > RANK_CAP:
-        print(
-            f"warning: rank {args.rank} exceeds the desk-scale bound {RANK_CAP}; "
-            "the forward map's bottom-row gate fails on more draws as the rank grows",
-            file=sys.stderr,
-        )
+        print(f"warning: rank {args.rank} {RANK_CAP_WARNING}", file=sys.stderr)
     return datum
 
 
@@ -251,7 +247,13 @@ def cmd_dual_map(args) -> tuple[int, str]:
             "max_abs_error": roundtrip_err,
         },
     }
-    return EXIT_OK, _json_text(payload) + "\n"
+    # the report is written either way; its own verdict sets the exit code
+    code = EXIT_OK
+    for name, value in (("duality-identities", report.max_relative_mismatch), ("round-trip", roundtrip_err)):
+        if not value <= TOLERANCES[name]:
+            print(f"todadual: {name} fails: {value:.3e} exceeds its budget {TOLERANCES[name]:.0e}", file=sys.stderr)
+            code = EXIT_FAILURE
+    return code, _json_text(payload) + "\n"
 
 
 def cmd_integrate(args) -> tuple[int, str]:

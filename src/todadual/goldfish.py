@@ -89,15 +89,6 @@ def _moser_point(datum: RootDatum, point: GoldfishPoint):
     return MoserPoint(qhat=point.qhat, ahat=ahat), x
 
 
-def chamber_factors(datum: RootDatum, qhat: np.ndarray) -> np.ndarray:
-    """Per-coordinate radicands F_i of the weight change ahat = e^p sqrt(F).
-
-    log F_i = sum_j sign(j - i) log|x_i - x_j| over the diagonal pattern x,
-    less family D's pair of x_i with its mirror -x_i; positive on the chamber.
-    """
-    return np.exp(2.0 * _half_log_factors(datum, qhat)[1])
-
-
 def a_from_p(datum: RootDatum, point: GoldfishPoint) -> MoserPoint:
     """Canonical map from goldfish momenta to positive diagonal weights."""
     return _moser_point(datum, point)[0]

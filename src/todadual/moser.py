@@ -243,8 +243,8 @@ def node_tables(algebra: AlgebraType) -> NodeTables:
     """Read-only tables over the diagonal pattern x = datum.pattern @ qhat, built once per algebra.
 
     The spec nodes are sigma x.  The rest are log_gap_sums tables: the
-    chamber factors (sign(j - i)) and the unit bottom row (-1 for j > c),
-    one row per coordinate; the goldfish weights (-1/2 for j != c), one row
+    chamber factors (sign(j - i)), one row per coordinate; the unit bottom
+    row (-1 for j > c) and the goldfish weights (-1/2 for j != c), one row
     per node; all three less D's mirror pairs 2|qhat_c|.  D's fused-root
     row is read against those weights: +1 for j = n - 1 and for the
     mirrors j > n of the nodes c' < n - 1 other than c, on rows c < n - 1;
@@ -254,7 +254,7 @@ def node_tables(algebra: AlgebraType) -> NodeTables:
     """
     n, N = algebra.rank, matrix_size(algebra)
     chamber = np.sign(np.arange(N) - np.arange(n)[:, None]).astype(float)
-    bottom_row = np.where(chamber > 0.0, -1.0, 0.0)
+    bottom_row = np.where(np.arange(N) > np.arange(N)[:, None], -1.0, 0.0)
     weights = -0.5 * (1.0 - np.eye(N))
     fused_row = np.zeros((0, N))
     if algebra.family == "D":

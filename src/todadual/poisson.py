@@ -47,6 +47,9 @@ def commutativity_matrix(datum: RootDatum, point) -> np.ndarray:
         J = toda_gradients(datum, point)
     else:
         J = goldfish_gradients(datum, point)
+    # Scale each row by a power of two (exact; the ratio is bilinear) so rows
+    # near 1e-175 do not underflow in the norm; an all-zero row stays zero.
+    J = np.ldexp(J, -np.frexp(np.abs(J).max(axis=1))[1][:, None])
     s = float(symplectic_scale(datum))
     brackets = (J[:, n:] @ J[:, :n].T - J[:, :n] @ J[:, n:].T) / s
     norms = np.maximum(np.linalg.norm(J, axis=1), 1.0e-300)

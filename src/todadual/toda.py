@@ -210,12 +210,6 @@ def toda_hamiltonians(datum: RootDatum, point: TodaPoint, kmax: int | None = Non
     return _trace_hamiltonians(datum, build_lax(datum, point), kmax)
 
 
-def toda_hamiltonian(datum: RootDatum, point: TodaPoint, k: int) -> float:
-    """Single trace-power Hamiltonian H_k."""
-    _check_index(datum, k)
-    return float(toda_hamiltonians(datum, point, kmax=k)[k - 1])
-
-
 def equations_of_motion(datum: RootDatum, point: TodaPoint, k: int):
     """Hamiltonian vector field of H_k: (dq/dt, dp/dt).
 

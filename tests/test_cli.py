@@ -269,11 +269,28 @@ def test_degenerate_point_exits_three(capsys):
 def test_lost_precision_in_forward_map_exits_one(capsys):
     # C8, seed 2: the spectrum is well separated, but tiny eigenvector
     # components lose their relative accuracy and the transported bottom
-    # row misses the recurrence; that is a failure, not a skip.
+    # row misses its closed form; that is a failure, not a skip.
     code, _, err = run_cli(capsys, "dual-map", "--type", "C", "--rank", "8", "--seed", "2")
     assert code == 1
-    assert "transported bottom row misses the recurrence" in err
+    assert "transported bottom row misses its closed form" in err
     assert "non-generic" not in err
+
+
+A6_Q = "8.6307113321868325,8.717971190389374,4.0435963624578894,4.4442042994180166,-36.684841250962435,-32.430188494208998"
+A6_P = "-16.875009928532243,5.5346890588374773,-28.43144823151669,-7.8279717506110282,5.3944821523181066,39.734151968389483"
+
+
+def test_dual_map_exits_one_on_its_own_failed_report(capsys, tmp_path):
+    # J_2 ~ 1e-61 at this A6 point: the maps run, but the report misses both
+    # budgets; the JSON is still written and stderr names each property.
+    out = tmp_path / "a6.json"
+    argv = ["dual-map", "--type", "A", "--rank", "6", f"--q={A6_Q}", f"--p={A6_P}", "--out", str(out)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    doc = json.loads(out.read_text())
+    assert not doc["identities"]["max_relative_mismatch"] <= 1e-7
+    assert not doc["roundtrip"]["max_abs_error"] <= 1e-7
+    assert "duality-identities fails" in err and "round-trip fails" in err
 
 
 def test_json_emitter_spells_every_scalar():

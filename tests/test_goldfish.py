@@ -10,7 +10,6 @@ from todadual.goldfish import (
     GoldfishPoint,
     RSCoupling,
     a_from_p,
-    chamber_factors,
     d_h1_pairsum_variant,
     goldfish_gradients,
     goldfish_hamiltonian,
@@ -35,6 +34,11 @@ def test_point_and_coupling_validation():
         RSCoupling(nu=-1.0)
     with pytest.raises(ValidationError):
         RSCoupling(nu=np.inf)
+
+
+def chamber_factors(datum, qhat):
+    """The radicands F of ahat = e^phat sqrt(F): the weights squared at phat = 0."""
+    return a_from_p(datum, GoldfishPoint(qhat=qhat, phat=np.zeros_like(qhat))).ahat ** 2
 
 
 def test_chamber_factors_positive_on_chamber():

@@ -164,7 +164,8 @@ def test_ruijsenaars_matrix_and_closed_form_minor():
 
 def test_bottom_rows_match_ruijsenaars_matrix():
     """Bottom rows of the canonical g line up with the rational matrix rows,
-    and the log-space unit-row read is the matrix's unit-weight bottom row."""
+    the log-space unit-row read is the matrix's unit-weight bottom row, and
+    exp(pattern(log ahat) + that read) is |g[N-1]|, the forward map's gate."""
     for fam in FAMILIES:
         for n in range(1 + (fam == "D"), 9):
             datum = build_root_datum(AlgebraType(fam, n))
@@ -178,9 +179,12 @@ def test_bottom_rows_match_ruijsenaars_matrix():
                 assert gap.max() < 1e-10 * max(1.0, np.abs(M[i]).max()), f"{fam}{n} row {i}"
 
             unit = ruijsenaars_spec_for(datum, MoserPoint(qhat=mp.qhat, ahat=np.ones(n)))
-            expected = np.abs(build_ruijsenaars_matrix(unit)[-1, :n])
+            expected = np.abs(build_ruijsenaars_matrix(unit)[-1])
             log_read, _ = log_gap_sums(check_chamber(datum, mp.qhat), node_tables(datum.algebra).bottom_row)
+            assert log_read.shape == (datum.size,)
             assert np.max(np.abs(np.exp(log_read) - expected) / expected) < 1e-13, f"{fam}{n}"
+            closed = np.exp(cartan_pattern(datum, np.log(mp.ahat)) + log_read)
+            assert np.max(np.abs(closed - np.abs(g[-1])) / np.abs(g[-1])) < 1e-13, f"{fam}{n}"
 
 
 def cauchy_binet_minor(g, k):

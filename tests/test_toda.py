@@ -20,7 +20,6 @@ from todadual.toda import (
     symplectic_form,
     symplectic_scale,
     toda_group_element,
-    toda_hamiltonian,
     toda_hamiltonians,
     toda_gradients,
     toda_momentum_residual,
@@ -257,7 +256,7 @@ def test_sp4_quadratic_hamiltonian_formula():
     datum = build_root_datum(AlgebraType("C", 2))
     q = np.array([0.25, -0.15])
     p = np.array([0.45, 0.35])
-    got = toda_hamiltonian(datum, TodaPoint(q=q, p=p), 1)
+    got = toda_hamiltonians(datum, TodaPoint(q=q, p=p))[0]
     want = 0.5 * (p @ p) + np.exp(2.0 * (q[0] - q[1])) + 0.5 * np.exp(4.0 * q[1])
     assert abs(got - want) < 1e-14 * max(1.0, abs(want))
 
@@ -309,7 +308,7 @@ def test_hamiltonians_kmax_validation():
     with pytest.raises(ValidationError):
         toda_hamiltonians(datum, point, kmax=3)
     with pytest.raises(ValidationError):
-        toda_hamiltonian(datum, point, 0)
+        toda_hamiltonians(datum, point, kmax=0)
 
 
 def test_equations_of_motion_match_hand_derivative():
@@ -343,7 +342,7 @@ def test_equations_of_motion_match_central_differences():
         for k in range(1, n + 1):
 
             def H(q, p):
-                return toda_hamiltonian(datum, TodaPoint(q=q, p=p), k)
+                return toda_hamiltonians(datum, TodaPoint(q=q, p=p))[k - 1]
 
             dH_dq = np.empty(n)
             dH_dp = np.empty(n)
