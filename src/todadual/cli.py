@@ -13,6 +13,13 @@ Output conventions
 * Output is byte-identical for fixed seed and flags.  The default seed
   comes from the TODADUAL_SEED environment variable when set; explicit
   --seed wins.
+* `integrate` builds the whole table before writing it.  Its batched
+  eigensolve (the lam columns) runs on one worker thread beside the trace
+  columns and the text of the other columns; the worker makes that one
+  numpy call only, since LAPACK releases the GIL and any other numpy work
+  there would wait for the GIL that the formatting holds.  The thread is
+  joined before the command returns or raises, and every cell is the same
+  %.17g text of the same double, so the bytes do not depend on it.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import json
 import math
 import os
 import sys
+import threading
 
 import numpy as np
 
@@ -264,15 +272,32 @@ def cmd_integrate(args) -> tuple[int, str]:
     k = args.hamiltonian if args.hamiltonian is not None else quadratic_index(datum)
     traj = integrate_flow(datum, point, k, args.dt, args.steps)
     X, _ = _lax(datum, traj[:, :n], traj[:, n:])
-    table = np.column_stack(
-        [
-            np.arange(args.steps + 1) * args.dt,
-            traj,
-            _trace_hamiltonians(datum, X, n),
-            np.linalg.eigvalsh(X)[:, ::-1],  # descending, chamber order
-        ]
-    )
+    # The batched eigensolve runs on one worker thread while this thread
+    # computes the traces and the text of the t, q, p and H cells.  The
+    # worker makes exactly one numpy call: LAPACK runs without the GIL, but
+    # any further numpy work there would wait for the GIL held by the
+    # formatting here.  It is joined before this function returns or
+    # raises, and its exception, if any, is raised here.
+    box = []
+
+    def solve():
+        try:
+            box.append(np.linalg.eigvalsh(X))
+        except BaseException as exc:
+            box.append(exc)
+
+    worker = threading.Thread(target=solve)
+    worker.start()
     sep = "," if args.format == "csv" else "\t"
+    try:
+        left = np.column_stack([np.arange(args.steps + 1) * args.dt, traj, _trace_hamiltonians(datum, X, n)])
+        row = sep.join(["%.17g"] * left.shape[1])  # _fmt's format for every cell
+        heads = [row % tuple(cells) for cells in left.tolist()]
+    finally:
+        worker.join()
+    (lam,) = box
+    if isinstance(lam, BaseException):
+        raise lam
     names = (
         ["t"]
         + [f"q{i}" for i in range(1, n + 1)]
@@ -280,8 +305,9 @@ def cmd_integrate(args) -> tuple[int, str]:
         + [f"H{i}" for i in range(1, n + 1)]
         + [f"lam{i}" for i in range(1, datum.size + 1)]
     )
-    row = sep.join(["%.17g"] * len(names))  # _fmt's format for every cell
-    lines = [sep.join(names)] + [row % tuple(cells) for cells in table.tolist()]
+    lam_row = sep + sep.join(["%.17g"] * datum.size)
+    lam = lam[:, ::-1].tolist()  # descending, chamber order
+    lines = [sep.join(names)] + [head + lam_row % tuple(cells) for head, cells in zip(heads, lam)]
     return EXIT_OK, "\n".join(lines) + "\n"
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -140,7 +141,7 @@ def test_integrate_zero_dt_rows_constant(capsys):
 
 @pytest.mark.parametrize(
     "fam,n,extra",
-    [("A", 1, ("--hamiltonian", "1")), ("B", 1, ()), ("C", 2, ()), ("D", 4, ()), ("A", 5, ())],
+    [("A", 1, ("--hamiltonian", "1")), ("B", 1, ()), ("C", 2, ()), ("D", 4, ()), ("A", 5, ()), ("D", 8, ())],
 )
 @pytest.mark.parametrize("steps", [0, 7])
 @pytest.mark.parametrize("fmt", ["csv", "tsv"])
@@ -162,6 +163,31 @@ def test_integrate_table_matches_per_row_reference(capsys, fam, n, extra, steps,
         X = build_lax(datum, TodaPoint(q=row[:n], p=row[n:]))
         cells = [step * dt, *row, *_trace_hamiltonians(datum, X, n), *np.linalg.eigvalsh(X)[::-1]]
         assert lines[step + 1] == sep.join(cli._fmt(v) for v in cells)
+
+
+def test_integrate_worker_never_outlives_the_call(capsys, monkeypatch):
+    # the eigensolve's worker thread is joined on success, when the main
+    # thread raises while it runs, and when the worker itself raises
+    threads = threading.active_count()
+    code, out, _ = run_cli(capsys, "integrate", "--type", "D", "--rank", "5", "--steps", "50")
+    assert code == 0 and len(out.split("\n")) == 53
+    assert threading.active_count() == threads
+    code, out, err = run_cli(
+        capsys, "integrate", "--steps", "0", "--type", "B", "--rank", "2", "--q", "0,0", "--p", "1e80,0"
+    )
+    assert code == 2 and out == ""
+    assert "usage error: Toda Hamiltonian H_2, a trace of X^4, overflows float64" in err
+    assert threading.active_count() == threads
+    failure = np.linalg.LinAlgError("eigenvalues did not converge")
+
+    def fail(X):
+        raise failure
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(np.linalg.LinAlgError) as caught:
+        main(["integrate", "--type", "D", "--rank", "5", "--steps", "50"])
+    assert caught.value is failure
+    assert threading.active_count() == threads
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
