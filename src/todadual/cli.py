@@ -216,12 +216,7 @@ def cmd_verify(args) -> tuple[int, str]:
     datum = _datum_for(args, runs_duality_maps=True)
     seed = _resolve_seed(args)
     report = run_suite(datum, seed, npoints=args.points, flow_steps=args.flow_steps)
-    report["header"] = {
-        "tool": "todadual",
-        "version": __version__,
-        "command": "verify",
-        **report["header"],
-    }
+    report["header"] = {**_header(args, "verify", seed), **report["header"]}
     code = EXIT_OK if report["all_passed"] else EXIT_FAILURE
     return code, _json_text(report) + "\n"
 
@@ -230,9 +225,8 @@ def cmd_dual_map(args) -> tuple[int, str]:
     _require_format(args, ("json",), "dual-map")
     datum = _datum_for(args, runs_duality_maps=True)
     point, seed = _toda_point(args, datum)
-    kmax = args.kmax if args.kmax is not None else datum.algebra.rank
     gp = toda_to_goldfish(datum, point)
-    report = verify_duality_identities(datum, point, kmax)
+    report = verify_duality_identities(datum, point)
     back = goldfish_to_toda(datum, gp)
     roundtrip_err = float(
         max(np.max(np.abs(back.q - point.q)), np.max(np.abs(back.p - point.p)))
@@ -242,7 +236,7 @@ def cmd_dual_map(args) -> tuple[int, str]:
         "toda_point": {"q": _vector(point.q), "p": _vector(point.p)},
         "goldfish_point": {"qhat": _vector(gp.qhat), "phat": _vector(gp.phat)},
         "identities": {
-            "kmax": int(kmax),
+            "kmax": datum.algebra.rank,
             "toda_values": _vector(report.toda_values),
             "goldfish_values": _vector(report.goldfish_values),
             "jk_toda_gauge": _vector(report.jk_toda_gauge),
@@ -290,7 +284,7 @@ def cmd_integrate(args) -> tuple[int, str]:
     worker.start()
     sep = "," if args.format == "csv" else "\t"
     try:
-        left = np.column_stack([np.arange(args.steps + 1) * args.dt, traj, _trace_hamiltonians(datum, X, n)])
+        left = np.column_stack([np.arange(args.steps + 1) * args.dt, traj, _trace_hamiltonians(datum, X)])
         row = sep.join(["%.17g"] * left.shape[1])  # _fmt's format for every cell
         heads = [row % tuple(cells) for cells in left.tolist()]
     finally:
@@ -349,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     dual = commands.add_parser("dual-map", help="map a Toda point to its dual coordinates and back")
     _add_common(dual, "json")
     _add_point_flags(dual)
-    dual.add_argument("--kmax", type=int, default=None, help="number of invariant pairs to compare")
     dual.set_defaults(fn=cmd_dual_map)
 
     integ = commands.add_parser("integrate", help="implicit-midpoint trajectory with invariant columns")

@@ -122,7 +122,7 @@ def toda_to_goldfish(datum: RootDatum, point: TodaPoint) -> GoldfishPoint:
 def _inverse_pass(datum: RootDatum, point: GoldfishPoint):
     """goldfish_to_toda's one evaluation: (recovered, the Lanczos pass), spectrum-gated."""
     n = datum.algebra.rank
-    lp = _heine_pass(datum, point, n)
+    lp = _heine_pass(datum, point)
     log_norm, alpha, _, beta, x, _, _ = lp
     if not beta.all():
         i = int(np.argmin(beta))
@@ -151,32 +151,26 @@ def goldfish_to_toda(datum: RootDatum, point: GoldfishPoint) -> TodaPoint:
     return _inverse_pass(datum, point)[0]
 
 
-def toda_gauge_minors(datum: RootDatum, point: TodaPoint, kmax: int | None = None) -> np.ndarray:
-    """Trailing principal minors J_k of g g^dagger in the Toda gauge.
+def toda_gauge_minors(datum: RootDatum, point: TodaPoint) -> np.ndarray:
+    """Trailing principal minors J_1..J_n of g g^dagger in the Toda gauge.
 
     g is diagonal here, so J_k is the product of the last k entries of
     exp(2 * pattern(q)): explicit exponentials of the positions.  A J_k
     past the float64 range raises ValidationError naming it.
     """
-    n = datum.algebra.rank
-    kmax = n if kmax is None else int(kmax)
     pattern = cartan_pattern(datum, point.q)
-    return _checked_exp(2.0 * np.cumsum(pattern[::-1])[:kmax], "Toda-gauge minor J_{}")
+    return _checked_exp(2.0 * np.cumsum(pattern[::-1])[: datum.algebra.rank], "Toda-gauge minor J_{}")
 
 
-def moser_gauge_traces(datum: RootDatum, qhat, kmax: int | None = None) -> np.ndarray:
-    """Trace powers I_k of the diagonalized Lax matrix (spectral power sums)."""
-    n = datum.algebra.rank
-    kmax = n if kmax is None else int(kmax)
+def moser_gauge_traces(datum: RootDatum, qhat) -> np.ndarray:
+    """Trace powers I_1..I_n of the diagonalized Lax matrix (spectral power sums)."""
     d = symplectic_scale(datum)
     qhat = np.asarray(qhat, dtype=float)
-    ks = np.arange(1, kmax + 1, dtype=float)
+    ks = np.arange(1, datum.algebra.rank + 1, dtype=float)
     return np.power(qhat[None, :] ** d, ks[:, None]).sum(axis=1) / (d * ks)
 
 
-def verify_duality_identities(
-    datum: RootDatum, point: TodaPoint, kmax: int | None = None
-) -> DualityReport:
+def verify_duality_identities(datum: RootDatum, point: TodaPoint) -> DualityReport:
     """Evaluate both invariant families in both gauges and report mismatches.
 
     Matched pairs: jk_toda_gauge against goldfish_values (the same minor
@@ -184,13 +178,11 @@ def verify_duality_identities(
     trace family).  Mismatches land in max_relative_mismatch; nothing is
     raised here because the report itself is the verdict.
     """
-    n = datum.algebra.rank
-    kmax = n if kmax is None else int(kmax)
-    toda_values = toda_hamiltonians(datum, point, kmax)
+    toda_values = toda_hamiltonians(datum, point)
     gp = toda_to_goldfish(datum, point)
-    goldfish_values = goldfish_hamiltonians(datum, gp, kmax)
-    jk = toda_gauge_minors(datum, point, kmax)
-    ik = moser_gauge_traces(datum, gp.qhat, kmax)
+    goldfish_values = goldfish_hamiltonians(datum, gp)
+    jk = toda_gauge_minors(datum, point)
+    ik = moser_gauge_traces(datum, gp.qhat)
     # np.max keeps a NaN gap, which Python's max would drop
     worst = np.max([_relative_gap(*pair) for pair in zip([*jk, *toda_values], [*goldfish_values, *ik])])
     return DualityReport(

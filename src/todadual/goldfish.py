@@ -125,8 +125,8 @@ def _residual(Q: np.ndarray, w: np.ndarray):
             return w, norm
 
 
-def _heine_pass(datum: RootDatum, point: GoldfishPoint, kmax: int):
-    """One Lanczos pass on the Moser measure for k = 1..kmax: (log_norm, alpha, Q, beta, x, gaps_grad, fused).
+def _heine_pass(datum: RootDatum, point: GoldfishPoint):
+    """One Lanczos pass on the Moser measure for k = 1..n: (log_norm, alpha, Q, beta, x, gaps_grad, fused).
 
     log u = pattern(phat) + the weights row of log_gap_sums (x-gradient
     gaps_grad).  Lanczos on diag(x) from u, in units of max(u) and
@@ -134,7 +134,7 @@ def _heine_pass(datum: RootDatum, point: GoldfishPoint, kmax: int):
     polynomials pi_i of sum_c u_c^2 delta_{x_c}: log_norm_i = log||pi_i||,
     and log H-hat_k = 2 sum_{i<k} log_norm_i.  Q holds the Lanczos vectors,
     beta the residual norms that normalise them, alpha_i = Q_i^T diag(x) Q_i.
-    D's top (kmax = n) is fused = (f, f's x-gradient, r): the fused-root
+    D's top, k = n, is fused = (f, f's x-gradient, r): the fused-root
     row f (u times the fused_row gaps, in units of its max) leaves the
     residual beta_{n-1} r off Q.  A residual that vanishes (weights not
     yet spanned underflow next to max(u)) leaves beta_i = 0 and H-hat_k = 0.
@@ -144,8 +144,8 @@ def _heine_pass(datum: RootDatum, point: GoldfishPoint, kmax: int):
     x = check_chamber(datum, point.qhat)
     log_gaps, gaps_grad = log_gap_sums(x, tables.weights)
     log_u = datum.pattern @ point.phat + log_gaps
-    m = kmax - (kmax == n and tables.fused_row.size > 0)  # only D has a fused-root row
-    Q, alpha, beta, fused = np.zeros((N, m)), np.zeros(kmax), np.zeros(kmax), None
+    m = n - (tables.fused_row.size > 0)  # only D has a fused-root row
+    Q, alpha, beta, fused = np.zeros((N, m)), np.zeros(n), np.zeros(n), None
     w = np.exp(log_u - log_u.max())
     for i in range(m):
         if i:
@@ -154,7 +154,7 @@ def _heine_pass(datum: RootDatum, point: GoldfishPoint, kmax: int):
         if beta[i]:
             Q[:, i] = w / beta[i]
             alpha[i] = Q[:, i] @ (x * Q[:, i])
-    if m < kmax:
+    if m < n:
         f_gaps, f_grad = log_gap_sums(x, tables.fused_row)
         support = np.flatnonzero(tables.fused_row.any(axis=1))
         log_f = log_u[support] + f_gaps[support]
@@ -183,17 +183,13 @@ def _checked_values(log_h: np.ndarray) -> np.ndarray:
     return values
 
 
-def goldfish_hamiltonians(datum: RootDatum, point: GoldfishPoint, kmax: int | None = None) -> np.ndarray:
-    """Dual Hamiltonians (H-hat_1, ..., H-hat_kmax) = m_k(g g^dagger); kmax defaults to the rank.
+def goldfish_hamiltonians(datum: RootDatum, point: GoldfishPoint) -> np.ndarray:
+    """Dual Hamiltonians (H-hat_1, ..., H-hat_n) = m_k(g g^dagger), n the rank.
 
     One Lanczos pass on the Moser measure (_heine_pass).  A value past the
     float64 range raises ValidationError naming it.
     """
-    n = datum.algebra.rank
-    kmax = n if kmax is None else int(kmax)
-    if not 1 <= kmax <= n:
-        raise ValidationError(f"kmax must lie in 1..{n}, got {kmax}")
-    return _checked_values(2.0 * np.cumsum(_heine_pass(datum, point, kmax)[0]))
+    return _checked_values(2.0 * np.cumsum(_heine_pass(datum, point)[0]))
 
 
 def goldfish_hamiltonian(datum: RootDatum, point: GoldfishPoint, k: int) -> float:
@@ -201,7 +197,7 @@ def goldfish_hamiltonian(datum: RootDatum, point: GoldfishPoint, k: int) -> floa
     n = datum.algebra.rank
     if not 1 <= k <= n:
         raise ValidationError(f"k must lie in 1..{n}, got {k}")
-    return float(goldfish_hamiltonians(datum, point, k)[k - 1])
+    return float(goldfish_hamiltonians(datum, point)[k - 1])
 
 
 def goldfish_gradients(datum: RootDatum, point: GoldfishPoint) -> np.ndarray:
@@ -214,7 +210,7 @@ def goldfish_gradients(datum: RootDatum, point: GoldfishPoint) -> np.ndarray:
     and D's top residual R = beta_{n-1} r moves by
     d||R||^2 = 2 sum_c R_c (R_c d log u_c + f_c d log(f_c / u_c) - (Q' Q^T f)_c dx_c).
     """
-    log_norm, alpha, Q, beta, x, gaps_grad, fused = _heine_pass(datum, point, datum.algebra.rank)
+    log_norm, alpha, Q, beta, x, gaps_grad, fused = _heine_pass(datum, point)
     P, (N, m) = datum.pattern, Q.shape
     dQ = np.zeros((N, m))
     for i in range(1, m):

@@ -177,37 +177,33 @@ def quadratic_index(datum: RootDatum) -> int:
     return k
 
 
-def _trace_hamiltonians(datum: RootDatum, X: np.ndarray, kmax: int) -> np.ndarray:
-    """Trace powers (H_1, ..., H_kmax) of built Lax matrices X (..., N, N), shape (..., kmax).
+def _trace_hamiltonians(datum: RootDatum, X: np.ndarray) -> np.ndarray:
+    """Trace powers (H_1, ..., H_n) of built Lax matrices X (..., N, N), shape (..., n).
 
     A trace power past the float64 range at any of the matrices raises
     ValidationError naming it.
     """
-    d = symplectic_scale(datum)
-    values = np.empty(X.shape[:-2] + (kmax,))
+    n, d = datum.algebra.rank, symplectic_scale(datum)
+    values = np.empty(X.shape[:-2] + (n,))
     P = step = np.linalg.matrix_power(X, d)
     with np.errstate(over="ignore", invalid="ignore"):
         values[..., 0] = np.trace(P, axis1=-2, axis2=-1) / (d * d)
-        for k in range(2, kmax + 1):
+        for k in range(2, n + 1):
             P = P @ step
             values[..., k - 1] = np.trace(P, axis1=-2, axis2=-1) / (d * d * k)
-    finite = np.isfinite(values).reshape(-1, kmax).all(axis=0)
+    finite = np.isfinite(values).reshape(-1, n).all(axis=0)
     if not finite.all():
         k = int(np.argmin(finite)) + 1
         raise ValidationError(f"Toda Hamiltonian H_{k}, a trace of X^{d * k}, overflows float64")
     return values
 
 
-def toda_hamiltonians(datum: RootDatum, point: TodaPoint, kmax: int | None = None) -> np.ndarray:
-    """Trace-power Hamiltonians (H_1, ..., H_kmax); kmax defaults to the rank.
+def toda_hamiltonians(datum: RootDatum, point: TodaPoint) -> np.ndarray:
+    """Trace-power Hamiltonians (H_1, ..., H_n), n the rank.
 
     A trace power past the float64 range raises ValidationError naming it.
     """
-    n = datum.algebra.rank
-    kmax = n if kmax is None else int(kmax)
-    if not 1 <= kmax <= n:
-        raise ValidationError(f"kmax must lie in 1..{n}, got {kmax}")
-    return _trace_hamiltonians(datum, build_lax(datum, point), kmax)
+    return _trace_hamiltonians(datum, build_lax(datum, point))
 
 
 def equations_of_motion(datum: RootDatum, point: TodaPoint, k: int):

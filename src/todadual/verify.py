@@ -238,7 +238,7 @@ def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 2
     if fam == "D":
         for j in range(min(npoints, 3)):
             gp = sample_goldfish(datum, _rng(seed, "discrepancy-log", j))
-            oracle = float(goldfish_hamiltonians(datum, gp, 1)[0])
+            oracle = float(goldfish_hamiltonians(datum, gp)[0])
             printed = d_h1_pairsum_variant(datum, gp)
             log.append(
                 {
@@ -256,7 +256,7 @@ def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 2
             )
     if fam == "C" and n == 2:
         gp = sample_goldfish(datum, _rng(seed, "discrepancy-log", 0))
-        m2 = float(goldfish_hamiltonians(datum, gp, 2)[1])
+        m2 = float(goldfish_hamiltonians(datum, gp)[1])
         log.append(
             {
                 "kind": "half-m2-convention",

@@ -161,7 +161,7 @@ def test_integrate_table_matches_per_row_reference(capsys, fam, n, extra, steps,
     assert len(lines) == steps + 3 and lines[-1] == ""
     for step, row in enumerate(traj):
         X = build_lax(datum, TodaPoint(q=row[:n], p=row[n:]))
-        cells = [step * dt, *row, *_trace_hamiltonians(datum, X, n), *np.linalg.eigvalsh(X)[::-1]]
+        cells = [step * dt, *row, *_trace_hamiltonians(datum, X), *np.linalg.eigvalsh(X)[::-1]]
         assert lines[step + 1] == sep.join(cli._fmt(v) for v in cells)
 
 
@@ -282,6 +282,18 @@ def test_half_point_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "lax", "--type", "A", "--rank", "2", "--q", "1,2")
     assert code == 2
     assert "--p" in err
+
+
+def test_dual_map_compares_every_pair(capsys):
+    # the report always holds all n pairs, and its identities.kmax is the rank
+    code, out, err = run_cli(capsys, "dual-map", "--type", "C", "--rank", "3", "--kmax", "2")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --kmax 2" in err
+    code, out, _ = run_cli(capsys, "dual-map", "--type", "C", "--rank", "3")
+    assert code == 0
+    ids = json.loads(out)["identities"]
+    assert ids["kmax"] == 3
+    assert all(len(ids[k]) == 3 for k in ("toda_values", "goldfish_values", "jk_toda_gauge", "ik_moser_gauge"))
 
 
 def test_degenerate_point_exits_three(capsys):

@@ -103,9 +103,9 @@ def test_inverse_positions_match_iwasawa_diagonal():
 def test_inverse_map_rejects_a_perturbed_bottom_row(monkeypatch):
     # the norm ||pi_1|| of the pass's step 1, the distance of row N-2 of g
     # from the bottom row, off by 1e-6 moves q and so the rebuilt Lax spectrum
-    def perturbed(datum, point, kmax):
-        log_norm, *rest = _heine_pass(datum, point, kmax)
-        return log_norm + 1.0e-6 * (np.arange(kmax) == 1), *rest
+    def perturbed(datum, point):
+        log_norm, *rest = _heine_pass(datum, point)
+        return log_norm + 1.0e-6 * (np.arange(log_norm.size) == 1), *rest
 
     for fam, n in [("A", 3), ("B", 2), ("C", 3), ("D", 3)]:
         datum = build_root_datum(AlgebraType(fam, n))
@@ -182,15 +182,9 @@ def test_identity_report_matches_both_pairs():
         report = verify_duality_identities(datum, point)
         assert report.toda_values.shape == (n,)
         assert report.goldfish_values.shape == (n,)
+        assert report.jk_toda_gauge.shape == (n,)
+        assert report.ik_moser_gauge.shape == (n,)
         assert report.max_relative_mismatch < 1e-9, f"{fam}{n}: {report.max_relative_mismatch:.3e}"
-
-
-def test_identity_report_kmax():
-    datum = build_root_datum(AlgebraType("C", 4))
-    point = sample_toda(datum, spawn_rng(71, 99))
-    report = verify_duality_identities(datum, point, kmax=2)
-    assert report.jk_toda_gauge.shape == (2,)
-    assert report.ik_moser_gauge.shape == (2,)
 
 
 def test_gauge_minors_are_position_exponentials():
@@ -273,15 +267,32 @@ def test_exact_jacobian_is_antisymplectic_to_rounding():
                 assert residual < 1e-9, f"{fam}{n} seed {seed} draw {j} residual {residual:.3e}"
 
 
+def test_closed_form_gradients_match_the_forward_mode_tangent():
+    # H-hat_k = J_k(q) = exp(2 sum_{i<k} (tail q)_i) at q = goldfish_to_toda(gp).q,
+    # so the closed-form goldfish_gradients and the q rows of duality_jacobian,
+    # two exact derivatives of one pass, give the same rows
+    for fam, n in CAPPED:
+        datum = build_root_datum(AlgebraType(fam, n))
+        tail = datum.pattern[::-1][:n]
+        for seed in range(5):
+            for j in range(3):
+                gp = sample_goldfish(datum, spawn_rng(seed, 9000 + j))
+                H = goldfish_hamiltonians(datum, gp)
+                tangent = 2.0 * H[:, None] * np.cumsum(tail @ duality_jacobian(datum, gp)[n:], axis=0)
+                grad = goldfish_gradients(datum, gp)
+                gap = float(np.max(np.linalg.norm(grad - tangent, axis=1) / np.linalg.norm(grad, axis=1)))
+                assert gap < 1e-10, f"{fam}{n} seed {seed} draw {j}: {gap:.3e}"
+
+
 def test_jacobian_runs_the_gated_map_once(monkeypatch):
     # one Lanczos pass at the point itself, no perturbed evaluation
     datum = build_root_datum(AlgebraType("C", 3))
     gp = sample_goldfish(datum, spawn_rng(0, 9000))
     calls = []
 
-    def counted(datum, point, kmax):
+    def counted(datum, point):
         calls.append(point)
-        return _heine_pass(datum, point, kmax)
+        return _heine_pass(datum, point)
 
     monkeypatch.setattr(todadual.duality, "_heine_pass", counted)
     duality_jacobian(datum, gp)

@@ -299,5 +299,3 @@ def test_hamiltonian_k_validation():
     gp = GoldfishPoint(qhat=[1.4, 0.5], phat=[0.0, 0.0])
     with pytest.raises(ValidationError):
         goldfish_hamiltonian(datum, gp, 3)
-    with pytest.raises(ValidationError):
-        goldfish_hamiltonians(datum, gp, kmax=0)

@@ -147,7 +147,7 @@ def test_exact_gradients_match_the_stencil(fam, n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_d_top_invariant_gradient_matches_the_stencil(n):
-    # the fused-root Laplace sum's row, checked against the stencil of H-hat_n alone
+    # the row of the pass's fused-row residual, checked against the stencil of H-hat_n alone
     datum = build_root_datum(AlgebraType("D", n))
     for seed in range(3):
         gp = sample_goldfish(datum, spawn_rng(seed, 200 + n))

@@ -302,15 +302,6 @@ def test_symplectic_form_matrix():
         assert np.max(np.abs(M + M.T)) == 0.0
 
 
-def test_hamiltonians_kmax_validation():
-    datum = build_root_datum(AlgebraType("C", 2))
-    point = TodaPoint(q=[0.0, 0.0], p=[0.1, 0.2])
-    with pytest.raises(ValidationError):
-        toda_hamiltonians(datum, point, kmax=3)
-    with pytest.raises(ValidationError):
-        toda_hamiltonians(datum, point, kmax=0)
-
-
 def test_equations_of_motion_match_hand_derivative():
     # A2 with H_2 = (p1^2 + p2^2)/2 + e^{2(q1-q2)}: Hamilton's equations
     # are dq = p and dp = -/+ 2 e^{2(q1-q2)}.
