@@ -181,11 +181,6 @@ def _header(args, command: str, seed) -> dict:
     }
 
 
-def _require_format(args, allowed: tuple, what: str) -> None:
-    if args.format not in allowed:
-        raise ValidationError(f"{what} supports --format {'|'.join(allowed)}, got {args.format}")
-
-
 def cmd_lax(args) -> tuple[int, str]:
     datum = _datum_for(args)
     point, seed = _toda_point(args, datum)
@@ -212,7 +207,6 @@ def cmd_lax(args) -> tuple[int, str]:
 
 
 def cmd_verify(args) -> tuple[int, str]:
-    _require_format(args, ("json",), "verify")
     datum = _datum_for(args, runs_duality_maps=True)
     seed = _resolve_seed(args)
     report = run_suite(datum, seed, npoints=args.points, flow_steps=args.flow_steps)
@@ -222,7 +216,6 @@ def cmd_verify(args) -> tuple[int, str]:
 
 
 def cmd_dual_map(args) -> tuple[int, str]:
-    _require_format(args, ("json",), "dual-map")
     datum = _datum_for(args, runs_duality_maps=True)
     point, seed = _toda_point(args, datum)
     gp = toda_to_goldfish(datum, point)
@@ -259,7 +252,6 @@ def cmd_dual_map(args) -> tuple[int, str]:
 
 
 def cmd_integrate(args) -> tuple[int, str]:
-    _require_format(args, ("csv", "tsv"), "integrate")
     datum = _datum_for(args)
     point, _ = _toda_point(args, datum, sampler=sample_flow_toda)
     n = datum.algebra.rank
@@ -305,11 +297,12 @@ def cmd_integrate(args) -> tuple[int, str]:
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def _add_common(sub: argparse.ArgumentParser, default_format: str) -> None:
+def _add_common(sub: argparse.ArgumentParser, formats: list) -> None:
+    """Flags every command takes; --format offers the command's own formats, the first by default."""
     sub.add_argument("--type", required=True, choices=list(FAMILIES), help="algebra family")
     sub.add_argument("--rank", required=True, type=int, help="rank n")
     sub.add_argument("--seed", type=int, default=None, help=f"non-negative sampler seed (default: ${SEED_ENV} or 0)")
-    sub.add_argument("--format", default=default_format, choices=["json", "csv", "tsv"], help="output format")
+    sub.add_argument("--format", default=formats[0], choices=formats, help="output format")
     sub.add_argument("--out", default=None, metavar="PATH", help="output file (default: stdout)")
 
 
@@ -330,23 +323,23 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     lax = commands.add_parser("lax", help="emit the group element g and Lax matrix X at a point")
-    _add_common(lax, "json")
+    _add_common(lax, ["json", "csv", "tsv"])
     _add_point_flags(lax)
     lax.set_defaults(fn=cmd_lax)
 
     ver = commands.add_parser("verify", help="run the seeded invariant suite, JSON report")
-    _add_common(ver, "json")
+    _add_common(ver, ["json"])
     ver.add_argument("--points", type=int, default=8, help="sample points per property")
     ver.add_argument("--flow-steps", type=int, default=200, help="integrator steps in the flow property")
     ver.set_defaults(fn=cmd_verify)
 
     dual = commands.add_parser("dual-map", help="map a Toda point to its dual coordinates and back")
-    _add_common(dual, "json")
+    _add_common(dual, ["json"])
     _add_point_flags(dual)
     dual.set_defaults(fn=cmd_dual_map)
 
     integ = commands.add_parser("integrate", help="implicit-midpoint trajectory with invariant columns")
-    _add_common(integ, "csv")
+    _add_common(integ, ["csv", "tsv"])
     _add_point_flags(integ)
     integ.add_argument("--dt", type=float, default=1.0e-3, help="time step")
     integ.add_argument("--steps", type=int, default=1000, help="number of steps")

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import DualityResidualError, SingularMatrixError
 from .goldfish import GoldfishPoint, _heine_pass, goldfish_hamiltonians, p_from_a
 from .linalg import structured_diagonalize
-from .moser import MoserPoint, check_chamber, log_gap_sums, node_tables
+from .moser import AHAT_OVERFLOW, MoserPoint, check_chamber, log_gap_sums, node_tables
 from .rootsys import RootDatum, cartan_pattern
 from .toda import TodaPoint, _checked_exp, build_lax, symplectic_form, symplectic_scale, toda_hamiltonians
 
@@ -96,7 +96,7 @@ def toda_to_moser(datum: RootDatum, point: TodaPoint) -> MoserPoint:
     k, qhat = structured_diagonalize(datum, X)
     # Moduli of the bottom row of diag(exp(pattern(q))) k^T: g transported
     # into the frame where X is diagonal.
-    last = f"Toda-gauge entry g[{datum.size - 1}, {datum.size - 1}]"
+    last = f"Toda-gauge entry g[{datum.size - 1}, {datum.size - 1}] = exp({{e:.6g}}) overflows float64"
     row = np.abs(_checked_exp(cartan_pattern(datum, point.q)[-1:], last) * k[:, -1])
 
     x = check_chamber(datum, qhat)
@@ -106,7 +106,7 @@ def toda_to_moser(datum: RootDatum, point: TodaPoint) -> MoserPoint:
     n, log_row = datum.algebra.rank, np.log(row)
     log_unit, _ = log_gap_sums(x, node_tables(datum.algebra).bottom_row)
     log_ahat = log_row[:n] - log_unit[:n]
-    mp = MoserPoint(qhat=qhat, ahat=_checked_exp(log_ahat, "Moser weight ahat_{}"))
+    mp = MoserPoint(qhat=qhat, ahat=_checked_exp(log_ahat, AHAT_OVERFLOW))
     # log|b| = pattern(log ahat) on the whole diagonal, mirrored half included
     gap = float(np.max(np.abs(np.expm1(log_row - cartan_pattern(datum, log_ahat) - log_unit))))
     if not gap <= DUALITY_RTOL:
@@ -159,7 +159,8 @@ def toda_gauge_minors(datum: RootDatum, point: TodaPoint) -> np.ndarray:
     past the float64 range raises ValidationError naming it.
     """
     pattern = cartan_pattern(datum, point.q)
-    return _checked_exp(2.0 * np.cumsum(pattern[::-1])[: datum.algebra.rank], "Toda-gauge minor J_{}")
+    log_minors = 2.0 * np.cumsum(pattern[::-1])[: datum.algebra.rank]
+    return _checked_exp(log_minors, "Toda-gauge minor J_{i} = exp({e:.6g}) overflows float64")
 
 
 def moser_gauge_traces(datum: RootDatum, qhat) -> np.ndarray:

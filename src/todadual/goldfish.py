@@ -38,9 +38,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SingularConfigurationError, ValidationError
-from .moser import MoserPoint, check_chamber, log_gap_sums, node_tables
-from .rootsys import RootDatum
+from .moser import AHAT_OVERFLOW, MoserPoint, check_chamber, log_gap_sums, node_tables
+from .rootsys import RootDatum, check_index, vector_pair
 from .toda import _checked_exp
+
+# _checked_exp's message for an H-hat_k = exp(log H-hat_k) past the float64 range.
+_HHAT_OVERFLOW = "dual Hamiltonian H-hat_{i}, a sum of squared minors, overflows float64"
 
 
 @dataclass(frozen=True)
@@ -51,16 +54,7 @@ class GoldfishPoint:
     phat: np.ndarray
 
     def __post_init__(self):
-        qhat = np.asarray(self.qhat, dtype=float)
-        phat = np.asarray(self.phat, dtype=float)
-        object.__setattr__(self, "qhat", qhat)
-        object.__setattr__(self, "phat", phat)
-        if qhat.ndim != 1 or qhat.shape != phat.shape:
-            raise ValidationError(
-                f"qhat and phat must be equal-length vectors, got {qhat.shape} and {phat.shape}"
-            )
-        if not (np.isfinite(qhat).all() and np.isfinite(phat).all()):
-            raise ValidationError("non-finite coordinates")
+        vector_pair(self, "qhat", "phat")
 
 
 @dataclass(frozen=True)
@@ -85,7 +79,7 @@ def _half_log_factors(datum: RootDatum, qhat: np.ndarray):
 def _moser_point(datum: RootDatum, point: GoldfishPoint):
     """(a_from_p(point), x) from one chamber evaluation."""
     x, half_log_F = _half_log_factors(datum, point.qhat)
-    ahat = _checked_exp(point.phat + half_log_F, "Moser weight ahat_{}")
+    ahat = _checked_exp(point.phat + half_log_F, AHAT_OVERFLOW)
     return MoserPoint(qhat=point.qhat, ahat=ahat), x
 
 
@@ -173,30 +167,18 @@ def _heine_pass(datum: RootDatum, point: GoldfishPoint):
     return log_norm, alpha, Q, beta, x, gaps_grad, fused
 
 
-def _checked_values(log_h: np.ndarray) -> np.ndarray:
-    """exp(log_h), or ValidationError naming the first H-hat_k past the float64 range."""
-    with np.errstate(over="ignore"):
-        values = np.exp(log_h)
-    if not np.isfinite(values).all():
-        k = int(np.argmin(np.isfinite(values))) + 1
-        raise ValidationError(f"dual Hamiltonian H-hat_{k}, a sum of squared minors, overflows float64")
-    return values
-
-
 def goldfish_hamiltonians(datum: RootDatum, point: GoldfishPoint) -> np.ndarray:
     """Dual Hamiltonians (H-hat_1, ..., H-hat_n) = m_k(g g^dagger), n the rank.
 
     One Lanczos pass on the Moser measure (_heine_pass).  A value past the
     float64 range raises ValidationError naming it.
     """
-    return _checked_values(2.0 * np.cumsum(_heine_pass(datum, point)[0]))
+    return _checked_exp(2.0 * np.cumsum(_heine_pass(datum, point)[0]), _HHAT_OVERFLOW)
 
 
 def goldfish_hamiltonian(datum: RootDatum, point: GoldfishPoint, k: int) -> float:
     """Single dual Hamiltonian H-hat_k."""
-    n = datum.algebra.rank
-    if not 1 <= k <= n:
-        raise ValidationError(f"k must lie in 1..{n}, got {k}")
+    check_index(datum.algebra.rank, k)
     return float(goldfish_hamiltonians(datum, point)[k - 1])
 
 
@@ -227,7 +209,7 @@ def goldfish_gradients(datum: RootDatum, point: GoldfishPoint) -> np.ndarray:
         cu = np.vstack([cu, cu[-1] + 2.0 * r * r])
         cx = np.vstack([cx, cx[-1] + 2.0 * top_x])
     dlog_h = np.hstack([cu @ P, (cu @ gaps_grad + cx) @ P])
-    return _checked_values(2.0 * np.cumsum(log_norm))[:, None] * dlog_h
+    return _checked_exp(2.0 * np.cumsum(log_norm), _HHAT_OVERFLOW)[:, None] * dlog_h
 
 
 def _cross_products(F: np.ndarray, k: int):
@@ -255,8 +237,7 @@ def goldfish_hamiltonian_signed_A(point: GoldfishPoint, k: int) -> float:
     q = np.asarray(point.qhat, dtype=float)
     p = np.asarray(point.phat, dtype=float)
     n = q.size
-    if not 1 <= k <= n:
-        raise ValidationError(f"k must lie in 1..{n}, got {k}")
+    check_index(n, k)
     S, sign, logabs = _cross_products(q[:, None] - q[None, :] + np.eye(n), k)
     return float(np.sum(sign * np.exp(2.0 * (S @ p) - logabs)))
 
@@ -271,8 +252,7 @@ def rs_hamiltonian_A(point: GoldfishPoint, coupling: RSCoupling, k: int) -> floa
     q = np.asarray(point.qhat, dtype=float)
     p = np.asarray(point.phat, dtype=float)
     n = q.size
-    if not 1 <= k <= n:
-        raise ValidationError(f"k must lie in 1..{n}, got {k}")
+    check_index(n, k)
     gaps = np.abs(q[:, None] - q[None, :])
     np.fill_diagonal(gaps, np.inf)
     if gaps.min() <= 1.0e-10:

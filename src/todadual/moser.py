@@ -32,10 +32,13 @@ import numpy as np
 
 from .errors import ChamberError, SingularConfigurationError, ValidationError
 from .linalg import bottom_row_qr
-from .rootsys import AlgebraType, RootDatum, cartan_pattern, matrix_size
+from .rootsys import AlgebraType, RootDatum, cartan_pattern, check_index, matrix_size, vector_pair
 
 # Nodes closer than this (absolute, inputs O(1)) count as a pole.
 POLE_TOL = 1.0e-8
+# toda._checked_exp's message for a weight ahat_i = exp(log ahat_i) past the
+# float64 range, in both maps that compute ahat (goldfish.a_from_p, duality.toda_to_moser).
+AHAT_OVERFLOW = "Moser weight ahat_{i} = exp({e:.6g}) overflows float64"
 
 
 @dataclass(frozen=True)
@@ -46,16 +49,7 @@ class MoserPoint:
     ahat: np.ndarray
 
     def __post_init__(self):
-        qhat = np.asarray(self.qhat, dtype=float)
-        ahat = np.asarray(self.ahat, dtype=float)
-        object.__setattr__(self, "qhat", qhat)
-        object.__setattr__(self, "ahat", ahat)
-        if qhat.ndim != 1 or qhat.shape != ahat.shape:
-            raise ValidationError(
-                f"qhat and ahat must be equal-length vectors, got {qhat.shape} and {ahat.shape}"
-            )
-        if not (np.isfinite(qhat).all() and np.isfinite(ahat).all()):
-            raise ValidationError("non-finite coordinates")
+        _, ahat = vector_pair(self, "qhat", "ahat")
         if (ahat <= 0.0).any():
             raise ValidationError("ahat entries must be positive")
 
@@ -153,12 +147,7 @@ def build_moser_g(datum: RootDatum, point: MoserPoint) -> np.ndarray:
     diagonal.  The result lies in the group exactly (up to roundoff) by
     uniqueness of the solution.
     """
-    qhat = np.asarray(point.qhat, dtype=float)
-    if qhat.shape != (datum.algebra.rank,):
-        raise ValidationError(
-            f"point rank {qhat.shape} does not match algebra rank {datum.algebra.rank}"
-        )
-    return _moser_g(datum, check_chamber(datum, qhat), point.ahat)
+    return _moser_g(datum, check_chamber(datum, point.qhat), point.ahat)
 
 
 def _moser_g(datum: RootDatum, x: np.ndarray, ahat: np.ndarray) -> np.ndarray:
@@ -213,8 +202,7 @@ def minor_oracle_mk(datum: RootDatum, g: np.ndarray, k: int) -> float:
     N = datum.size
     if g.shape != (N, N):
         raise ValidationError(f"expected shape {(N, N)}, got {g.shape}")
-    if not 1 <= k <= datum.algebra.rank:
-        raise ValidationError(f"k must lie in 1..{datum.algebra.rank}, got {k}")
+    check_index(datum.algebra.rank, k)
     return float(np.prod(np.abs(np.diagonal(bottom_row_qr(g, k))) ** 2))
 
 

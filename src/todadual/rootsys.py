@@ -173,6 +173,29 @@ def group_residual(datum: RootDatum, g: np.ndarray) -> float:
     return float(np.linalg.norm(g @ datum.omega @ g.T - datum.omega, "fro"))
 
 
+def vector_pair(point, first: str, second: str):
+    """Store a frozen point's fields first and second as float arrays and return them.
+
+    Raises ValidationError unless both are equal-length vectors of finite
+    entries; the Toda, Moser and goldfish point types share this rule.
+    """
+    a = np.asarray(getattr(point, first), dtype=float)
+    b = np.asarray(getattr(point, second), dtype=float)
+    object.__setattr__(point, first, a)
+    object.__setattr__(point, second, b)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValidationError(f"{first} and {second} must be equal-length vectors, got {a.shape} and {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValidationError("non-finite coordinates")
+    return a, b
+
+
+def check_index(n: int, k: int) -> None:
+    """ValidationError unless the Hamiltonian index k lies in 1..n."""
+    if not 1 <= k <= n:
+        raise ValidationError(f"k must lie in 1..{n}, got {k}")
+
+
 def cartan_pattern(datum: RootDatum, values: np.ndarray) -> np.ndarray:
     """Diagonal of sum_i values[i] * h_i as a length-N vector: datum.pattern @ values.
 

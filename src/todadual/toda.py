@@ -31,7 +31,9 @@ orthogonal, so t is the entrywise product of the diagonal of lax_gram with
 [p, w] up to the factor, and no N x N matrix is built.  integrate_flow
 binds the field once per trajectory (_vector_field) and evaluates it on
 its midpoint buffer in every sweep.  A root weight past the float64 range
-raises ValidationError naming the root.
+raises ValidationError naming the root.  That check is _checked_exp, the
+package's one named-overflow exponential: goldfish and duality name their
+Moser weights, Toda-gauge entries and dual Hamiltonians through it too.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepFailureError, ValidationError
-from .rootsys import RootDatum, cartan_pattern
+from .rootsys import RootDatum, cartan_pattern, check_index, vector_pair
 
 # Fixed-point iteration control for the implicit midpoint rule.
 MIDPOINT_TOL = 1.0e-12
@@ -51,6 +53,8 @@ MIDPOINT_MAX_ITER = 100
 PREDICTOR = np.array([1.0, -5.0, 10.0, -10.0, 5.0])
 # Largest x with exp(x) finite in float64.
 MAX_EXPONENT = float(np.log(np.finfo(float).max))
+# _checked_exp's message for a root weight exp((alpha_i, q)) past the float64 range.
+_ROOT_WEIGHT_OVERFLOW = "Lax root weight exp((alpha_{i}, q)) overflows float64: (alpha_{i}, q) = {e:.6g}"
 
 
 @dataclass(frozen=True)
@@ -61,14 +65,7 @@ class TodaPoint:
     p: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        p = np.asarray(self.p, dtype=float)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
-        if q.ndim != 1 or q.shape != p.shape:
-            raise ValidationError(f"q and p must be equal-length vectors, got {q.shape} and {p.shape}")
-        if not (np.isfinite(q).all() and np.isfinite(p).all()):
-            raise ValidationError("non-finite coordinates")
+        vector_pair(self, "q", "p")
 
 
 def symplectic_scale(datum: RootDatum) -> int:
@@ -91,42 +88,32 @@ def _check_rank(datum: RootDatum, point: TodaPoint) -> None:
         raise ValidationError(f"point rank {point.q.shape} does not match algebra rank {n}")
 
 
-def _check_index(datum: RootDatum, k: int) -> None:
-    if not 1 <= k <= datum.algebra.rank:
-        raise ValidationError(f"k must lie in 1..{datum.algebra.rank}, got {k}")
-
-
 def _root_weights(datum: RootDatum, q: np.ndarray) -> np.ndarray:
     """Root weights w = exp((alpha, q)), shape (..., num_roots); no shape validation.
 
-    An exponent past MAX_EXPONENT raises ValidationError naming the root
-    before np.exp can overflow: an infinite weight times a zero of the
-    basis would be NaN.
+    One _checked_exp call: an exponent past MAX_EXPONENT raises
+    ValidationError naming the root alpha_i before np.exp can overflow, since
+    an infinite weight times a zero of the basis would be NaN.
     """
-    a = np.dot(q, datum.alpha_coeffs.T)
-    # A finite q gives no NaN here (no root pairs two overflowing terms),
-    # and a Python max of the few exponents is cheaper than a.max().
-    if a.size and not max(a.ravel().tolist()) <= MAX_EXPONENT:
-        raise _weight_overflow(datum, a)
-    return np.exp(a)
+    return _checked_exp(np.dot(q, datum.alpha_coeffs.T), _ROOT_WEIGHT_OVERFLOW)
 
 
-def _weight_overflow(datum: RootDatum, a: np.ndarray) -> ValidationError:
-    """The error naming the first root exponent in a = (alpha, q), shape (..., num_roots), past MAX_EXPONENT."""
-    flat = int(np.argmax(~(a <= MAX_EXPONENT)))
-    i = flat % datum.num_roots + 1
-    return ValidationError(
-        f"Lax root weight exp((alpha_{i}, q)) overflows float64: (alpha_{i}, q) = {a.flat[flat]:.6g}"
-    )
+def _checked_exp(exponents: np.ndarray, message: str) -> np.ndarray:
+    """exp(exponents), or ValidationError(message) for the first entry past MAX_EXPONENT or NaN.
 
-
-def _checked_exp(exponents: np.ndarray, name: str) -> np.ndarray:
-    """exp(exponents); an entry past MAX_EXPONENT raises ValidationError naming name.format(i), i from 1."""
-    # a Python max of the few exponents is cheaper than a numpy reduction
-    if exponents.size and not max(exponents.tolist()) <= MAX_EXPONENT:
-        i = int(np.argmax(~(exponents <= MAX_EXPONENT)))
-        raise ValidationError(f"{name.format(i + 1)} = exp({exponents[i]:.6g}) overflows float64")
+    message is a template: {i} is the entry's 1-based index along the last
+    axis and {e} its exponent (see _overflow).
+    """
+    # np.max keeps a NaN, which a Python max over the entries can skip
+    if exponents.size and not exponents.max() <= MAX_EXPONENT:
+        raise _overflow(exponents, message)
     return np.exp(exponents)
+
+
+def _overflow(exponents: np.ndarray, message: str) -> ValidationError:
+    """The error naming the first entry of exponents past MAX_EXPONENT (or NaN): message.format(i=..., e=...)."""
+    flat = int(np.argmax(~(exponents <= MAX_EXPONENT)))
+    return ValidationError(message.format(i=flat % exponents.shape[-1] + 1, e=exponents.flat[flat]))
 
 
 def _lax(datum: RootDatum, q: np.ndarray, p: np.ndarray):
@@ -218,7 +205,7 @@ def equations_of_motion(datum: RootDatum, point: TodaPoint, k: int):
     [p, w] up to the factor, and X is never built.  The checks run here;
     the field itself is _vector_field's kernel.
     """
-    _check_index(datum, k)
+    check_index(datum.algebra.rank, k)
     _check_rank(datum, point)
     n = datum.algebra.rank
     out = np.empty(2 * n)
@@ -251,9 +238,11 @@ def _vector_field(datum: RootDatum, k: int):
 
     def field(q, p, out):
         a = np.dot(q, alpha_t)
-        # _root_weights' check; a.size guards A1, which has no roots
+        # _root_weights' check; a.size guards A1, which has no roots.  A
+        # Python max of the few exponents is cheaper than a.max(): a finite
+        # q gives no NaN, and the flow's errstate raises on one.
         if a.size and not max(a.tolist()) <= MAX_EXPONENT:
-            raise _weight_overflow(datum, a)
+            raise _overflow(a, _ROOT_WEIGHT_OVERFLOW)
         w = np.exp(a)
         if power == 1:
             np.multiply(gram_p, p, out=out[:n])
@@ -308,7 +297,7 @@ def integrate_flow(datum: RootDatum, point: TodaPoint, k: int, dt: float, steps:
     """
     if steps < 0:
         raise ValidationError(f"steps must be non-negative, got {steps}")
-    _check_index(datum, k)
+    check_index(datum.algebra.rank, k)
     _check_rank(datum, point)
     if not np.isfinite(dt):
         raise ValidationError("dt must be finite")

@@ -57,6 +57,8 @@ RANK_CAP_WARNING = (
     "the forward map's bottom-row gate fails on more draws as the rank grows"
 )
 
+# Point j of a property draws from counter COUNTER_STRIDE * slot + j, so a
+# property takes at most COUNTER_STRIDE points before reusing the next one's.
 COUNTER_STRIDE = 1000
 
 TOLERANCES = {
@@ -157,6 +159,8 @@ def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 2
     """Run every property for one algebra; returns the JSON-ready report."""
     if npoints < 1:
         raise ValidationError(f"npoints must be at least 1, got {npoints}")
+    if npoints > COUNTER_STRIDE:
+        raise ValidationError(f"npoints must be at most {COUNTER_STRIDE}, got {npoints}")
     if flow_steps < 1:
         raise ValidationError(f"flow_steps must be at least 1, got {flow_steps}")
     fam, n = datum.algebra.family, datum.algebra.rank

@@ -254,11 +254,13 @@ def test_rank_cap_warning_only_where_duality_maps_run(capsys):
 
 
 def test_integrate_rejects_json(capsys):
-    code, _, err = run_cli(
-        capsys, "integrate", "--type", "A", "--rank", "2", "--format", "json"
-    )
-    assert code == 2
-    assert "integrate" in err
+    # each command offers only the formats it writes; argparse rejects the rest
+    for command, fmt in (("integrate", "json"), ("verify", "csv"), ("dual-map", "tsv")):
+        code, _, err = run_cli(
+            capsys, command, "--type", "A", "--rank", "2", "--format", fmt
+        )
+        assert code == 2
+        assert command in err
 
 
 def test_missing_rank_is_usage_error(capsys):
@@ -412,6 +414,13 @@ def test_verify_empty_sample_is_usage_error(capsys, flag):
     code, out, err = run_cli(capsys, "verify", "--type", "A", "--rank", "2", flag, "0")
     assert code == 2 and out == ""
     assert "must be at least 1" in err
+
+
+def test_verify_points_past_the_counter_stride_is_usage_error(capsys):
+    # point 1000 of one property would reuse the next property's point 0
+    code, out, err = run_cli(capsys, "verify", "--type", "A", "--rank", "2", "--points", "1001")
+    assert code == 2 and out == ""
+    assert "usage error: npoints must be at most 1000, got 1001" in err
 
 
 def test_integrate_checks_the_hamiltonian_index_at_zero_steps(capsys):

@@ -4,6 +4,14 @@ import numpy as np
 import pytest
 
 from todadual.errors import ValidationError
+from todadual.goldfish import (
+    GoldfishPoint,
+    RSCoupling,
+    goldfish_hamiltonian,
+    goldfish_hamiltonian_signed_A,
+    rs_hamiltonian_A,
+)
+from todadual.moser import MoserPoint, minor_oracle_mk
 from todadual.rootsys import (
     FAMILIES,
     AlgebraType,
@@ -13,6 +21,7 @@ from todadual.rootsys import (
     group_residual,
     matrix_size,
 )
+from todadual.toda import TodaPoint, equations_of_motion, integrate_flow
 
 SIZES = {"A": 3, "B": 7, "C": 6, "D": 6}  # at rank 3
 
@@ -161,3 +170,43 @@ def test_group_residual_zero_for_pattern_exponentials():
         datum = build_root_datum(AlgebraType(fam, 3))
         g = np.diag(np.exp(cartan_pattern(datum, rng.uniform(-1, 1, size=3))))
         assert group_residual(datum, g) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "point_type, first, second",
+    [(TodaPoint, "q", "p"), (GoldfishPoint, "qhat", "phat"), (MoserPoint, "qhat", "ahat")],
+)
+def test_point_types_share_one_coordinate_rule(point_type, first, second):
+    point = point_type(**{first: [2, 1], second: [1, 3]})
+    assert getattr(point, first).dtype == getattr(point, second).dtype == float
+    for u, v, shapes in (([1.0, 2.0], [1.0], "(2,) and (1,)"), ([[2.0, 1.0]], [[1.0, 1.0]], "(1, 2) and (1, 2)")):
+        with pytest.raises(ValidationError) as exc:
+            point_type(**{first: u, second: v})
+        assert str(exc.value) == f"{first} and {second} must be equal-length vectors, got {shapes}"
+    for u, v in (([2.0, np.nan], [1.0, 1.0]), ([2.0, 1.0], [np.inf, 1.0])):
+        with pytest.raises(ValidationError) as exc:
+            point_type(**{first: u, second: v})
+        assert str(exc.value) == "non-finite coordinates"
+    if point_type is MoserPoint:
+        with pytest.raises(ValidationError) as exc:
+            point_type(qhat=[2.0, 1.0], ahat=[1.0, 0.0])
+        assert str(exc.value) == "ahat entries must be positive"
+
+
+def test_every_hamiltonian_index_has_one_range_rule():
+    datum = build_root_datum(AlgebraType("A", 3))
+    point = TodaPoint(q=[0.3, 0.0, -0.2], p=[0.1, 0.0, -0.1])
+    gp = GoldfishPoint(qhat=[1.0, 0.0, -1.0], phat=[0.0, 0.1, 0.2])
+    entry_points = [
+        lambda k: equations_of_motion(datum, point, k),
+        lambda k: integrate_flow(datum, point, k, dt=1e-3, steps=0),
+        lambda k: goldfish_hamiltonian(datum, gp, k),
+        lambda k: goldfish_hamiltonian_signed_A(gp, k),
+        lambda k: rs_hamiltonian_A(gp, RSCoupling(nu=1.0), k),
+        lambda k: minor_oracle_mk(datum, np.eye(datum.size), k),
+    ]
+    for call in entry_points:
+        for k in (0, 4):
+            with pytest.raises(ValidationError) as exc:
+                call(k)
+            assert str(exc.value) == f"k must lie in 1..3, got {k}"

@@ -221,11 +221,28 @@ def test_overflowing_root_weight_is_named():
     for call in calls:
         with pytest.raises(ValidationError, match=r"exp\(\(alpha_1, q\)\) overflows"):
             call()
+    # On a trajectory the root is named along the last axis: row 2 of this
+    # A3 batch overflows at (alpha_2, q) = q_2 - q_3 = 800.
+    a3 = build_root_datum(AlgebraType("A", 3))
+    rows = np.array([[0.0, 0.0, 0.0], [0.0, 800.0, 0.0]])
+    with pytest.raises(ValidationError, match=r"exp\(\(alpha_2, q\)\) overflows float64: \(alpha_2, q\) = 800$"):
+        toda._lax(a3, rows, np.zeros_like(rows))
     # The largest exponent still in range builds a finite matrix.
     edge = TodaPoint(q=[0.0, MAX_EXPONENT], p=[0.0, 0.0])
     assert np.isfinite(build_lax(datum, edge)).all()
     with pytest.raises(ValidationError, match="group element"):
         toda_group_element(build_root_datum(AlgebraType("A", 2)), TodaPoint(q=[800.0, 800.0], p=[0.0, 0.0]))
+
+
+def test_checked_exp_rejects_a_nan_after_a_finite_entry():
+    # a Python max over [0, nan] returns 0 and would let the NaN through
+    message = "x_{i} = exp({e:.6g}) overflows float64"
+    in_range = np.array([0.0, MAX_EXPONENT])
+    assert np.array_equal(toda._checked_exp(in_range, message), np.exp(in_range))
+    for exponents, named in (([0.0, np.nan], "x_2 = exp(nan)"), ([np.nan, 0.0], "x_1 = exp(nan)"), ([0.0, 710.0], "x_2 = exp(710)")):
+        with pytest.raises(ValidationError) as exc:
+            toda._checked_exp(np.array(exponents), message)
+        assert str(exc.value) == f"{named} overflows float64"
 
 
 def test_lax_rank_mismatch():

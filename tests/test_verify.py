@@ -9,7 +9,8 @@ import todadual.verify
 from todadual.errors import ChamberError, SingularMatrixError, ValidationError
 from todadual.moser import check_chamber
 from todadual.rootsys import AlgebraType, build_root_datum
-from todadual.verify import RANK_CAP, SLOTS, TOLERANCES, run_suite
+from todadual.sampling import sample_toda
+from todadual.verify import COUNTER_STRIDE, RANK_CAP, SLOTS, TOLERANCES, _rng, run_suite
 
 
 def test_slot_layout_is_frozen():
@@ -50,6 +51,18 @@ def test_empty_samples_are_rejected():
         run_suite(datum, seed=0, npoints=0)
     with pytest.raises(ValidationError, match="flow_steps"):
         run_suite(datum, seed=0, flow_steps=0)
+
+
+def test_points_past_the_counter_stride_are_rejected():
+    # counters are COUNTER_STRIDE * slot + j: round-trip's point COUNTER_STRIDE
+    # is toda-commutativity's point 0
+    datum = build_root_datum(AlgebraType("A", 3))
+    assert SLOTS["toda-commutativity"] == SLOTS["round-trip"] + 1
+    reused = sample_toda(datum, _rng(0, "round-trip", COUNTER_STRIDE))
+    first = sample_toda(datum, _rng(0, "toda-commutativity", 0))
+    assert np.array_equal(reused.q, first.q) and np.array_equal(reused.p, first.p)
+    with pytest.raises(ValidationError, match=f"npoints must be at most {COUNTER_STRIDE}, got {COUNTER_STRIDE + 1}"):
+        run_suite(datum, seed=0, npoints=COUNTER_STRIDE + 1)
 
 
 def test_odd_trace_property_only_for_bcd():
