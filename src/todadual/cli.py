@@ -48,7 +48,7 @@ from .toda import (
     quadratic_index,
     toda_group_element,
 )
-from .verify import RANK_CAP, RANK_CAP_WARNING, TOLERANCES, run_suite
+from .verify import RANK_CAP, RANK_CAP_WARNING, TOLERANCES, passes, round_trip_error, run_suite
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -221,9 +221,7 @@ def cmd_dual_map(args) -> tuple[int, str]:
     gp = toda_to_goldfish(datum, point)
     report = verify_duality_identities(datum, point)
     back = goldfish_to_toda(datum, gp)
-    roundtrip_err = float(
-        max(np.max(np.abs(back.q - point.q)), np.max(np.abs(back.p - point.p)))
-    )
+    roundtrip_err = round_trip_error(point, back)
     payload = {
         "header": _header(args, "dual-map", seed),
         "toda_point": {"q": _vector(point.q), "p": _vector(point.p)},
@@ -242,11 +240,11 @@ def cmd_dual_map(args) -> tuple[int, str]:
             "max_abs_error": roundtrip_err,
         },
     }
-    # the report is written either way; its own verdict sets the exit code
+    # the report is written either way; verify's verdict sets the exit code
     code = EXIT_OK
     for name, value in (("duality-identities", report.max_relative_mismatch), ("round-trip", roundtrip_err)):
-        if not value <= TOLERANCES[name]:
-            print(f"todadual: {name} fails: {value:.3e} exceeds its budget {TOLERANCES[name]:.0e}", file=sys.stderr)
+        if not passes(name, value):
+            print(f"todadual: {name} fails: {value:.3e} is not below its budget {TOLERANCES[name]:.0e}", file=sys.stderr)
             code = EXIT_FAILURE
     return code, _json_text(payload) + "\n"
 

@@ -37,9 +37,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SingularConfigurationError, ValidationError
+from .errors import ValidationError
 from .moser import AHAT_OVERFLOW, MoserPoint, check_chamber, log_gap_sums, node_tables
-from .rootsys import RootDatum, check_index, vector_pair
+from .rootsys import RootDatum, check_distinct, check_index, vector_pair
 from .toda import _checked_exp
 
 # _checked_exp's message for an H-hat_k = exp(log H-hat_k) past the float64 range.
@@ -234,10 +234,10 @@ def goldfish_hamiltonian_signed_A(point: GoldfishPoint, k: int) -> float:
     Hamiltonians; it agrees with the modulus form only on the chamber
     closure where all selected differences are positive.
     """
-    q = np.asarray(point.qhat, dtype=float)
-    p = np.asarray(point.phat, dtype=float)
+    q, p = point.qhat, point.phat
     n = q.size
     check_index(n, k)
+    check_distinct(q, "coordinates qhat")
     S, sign, logabs = _cross_products(q[:, None] - q[None, :] + np.eye(n), k)
     return float(np.sum(sign * np.exp(2.0 * (S @ p) - logabs)))
 
@@ -249,14 +249,10 @@ def rs_hamiltonian_A(point: GoldfishPoint, coupling: RSCoupling, k: int) -> floa
           * exp(2 sum_I p).  At k = n the product is empty, so the value is
     exp(2 sum p) independently of the coupling.
     """
-    q = np.asarray(point.qhat, dtype=float)
-    p = np.asarray(point.phat, dtype=float)
+    q, p = point.qhat, point.phat
     n = q.size
     check_index(n, k)
-    gaps = np.abs(q[:, None] - q[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    if gaps.min() <= 1.0e-10:
-        raise SingularConfigurationError("coordinates must be pairwise distinct")
+    check_distinct(q, "coordinates qhat")
     diff = q[:, None] - q[None, :] + np.eye(n)
     S, sign, logabs = _cross_products((diff + coupling.nu) / diff, k)
     return float(np.sum(sign * np.exp(2.0 * (S @ p) + logabs)))
@@ -271,8 +267,7 @@ def d_h1_pairsum_variant(datum: RootDatum, point: GoldfishPoint) -> float:
     """
     if datum.algebra.family != "D":
         raise ValidationError("variant defined for family D only")
-    q = np.asarray(point.qhat, dtype=float)
-    p = np.asarray(point.phat, dtype=float)
+    q, p = point.qhat, point.phat
     n = q.size
     total = 0.0
     for i in range(n):

@@ -6,8 +6,7 @@
 * bottom_row_qr: R of the row-sorted thin QR of the bottom rows of g; its
   diagonal gives the trailing minors of g g^dagger to the minor oracle.
 * extended_solve: pivoted elimination in extended complex precision; no
-  production caller is left (the momentum gate runs a real triangular
-  solve), and the tests keep it as an oracle.
+  production caller is left, and the tests keep it as an oracle.
 * lower_triangularize: split g = nplus * glow with nplus unipotent upper
   triangular (valid on the big Gauss cell).  The forward duality map reads
   its weights without it; the tests keep it as that read's oracle.
@@ -32,21 +31,18 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .rootsys import RootDatum, algebra_residual, cartan_pattern
+from .rootsys import NODE_TOL, RootDatum, algebra_residual, cartan_pattern, check_shape
 
-# Minimum admissible eigenvalue gap (in absolute terms, inputs are O(1)).
-DEFAULT_GAP_TOL = 1.0e-8
 # Gauss pivot threshold, relative to the Frobenius norm of the input.
 PIVOT_RTOL = 1.0e-12
 # Post-condition tolerance for factorization residuals, relative.
 RESIDUAL_RTOL = 1.0e-10
 
 
-def _as_square(M, name="matrix") -> np.ndarray:
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValidationError(f"{name} must be square, got shape {M.shape}")
-    if not np.isfinite(M.view(float) if M.dtype == complex else M).all():
+def _as_finite(datum: RootDatum, M, name: str) -> np.ndarray:
+    """M as an (N, N) array (check_shape); ValidationError if an entry is not finite."""
+    M = check_shape(datum, M)
+    if not np.isfinite(M).all():
         raise ValidationError(f"{name} has non-finite entries")
     return M
 
@@ -102,17 +98,15 @@ def structured_diagonalize(datum: RootDatum, X):
     vector u of X lies in the former, Omega u = u.
 
     Raises DegenerateSpectrumError when any eigenvalue gap falls below
-    DEFAULT_GAP_TOL, ValidationError for a complex or non-symmetric input
+    NODE_TOL, ValidationError for a complex or non-symmetric input
     or one whose norm overflows, and AlgebraMembershipError when X fails
     the algebra relation.
     """
-    X = _as_square(X, "X")
+    X = _as_finite(datum, X, "X")
     if np.iscomplexobj(X):
         raise ValidationError("X must be real")
     X = X.astype(float)
     N = datum.size
-    if X.shape != (N, N):
-        raise ValidationError(f"expected shape {(N, N)}, got {X.shape}")
     with np.errstate(over="ignore"):
         scale = max(1.0, float(np.linalg.norm(X, "fro")))
     if scale == np.inf:
@@ -124,8 +118,8 @@ def structured_diagonalize(datum: RootDatum, X):
 
     w, U = np.linalg.eigh(X)
     w, U = w[::-1], U[:, ::-1]  # descending
-    if N > 1 and (w[:-1] - w[1:]).min() < DEFAULT_GAP_TOL:
-        raise DegenerateSpectrumError(f"eigenvalue gap below {DEFAULT_GAP_TOL:.1e}")
+    if N > 1 and (w[:-1] - w[1:]).min() < NODE_TOL:
+        raise DegenerateSpectrumError(f"eigenvalue gap below {NODE_TOL:.1e}")
     U = U * np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(N)])
 
     fam, n = datum.algebra.family, datum.algebra.rank
@@ -134,7 +128,7 @@ def structured_diagonalize(datum: RootDatum, X):
     else:
         qhat = w[:n].copy()
         U[:, N - n :] = datum.omega.T @ U[:, n - 1 :: -1]
-        if fam == "B" and abs(w[n]) > DEFAULT_GAP_TOL:
+        if fam == "B" and abs(w[n]) > NODE_TOL:
             raise DegenerateSpectrumError("middle eigenvalue does not vanish")
         if fam != "C" and np.linalg.det(U) < 0.0:
             if fam == "D":
@@ -163,10 +157,8 @@ def lower_triangularize(datum: RootDatum, g):
     left after a finished elimination is lost precision, not a vanishing
     minor, and raises DualityResidualError.
     """
-    g = _as_square(g, "g").astype(complex)
+    g = _as_finite(datum, g, "g").astype(complex)
     N = datum.size
-    if g.shape != (N, N):
-        raise ValidationError(f"expected shape {(N, N)}, got {g.shape}")
     gnorm = float(np.linalg.norm(g, "fro"))
     if gnorm == 0.0:
         raise GaussCellError("zero matrix")
@@ -210,10 +202,7 @@ def iwasawa(datum: RootDatum, g):
     """
     import scipy.linalg
 
-    g = _as_square(g, "g").astype(complex)
-    N = datum.size
-    if g.shape != (N, N):
-        raise ValidationError(f"expected shape {(N, N)}, got {g.shape}")
+    g = _as_finite(datum, g, "g").astype(complex)
     gnorm = float(np.linalg.norm(g, "fro"))
 
     R, Q = scipy.linalg.rq(g)

@@ -32,10 +32,18 @@ import numpy as np
 
 from .errors import ChamberError, SingularConfigurationError, ValidationError
 from .linalg import bottom_row_qr
-from .rootsys import AlgebraType, RootDatum, cartan_pattern, check_index, matrix_size, vector_pair
+from .rootsys import (
+    NODE_TOL,
+    AlgebraType,
+    RootDatum,
+    cartan_pattern,
+    check_distinct,
+    check_index,
+    check_shape,
+    matrix_size,
+    vector_pair,
+)
 
-# Nodes closer than this (absolute, inputs O(1)) count as a pole.
-POLE_TOL = 1.0e-8
 # toda._checked_exp's message for a weight ahat_i = exp(log ahat_i) past the
 # float64 range, in both maps that compute ahat (goldfish.a_from_p, duality.toda_to_moser).
 AHAT_OVERFLOW = "Moser weight ahat_{i} = exp({e:.6g}) overflows float64"
@@ -63,13 +71,10 @@ def check_chamber(datum: RootDatum, qhat: np.ndarray) -> np.ndarray:
     the gaps between consecutive nodes of the pattern, so the last one is
     qhat_n (to B's middle node 0), 2 qhat_n for C and 2 |qhat_n| for D (to
     the mirror node).  Ordering violations raise ChamberError; a satisfied
-    ordering whose margin falls below POLE_TOL raises
+    ordering whose margin falls below NODE_TOL raises
     SingularConfigurationError.
     """
     qhat = np.asarray(qhat, dtype=float)
-    n = datum.algebra.rank
-    if qhat.shape != (n,):
-        raise ValidationError(f"expected {n} chamber coordinates, got {qhat.shape}")
     x = nodes = cartan_pattern(datum, qhat)
     if datum.algebra.family == "D":
         # qhat_n's sign is free: |qhat_n| sits between qhat_{n-1} and its mirror
@@ -77,8 +82,8 @@ def check_chamber(datum: RootDatum, qhat: np.ndarray) -> np.ndarray:
     margins = nodes[:-1] - nodes[1:]
     if (margins <= 0.0).any():
         raise ChamberError(f"chamber ordering violated: qhat {qhat}")
-    if (margins < POLE_TOL).any():
-        raise SingularConfigurationError(f"chamber margin below {POLE_TOL:.1e}: qhat {qhat}")
+    if (margins < NODE_TOL).any():
+        raise SingularConfigurationError(f"chamber margin below {NODE_TOL:.1e}: qhat {qhat}")
     return x
 
 
@@ -94,18 +99,10 @@ class RuijsenaarsMatrixSpec:
     x: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.b, dtype=float)
-        x = np.asarray(self.x, dtype=float)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "x", x)
-        if b.ndim != 1 or b.shape != x.shape or b.size == 0:
-            raise ValidationError(f"b and x must be equal-length vectors, got {b.shape} and {x.shape}")
-        if not (np.isfinite(b).all() and np.isfinite(x).all()):
-            raise ValidationError("non-finite spec entries")
-        diffs = np.abs(x[:, None] - x[None, :])
-        np.fill_diagonal(diffs, np.inf)
-        if diffs.min() <= 1.0e-10:
-            raise SingularConfigurationError("nodes x must be pairwise distinct (min gap 1e-10)")
+        b, x = vector_pair(self, "b", "x")
+        if b.size == 0:
+            raise ValidationError("b and x must be nonempty")
+        check_distinct(x, "nodes x")
 
     @property
     def size(self) -> int:
@@ -174,7 +171,7 @@ def momentum_equation_residual(datum: RootDatum, g: np.ndarray, qhat) -> float:
     g = np.asarray(g)
     if np.iscomplexobj(g) or np.triu(g, 1).any():
         raise ValidationError("the momentum residual takes a real lower-triangular g")
-    x = cartan_pattern(datum, np.asarray(qhat, dtype=float))
+    x = cartan_pattern(datum, qhat)
     upper = g.T.astype(np.longdouble)
     rhs = upper * x[:, None]
     conj_t = np.zeros_like(rhs)
@@ -198,10 +195,7 @@ def minor_oracle_mk(datum: RootDatum, g: np.ndarray, k: int) -> float:
     the Lanczos pass behind the dual Hamiltonians never builds, so it
     serves as their independent oracle.
     """
-    g = np.asarray(g)
-    N = datum.size
-    if g.shape != (N, N):
-        raise ValidationError(f"expected shape {(N, N)}, got {g.shape}")
+    g = check_shape(datum, g)
     check_index(datum.algebra.rank, k)
     return float(np.prod(np.abs(np.diagonal(bottom_row_qr(g, k))) ** 2))
 

@@ -28,9 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SingularConfigurationError, ValidationError
 
 FAMILIES = ("A", "B", "C", "D")
+# Nodes closer than this (absolute; inputs are O(1)) coincide, as on a chamber wall; the
+# eigensolver's gap tests, check_chamber's margins and check_distinct all read it.
+NODE_TOL = 1.0e-8
 
 
 @dataclass(frozen=True)
@@ -159,17 +162,13 @@ def build_root_datum(algebra: AlgebraType) -> RootDatum:
 
 def algebra_residual(datum: RootDatum, M: np.ndarray) -> float:
     """Frobenius norm of X Omega + Omega X^T (exactly 0.0 for family A, whose Omega is 0)."""
-    M = np.asarray(M)
-    if M.shape != (datum.size, datum.size):
-        raise ValidationError(f"expected shape {(datum.size, datum.size)}, got {M.shape}")
+    M = check_shape(datum, M)
     return float(np.linalg.norm(M @ datum.omega + datum.omega @ M.T, "fro"))
 
 
 def group_residual(datum: RootDatum, g: np.ndarray) -> float:
     """Frobenius norm of g Omega g^T - Omega (exactly 0.0 for family A, whose Omega is 0)."""
-    g = np.asarray(g)
-    if g.shape != (datum.size, datum.size):
-        raise ValidationError(f"expected shape {(datum.size, datum.size)}, got {g.shape}")
+    g = check_shape(datum, g)
     return float(np.linalg.norm(g @ datum.omega @ g.T - datum.omega, "fro"))
 
 
@@ -177,7 +176,7 @@ def vector_pair(point, first: str, second: str):
     """Store a frozen point's fields first and second as float arrays and return them.
 
     Raises ValidationError unless both are equal-length vectors of finite
-    entries; the Toda, Moser and goldfish point types share this rule.
+    entries; the three point types and RuijsenaarsMatrixSpec share this rule.
     """
     a = np.asarray(getattr(point, first), dtype=float)
     b = np.asarray(getattr(point, second), dtype=float)
@@ -196,12 +195,31 @@ def check_index(n: int, k: int) -> None:
         raise ValidationError(f"k must lie in 1..{n}, got {k}")
 
 
+def check_shape(datum: RootDatum, M) -> np.ndarray:
+    """M as an array; ValidationError unless its shape is (N, N), N = datum.size."""
+    M = np.asarray(M)
+    if M.shape != (datum.size, datum.size):
+        raise ValidationError(f"expected shape {(datum.size, datum.size)}, got {M.shape}")
+    return M
+
+
+def check_rank(datum: RootDatum, v: np.ndarray) -> None:
+    """ValidationError unless the coordinate vector v has one entry per rank."""
+    if v.shape != (datum.algebra.rank,):
+        raise ValidationError(f"coordinate shape {v.shape} does not match algebra rank {datum.algebra.rank}")
+
+
+def check_distinct(x: np.ndarray, name: str) -> None:
+    """SingularConfigurationError unless the entries of x lie pairwise at least NODE_TOL apart."""
+    if x.size > 1 and np.diff(np.sort(x)).min() < NODE_TOL:
+        raise SingularConfigurationError(f"{name} must be pairwise distinct (min gap {NODE_TOL:.1e})")
+
+
 def cartan_pattern(datum: RootDatum, values: np.ndarray) -> np.ndarray:
     """Diagonal of sum_i values[i] * h_i as a length-N vector: datum.pattern @ values.
 
     A: (v_1..v_n); C/D: (v_1..v_n, -v_n..-v_1); B additionally has a middle 0.
     """
     v = np.asarray(values, dtype=float)
-    if v.shape != (datum.algebra.rank,):
-        raise ValidationError(f"expected {datum.algebra.rank} values, got shape {v.shape}")
+    check_rank(datum, v)
     return datum.pattern @ v

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepFailureError, ValidationError
-from .rootsys import RootDatum, cartan_pattern, check_index, vector_pair
+from .rootsys import RootDatum, cartan_pattern, check_index, check_rank, vector_pair
 
 # Fixed-point iteration control for the implicit midpoint rule.
 MIDPOINT_TOL = 1.0e-12
@@ -55,6 +55,8 @@ PREDICTOR = np.array([1.0, -5.0, 10.0, -10.0, 5.0])
 MAX_EXPONENT = float(np.log(np.finfo(float).max))
 # _checked_exp's message for a root weight exp((alpha_i, q)) past the float64 range.
 _ROOT_WEIGHT_OVERFLOW = "Lax root weight exp((alpha_{i}, q)) overflows float64: (alpha_{i}, q) = {e:.6g}"
+# _checked_exp's message for a diagonal entry of g = exp(sum_i q_i h_i) past the float64 range.
+_GROUP_OVERFLOW = "group element exp(sum_i q_i h_i) overflows float64: diagonal entry {i} = exp({e:.6g})"
 
 
 @dataclass(frozen=True)
@@ -80,12 +82,6 @@ def symplectic_form(datum: RootDatum) -> np.ndarray:
     out[:n, n:] = s * np.eye(n)
     out[n:, :n] = -s * np.eye(n)
     return out
-
-
-def _check_rank(datum: RootDatum, point: TodaPoint) -> None:
-    n = datum.algebra.rank
-    if point.q.shape != (n,):
-        raise ValidationError(f"point rank {point.q.shape} does not match algebra rank {n}")
 
 
 def _root_weights(datum: RootDatum, q: np.ndarray) -> np.ndarray:
@@ -130,16 +126,13 @@ def _lax(datum: RootDatum, q: np.ndarray, p: np.ndarray):
 
 def build_lax(datum: RootDatum, point: TodaPoint) -> np.ndarray:
     """Real symmetric Lax matrix at a phase-space point."""
-    _check_rank(datum, point)
+    check_rank(datum, point.q)
     return _lax(datum, point.q, point.p)[0]
 
 
 def toda_group_element(datum: RootDatum, point: TodaPoint) -> np.ndarray:
     """Diagonal group element exp(sum_i q_i h_i) paired with the Lax matrix."""
-    x = cartan_pattern(datum, point.q)
-    if not x.max() <= MAX_EXPONENT:
-        raise ValidationError(f"group element exp(sum_i q_i h_i) overflows float64: largest exponent {x.max():.6g}")
-    return np.diag(np.exp(x))
+    return np.diag(_checked_exp(cartan_pattern(datum, point.q), _GROUP_OVERFLOW))
 
 
 def toda_momentum_residual(datum: RootDatum, point: TodaPoint) -> float:
@@ -148,11 +141,15 @@ def toda_momentum_residual(datum: RootDatum, point: TodaPoint) -> float:
     With g diagonal the conjugation is an entrywise rescaling; the strictly
     lower part must reproduce the fixed subdiagonal pattern lam.  The
     compact-projection half of the constraint, Pr_k(X) = 0, holds exactly
-    because X is real symmetric by construction.
+    because X is real symmetric by construction.  Entries of g or g X g^{-1}
+    past the float64 range raise ValidationError.
     """
-    d = np.exp(cartan_pattern(datum, point.q))
+    d = _checked_exp(cartan_pattern(datum, point.q), _GROUP_OVERFLOW)
     X = build_lax(datum, point)
-    conj = X * np.outer(d, 1.0 / d)
+    with np.errstate(all="ignore"):
+        conj = X * np.outer(d, 1.0 / d)
+    if not np.isfinite(conj).all():
+        raise ValidationError("conjugated Lax matrix g X g^{-1} leaves the float64 range")
     return float(np.linalg.norm(np.tril(conj, -1) - datum.momentum, "fro"))
 
 
@@ -206,7 +203,7 @@ def equations_of_motion(datum: RootDatum, point: TodaPoint, k: int):
     the field itself is _vector_field's kernel.
     """
     check_index(datum.algebra.rank, k)
-    _check_rank(datum, point)
+    check_rank(datum, point.q)
     n = datum.algebra.rank
     out = np.empty(2 * n)
     _vector_field(datum, k)(point.q, point.p, out)
@@ -266,7 +263,7 @@ def toda_gradients(datum: RootDatum, point: TodaPoint) -> np.ndarray:
     holds the traces of every G_k against the generators at once; rows are
     not divided by the Poisson scale.
     """
-    _check_rank(datum, point)
+    check_rank(datum, point.q)
     n, N, d = datum.algebra.rank, datum.size, symplectic_scale(datum)
     X, w = _lax(datum, point.q, point.p)
     P, step = np.linalg.matrix_power(X, d - 1), np.linalg.matrix_power(X, d)
@@ -298,7 +295,7 @@ def integrate_flow(datum: RootDatum, point: TodaPoint, k: int, dt: float, steps:
     if steps < 0:
         raise ValidationError(f"steps must be non-negative, got {steps}")
     check_index(datum.algebra.rank, k)
-    _check_rank(datum, point)
+    check_rank(datum, point.q)
     if not np.isfinite(dt):
         raise ValidationError("dt must be finite")
     _root_weights(datum, point.q)  # an overflowing start is a bad input, not a diverging flow

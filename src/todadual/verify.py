@@ -95,13 +95,22 @@ def _rng(seed: int, name: str, j: int):
     return spawn_rng(seed, COUNTER_STRIDE * SLOTS[name] + j)
 
 
+def passes(name: str, worst: float) -> bool:
+    """The one verdict of `verify` and `dual-map`: worst lies strictly below TOLERANCES[name]; NaN fails."""
+    return bool(worst < TOLERANCES[name])
+
+
+def round_trip_error(point: TodaPoint, back: TodaPoint) -> float:
+    """Largest absolute coordinate change max(|back.q - q|, |back.p - p|) after a round trip."""
+    return float(max(np.max(np.abs(back.q - point.q)), np.max(np.abs(back.p - point.p))))
+
+
 def _record(name: str, worst: float, *notes: str) -> dict:
-    tol = TOLERANCES[name]
     rec = {
         "property": name,
         "worst_residual": float(worst),
-        "tolerance": tol,
-        "passed": bool(worst < tol),
+        "tolerance": TOLERANCES[name],
+        "passed": passes(name, worst),
     }
     note = "; ".join(part for part in notes if part)
     if note:
@@ -113,7 +122,7 @@ def _point_notes(skipped: list, broken: list) -> str:
     """Summarize per-point exceptions raised while measuring a property.
 
     Non-generic draws (degenerate spectrum, chamber wall, chamber margin
-    below the pole tolerance) are a legitimate sampler outcome at larger
+    below NODE_TOL) are a legitimate sampler outcome at larger
     ranks; they are reported but do not fail the property unless nothing
     is left to certify.  Residual failures mean a map ran and missed its own
     consistency gates or met a numerically singular matrix; those always
@@ -178,8 +187,7 @@ def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 2
         return np.max([_relative_gap(values[k - 1], minor_oracle_mk(datum, g, k)) for k in range(1, n + 1)])
 
     def round_trip(pt):
-        back = goldfish_to_toda(datum, toda_to_goldfish(datum, pt))
-        return float(max(np.max(np.abs(back.q - pt.q)), np.max(np.abs(back.p - pt.p))))
+        return round_trip_error(pt, goldfish_to_toda(datum, toda_to_goldfish(datum, pt)))
 
     def commutativity(point):
         return float(commutativity_matrix(datum, point).max())

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from todadual import cli
+from todadual import cli, verify
 from todadual.cli import main
 from todadual.rootsys import AlgebraType, build_root_datum
 from todadual.sampling import sample_flow_toda, spawn_rng
@@ -331,6 +331,20 @@ def test_dual_map_exits_one_on_its_own_failed_report(capsys, tmp_path):
     assert not doc["identities"]["max_relative_mismatch"] <= 1e-7
     assert not doc["roundtrip"]["max_abs_error"] <= 1e-7
     assert "duality-identities fails" in err and "round-trip fails" in err
+
+
+def test_dual_map_fails_a_value_at_its_budget(capsys, monkeypatch):
+    # dual-map reads verify's strict verdict: a round-trip error equal to its
+    # tolerance fails the report
+    argv = ["dual-map", "--type", "B", "--rank", "3", "--seed", "0"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    error = json.loads(out)["roundtrip"]["max_abs_error"]
+    assert error > 0.0
+    monkeypatch.setitem(verify.TOLERANCES, "round-trip", error)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "round-trip fails" in err and "duality-identities" not in err
 
 
 def test_json_emitter_spells_every_scalar():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from todadual.errors import ValidationError
+from todadual.errors import DegenerateSpectrumError, SingularConfigurationError, ValidationError
 from todadual.goldfish import (
     GoldfishPoint,
     RSCoupling,
@@ -11,9 +11,11 @@ from todadual.goldfish import (
     goldfish_hamiltonian_signed_A,
     rs_hamiltonian_A,
 )
-from todadual.moser import MoserPoint, minor_oracle_mk
+from todadual.linalg import iwasawa, lower_triangularize, structured_diagonalize
+from todadual.moser import MoserPoint, RuijsenaarsMatrixSpec, build_moser_g, check_chamber, minor_oracle_mk
 from todadual.rootsys import (
     FAMILIES,
+    NODE_TOL,
     AlgebraType,
     algebra_residual,
     build_root_datum,
@@ -21,7 +23,7 @@ from todadual.rootsys import (
     group_residual,
     matrix_size,
 )
-from todadual.toda import TodaPoint, equations_of_motion, integrate_flow
+from todadual.toda import TodaPoint, build_lax, equations_of_motion, integrate_flow, toda_group_element
 
 SIZES = {"A": 3, "B": 7, "C": 6, "D": 6}  # at rank 3
 
@@ -210,3 +212,60 @@ def test_every_hamiltonian_index_has_one_range_rule():
             with pytest.raises(ValidationError) as exc:
                 call(k)
             assert str(exc.value) == f"k must lie in 1..3, got {k}"
+
+
+def test_every_node_check_reads_one_tolerance():
+    # a node gap of 5e-9 lies below NODE_TOL = 1e-8, so every site refuses it
+    assert NODE_TOL == 1.0e-8
+    datum = build_root_datum(AlgebraType("A", 2))
+    close = [0.5, 0.5 - 5.0e-9]
+    gp = GoldfishPoint(qhat=close, phat=[0.0, 0.0])
+    refusals = [
+        lambda: RuijsenaarsMatrixSpec(b=[1.0, 1.0], x=close),
+        lambda: rs_hamiltonian_A(gp, RSCoupling(nu=1.0), 1),
+        lambda: goldfish_hamiltonian_signed_A(gp, 1),
+        lambda: check_chamber(datum, close),
+    ]
+    for call in refusals:
+        with pytest.raises(SingularConfigurationError):
+            call()
+    with pytest.raises(DegenerateSpectrumError, match="eigenvalue gap below 1.0e-08"):
+        structured_diagonalize(datum, np.diag(close))
+    # two equal coordinates among three put a zero gap in the signed form's denominators
+    twin = GoldfishPoint(qhat=[0.5, 0.5, 0.1], phat=[0.0, 0.0, 0.0])
+    for k in (1, 2):
+        with pytest.raises(SingularConfigurationError, match="must be pairwise distinct"):
+            goldfish_hamiltonian_signed_A(twin, k)
+    # twice the tolerance is a valid gap everywhere
+    apart = [0.5, 0.5 - 2.0e-8]
+    RuijsenaarsMatrixSpec(b=[1.0, 1.0], x=apart)
+    check_chamber(datum, apart)
+    structured_diagonalize(datum, np.diag(apart))
+    assert np.isfinite(goldfish_hamiltonian_signed_A(GoldfishPoint(qhat=apart, phat=[0.0, 0.0]), 1))
+
+
+def test_every_coordinate_rank_and_matrix_shape_has_one_rule():
+    datum = build_root_datum(AlgebraType("B", 3))
+    short = [0.3, 0.1]
+    for call in (
+        lambda: build_lax(datum, TodaPoint(q=short, p=short)),
+        lambda: toda_group_element(datum, TodaPoint(q=short, p=short)),
+        lambda: cartan_pattern(datum, short),
+        lambda: check_chamber(datum, short),
+        lambda: build_moser_g(datum, MoserPoint(qhat=short, ahat=[1.0, 1.0])),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert str(exc.value) == "coordinate shape (2,) does not match algebra rank 3"
+    for M, shape in ((np.eye(6), "(6, 6)"), (np.eye(7)[:6], "(6, 7)"), (np.zeros(7), "(7,)")):
+        for call in (
+            lambda: structured_diagonalize(datum, M),
+            lambda: lower_triangularize(datum, M),
+            lambda: iwasawa(datum, M),
+            lambda: minor_oracle_mk(datum, M, 1),
+            lambda: algebra_residual(datum, M),
+            lambda: group_residual(datum, M),
+        ):
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert str(exc.value) == f"expected shape (7, 7), got {shape}"

@@ -259,6 +259,16 @@ def test_momentum_residual_in_diagonal_gauge():
             assert toda_momentum_residual(datum, point) < 1e-12
 
 
+def test_momentum_residual_names_an_overflow():
+    # At A2 q = (0, 800) g = diag(exp(q)) does not fit; at (-400, 400) g fits
+    # but the entrywise conjugation g X g^{-1} does not.  Neither is a NaN.
+    datum = build_root_datum(AlgebraType("A", 2))
+    with pytest.raises(ValidationError, match=r"group element .* diagonal entry 2 = exp\(800\)$"):
+        toda_momentum_residual(datum, TodaPoint(q=[0.0, 800.0], p=[0.0, 0.0]))
+    with pytest.raises(ValidationError, match=r"g X g\^\{-1\} leaves the float64 range"):
+        toda_momentum_residual(datum, TodaPoint(q=[-400.0, 400.0], p=[0.0, 0.0]))
+
+
 def test_group_element_is_exp_of_pattern():
     datum = build_root_datum(AlgebraType("D", 3))
     point = TodaPoint(q=[0.5, 0.2, -0.1], p=[0.0, 0.0, 0.0])
