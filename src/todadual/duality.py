@@ -122,8 +122,7 @@ def toda_to_goldfish(datum: RootDatum, point: TodaPoint) -> GoldfishPoint:
 def _inverse_pass(datum: RootDatum, point: GoldfishPoint):
     """goldfish_to_toda's one evaluation: (recovered, the Lanczos pass), spectrum-gated."""
     n = datum.algebra.rank
-    lp = _heine_pass(datum, point)
-    log_norm, alpha, _, beta, x, _, _ = lp
+    log_norm, alpha, _, beta, x, _, _ = lp = _heine_pass(datum, point)
     if not beta.all():
         i = int(np.argmin(beta))
         raise SingularMatrixError(f"Lanczos step {i}: ||pi_{i}|| underflows to 0 beside the largest Moser weight")
@@ -201,7 +200,7 @@ def duality_jacobian(datum: RootDatum, point: GoldfishPoint) -> np.ndarray:
     Forward mode through goldfish_to_toda's own Lanczos pass, all 2n
     input directions at once, from dx = P dqhat and d log u = P dphat +
     (gaps_grad P) dqhat, P = datum.pattern.  Step i, w = (I - Q Q^T) w0 from
-    w0 = u, x Q_{i-1} or D's fused-root row, moves by
+    w0 = u, x Q_{i-1} or, at D's last step, the fused-root row f, moves by
     dw = (I - Q Q^T) dw0 - dQ (Q^T w0) - Q (dQ^T w0), so d beta_i = Q_i^T dw,
     dQ_i = (dw - Q_i d beta_i) / beta_i, d alpha_i = Q_i^2.dx + 2 (x Q_i).dQ_i.
     The pass's repeated _residual sweeps re-apply the same projection, so
@@ -210,8 +209,7 @@ def duality_jacobian(datum: RootDatum, point: GoldfishPoint) -> np.ndarray:
     """
     n, P = datum.algebra.rank, datum.pattern
     _, _, Q, beta, x, gaps_grad, fused = _inverse_pass(datum, point)[1]
-    m = Q.shape[1]  # the step of D's fused-root row, if any
-    Q = np.column_stack([Q, fused[2]]) if fused else Q
+    m = n - (fused is not None)  # the step of D's fused-root row, if any
     dx = np.hstack([np.zeros_like(P), P])
     d_log_u = np.hstack([P, gaps_grad @ P])
     dQ, d_log_beta = np.zeros((n, *dx.shape)), np.zeros((n, 2 * n))
@@ -232,7 +230,7 @@ def duality_jacobian(datum: RootDatum, point: GoldfishPoint) -> np.ndarray:
     d_log_norm = np.cumsum(d_log_beta, axis=0)
     d_log_norm[m:] = d_log_beta[m:]  # D's top norm is the fused row's own, not a running product
     tail = P[::-1][:n]
-    return np.vstack([tail.T @ d_alpha, tail.T @ d_log_norm])
+    return np.concatenate([tail.T @ d_alpha, tail.T @ d_log_norm])
 
 
 def symplectomorphism_check(datum: RootDatum, point: GoldfishPoint) -> tuple[float, float]:

@@ -17,10 +17,10 @@ sum_c u_c^2 delta_{x_c}, with u the moduli of the bottom row of g:
 u_c^2 = exp(2 pattern(phat)_c) / prod_j |x_c - x_j| over the nodes j != c
 (less D's mirror node).  One Lanczos pass on diag(x) from u gives every
 H-hat_k as a product of orthogonal-polynomial norms (_heine_pass), with no
-g built and no subsets enumerated.  The only exception is the top invariant
-of family D, whose bottom n rows start with the fused-root row: it is
-H-hat_{n-1} times the squared distance of that row from the span of the
-n-1 Lanczos vectors.  goldfish_gradients differentiates the pass exactly
+g built and no subsets enumerated.  Family D's bottom n rows start with the
+fused-root row, so the pass's last step starts from that row: H-hat_n is
+H-hat_{n-1} times its squared distance from the span of the n-1 Lanczos
+vectors before it.  goldfish_gradients differentiates the pass exactly
 in closed form.  The pass is the inverse duality map too (duality), which
 has its own forward-mode tangent.
 
@@ -126,12 +126,13 @@ def _heine_pass(datum: RootDatum, point: GoldfishPoint):
     gaps_grad).  Lanczos on diag(x) from u, in units of max(u) and
     reorthogonalised every step (_residual), gives the monic orthogonal
     polynomials pi_i of sum_c u_c^2 delta_{x_c}: log_norm_i = log||pi_i||,
-    and log H-hat_k = 2 sum_{i<k} log_norm_i.  Q holds the Lanczos vectors,
+    and log H-hat_k = 2 sum_{i<k} log_norm_i.  Q holds the n Lanczos vectors,
     beta the residual norms that normalise them, alpha_i = Q_i^T diag(x) Q_i.
-    D's top, k = n, is fused = (f, f's x-gradient, r): the fused-root
-    row f (u times the fused_row gaps, in units of its max) leaves the
-    residual beta_{n-1} r off Q.  A residual that vanishes (weights not
-    yet spanned underflow next to max(u)) leaves beta_i = 0 and H-hat_k = 0.
+    D's last step m = n - 1 starts from the fused-root row f (u times the
+    fused_row gaps, in units of its max), not x Q_{m-1}; fused = (f, f's
+    x-gradient), and log_norm_m = log max(f) + log beta_m.  A vanishing
+    residual (weights not yet spanned underflow next to max(u)) leaves
+    beta_i = 0 and H-hat_k = 0.
     """
     n, N = datum.algebra.rank, datum.size
     tables = node_tables(datum.algebra)
@@ -139,26 +140,24 @@ def _heine_pass(datum: RootDatum, point: GoldfishPoint):
     log_gaps, gaps_grad = log_gap_sums(x, tables.weights)
     log_u = datum.pattern @ point.phat + log_gaps
     m = n - (tables.fused_row.size > 0)  # only D has a fused-root row
-    Q, alpha, beta, fused = np.zeros((N, m)), np.zeros(n), np.zeros(n), None
-    w = np.exp(log_u - log_u.max())
-    for i in range(m):
-        if i:
-            w = x * Q[:, i - 1]
-        w, beta[i] = _residual(Q[:, :i], w)
-        if beta[i]:
-            Q[:, i] = w / beta[i]
-            alpha[i] = Q[:, i] @ (x * Q[:, i])
+    Q, alpha, beta, fused = np.zeros((N, n)), np.zeros(n), np.zeros(n), None
     if m < n:
         f_gaps, f_grad = log_gap_sums(x, tables.fused_row)
         support = np.flatnonzero(tables.fused_row.any(axis=1))
         log_f = log_u[support] + f_gaps[support]
         f = np.zeros(N)
         f[support] = np.exp(log_f - log_f.max())
-        r, beta[m] = _residual(Q, f)
-        if beta[m]:
-            r /= beta[m]
-            alpha[m] = r @ (x * r)
-        fused = f, f_grad, r
+        fused = f, f_grad
+    w = np.exp(log_u - log_u.max())
+    for i in range(n):
+        if i == m:
+            w = f
+        elif i:
+            w = x * Q[:, i - 1]
+        w, beta[i] = _residual(Q[:, :i], w)
+        if beta[i]:
+            Q[:, i] = w / beta[i]
+            alpha[i] = Q[:, i] @ (x * Q[:, i])
     with np.errstate(divide="ignore"):
         log_beta = np.log(beta)
     log_norm = log_u.max() + np.cumsum(log_beta[:m])
@@ -188,26 +187,27 @@ def goldfish_gradients(datum: RootDatum, point: GoldfishPoint) -> np.ndarray:
     The pass of goldfish_hamiltonians, differentiated in closed form through
     log u and x = pattern(qhat): with Q' the x-derivatives of the Lanczos
     vectors at fixed u, beta_{i+1} Q'_{i+1} = Q_i + (x - alpha_i) Q'_i -
-    beta_i Q'_{i-1}, d log H-hat_k = 2 sum_{i<k} (Q_ci^2 d log u_c + Q_ci Q'_ci dx_c),
-    and D's top residual R = beta_{n-1} r moves by
-    d||R||^2 = 2 sum_c R_c (R_c d log u_c + f_c d log(f_c / u_c) - (Q' Q^T f)_c dx_c).
+    beta_i Q'_{i-1}, d log H-hat_k = 2 sum_{i<k} (Q_ci^2 d log u_c + Q_ci Q'_ci dx_c).
+    D's last step m starts from f, so R = beta_m Q_m moves by d||R||^2 =
+    2 sum_c R_c (R_c d log u_c + f_c d log(f_c / u_c) - (Q' Q^T f)_c dx_c),
+    Q and Q' over the steps before m; that dx coefficient is column m of Q Q'.
     """
     log_norm, alpha, Q, beta, x, gaps_grad, fused = _heine_pass(datum, point)
-    P, (N, m) = datum.pattern, Q.shape
-    dQ = np.zeros((N, m))
+    P, (N, n) = datum.pattern, Q.shape
+    m = n - (fused is not None)  # the step of D's fused-root row, if any
+    dQ = np.zeros((N, n))
     for i in range(1, m):
         if not beta[i]:
             break
         back = beta[i - 1] * dQ[:, i - 2] if i > 1 else 0.0
         dQ[:, i] = (Q[:, i - 1] + (x - alpha[i - 1]) * dQ[:, i - 1] - back) / beta[i]
+    QdQ = Q * dQ
+    if fused:
+        (f, f_grad), r = fused, Q[:, m]
+        QdQ[:, m] = ((r * f)[: f_grad.shape[0]] @ f_grad - r * (dQ[:, :m] @ (Q[:, :m].T @ f))) / beta[m]
     # coefficients of d log u and dx in each d log H-hat_k
     cu = 2.0 * np.cumsum(Q**2, axis=1).T
-    cx = 2.0 * np.cumsum(Q * dQ, axis=1).T
-    if fused:
-        f, f_grad, r = fused
-        top_x = ((r * f)[: f_grad.shape[0]] @ f_grad - r * (dQ @ (Q.T @ f))) / beta[m]
-        cu = np.vstack([cu, cu[-1] + 2.0 * r * r])
-        cx = np.vstack([cx, cx[-1] + 2.0 * top_x])
+    cx = 2.0 * np.cumsum(QdQ, axis=1).T
     dlog_h = np.hstack([cu @ P, (cu @ gaps_grad + cx) @ P])
     return _checked_exp(2.0 * np.cumsum(log_norm), _HHAT_OVERFLOW)[:, None] * dlog_h
 

@@ -19,38 +19,28 @@ from .rootsys import RootDatum
 from .toda import TodaPoint, symplectic_scale, toda_gradients
 
 
-def flatten_point(point) -> np.ndarray:
-    """Flat phase vector (momenta first) for either kind of point."""
-    if isinstance(point, TodaPoint):
-        return np.concatenate([point.p, point.q])
-    if isinstance(point, GoldfishPoint):
-        return np.concatenate([point.phat, point.qhat])
-    raise ValidationError(f"unsupported point type {type(point).__name__}")
-
-
 def commutativity_matrix(datum: RootDatum, point) -> np.ndarray:
     """Normalized |{H_j, H_k}| over all pairs of the point's own family.
 
     A TodaPoint gets the trace Hamiltonians, a GoldfishPoint the dual
-    Hamiltonians; any other point raises ValidationError.  Entry (j, k) is
+    Hamiltonians; any other point raises ValidationError, and so does a
+    point of the wrong rank, from the gradient call.  Entry (j, k) is
     |{H_j+1, H_k+1}| / (|grad H_j+1| |grad H_k+1|) so the integrability
     certificate is scale-free; the diagonal is exactly zero.
     The exact Jacobian J of (H_1, ..., H_n) (rows H_k, columns (p, q))
     gives the brackets as the pairing (J_q J_p^T - J_p J_q^T) / s and the
     norms as its rows.
     """
-    z = flatten_point(point)
-    n = datum.algebra.rank
-    if z.size != 2 * n:
-        raise ValidationError(f"phase vector must have length {2 * n}, got {z.size}")
     if isinstance(point, TodaPoint):
         J = toda_gradients(datum, point)
-    else:
+    elif isinstance(point, GoldfishPoint):
         J = goldfish_gradients(datum, point)
+    else:
+        raise ValidationError(f"unsupported point type {type(point).__name__}")
     # Scale each row by a power of two (exact; the ratio is bilinear) so rows
     # near 1e-175 do not underflow in the norm; an all-zero row stays zero.
     J = np.ldexp(J, -np.frexp(np.abs(J).max(axis=1))[1][:, None])
-    s = float(symplectic_scale(datum))
+    n, s = datum.algebra.rank, float(symplectic_scale(datum))
     brackets = (J[:, n:] @ J[:, :n].T - J[:, :n] @ J[:, n:].T) / s
     norms = np.maximum(np.linalg.norm(J, axis=1), 1.0e-300)
     out = np.abs(brackets) / np.outer(norms, norms)

@@ -57,6 +57,8 @@ MAX_EXPONENT = float(np.log(np.finfo(float).max))
 _ROOT_WEIGHT_OVERFLOW = "Lax root weight exp((alpha_{i}, q)) overflows float64: (alpha_{i}, q) = {e:.6g}"
 # _checked_exp's message for a diagonal entry of g = exp(sum_i q_i h_i) past the float64 range.
 _GROUP_OVERFLOW = "group element exp(sum_i q_i h_i) overflows float64: diagonal entry {i} = exp({e:.6g})"
+# The message for an exact gradient dH_k = Tr(X^{dk-1} dX) / d past the float64 range.
+_GRADIENT_OVERFLOW = "gradient of Toda Hamiltonian H_{k}, a trace against X^{power}, overflows float64"
 
 
 @dataclass(frozen=True)
@@ -169,8 +171,8 @@ def _trace_hamiltonians(datum: RootDatum, X: np.ndarray) -> np.ndarray:
     """
     n, d = datum.algebra.rank, symplectic_scale(datum)
     values = np.empty(X.shape[:-2] + (n,))
-    P = step = np.linalg.matrix_power(X, d)
     with np.errstate(over="ignore", invalid="ignore"):
+        P = step = np.linalg.matrix_power(X, d)
         values[..., 0] = np.trace(P, axis1=-2, axis2=-1) / (d * d)
         for k in range(2, n + 1):
             P = P @ step
@@ -199,14 +201,17 @@ def equations_of_motion(datum: RootDatum, point: TodaPoint, k: int):
     w = exp((alpha, q)); both are divided by the Poisson scale s = d.  For
     the physical Hamiltonian G is linear in X and the generators are
     orthogonal, so t is the entrywise product of the Gram diagonal with
-    [p, w] up to the factor, and X is never built.  The checks run here;
-    the field itself is _vector_field's kernel.
+    [p, w] up to the factor, and X is never built.  The checks, a field past
+    float64 included, run here; the field itself is _vector_field's kernel.
     """
     check_index(datum.algebra.rank, k)
     check_rank(datum, point.q)
     n = datum.algebra.rank
     out = np.empty(2 * n)
-    _vector_field(datum, k)(point.q, point.p, out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _vector_field(datum, k)(point.q, point.p, out)
+    if not np.isfinite(out).all():
+        raise ValidationError(_GRADIENT_OVERFLOW.format(k=k, power=symplectic_scale(datum) * k - 1))
     return out[:n], out[n:]
 
 
@@ -261,18 +266,24 @@ def toda_gradients(datum: RootDatum, point: TodaPoint) -> np.ndarray:
 
     The power chain G_k = X^{dk-1} / d is stacked flat, and G @ lax_basis.T
     holds the traces of every G_k against the generators at once; rows are
-    not divided by the Poisson scale.
+    not divided by the Poisson scale; the first past float64 is named.
     """
     check_rank(datum, point.q)
     n, N, d = datum.algebra.rank, datum.size, symplectic_scale(datum)
     X, w = _lax(datum, point.q, point.p)
-    P, step = np.linalg.matrix_power(X, d - 1), np.linalg.matrix_power(X, d)
     G = np.empty((n, N * N))
-    for k in range(n):
-        G[k] = P.ravel()
-        P = P @ step
-    t = (G @ datum.lax_basis.T) / d
-    return np.hstack([t[:, :n], (w * t[:, n:]) @ datum.alpha_coeffs])
+    with np.errstate(over="ignore", invalid="ignore"):
+        P, step = np.linalg.matrix_power(X, d - 1), np.linalg.matrix_power(X, d)
+        for k in range(n):
+            G[k] = P.ravel()
+            P = P @ step
+        t = (G @ datum.lax_basis.T) / d
+        grads = np.hstack([t[:, :n], (w * t[:, n:]) @ datum.alpha_coeffs])
+    finite = np.isfinite(grads).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite)) + 1
+        raise ValidationError(_GRADIENT_OVERFLOW.format(k=k, power=d * k - 1))
+    return grads
 
 
 def integrate_flow(datum: RootDatum, point: TodaPoint, k: int, dt: float, steps: int) -> np.ndarray:

@@ -235,6 +235,10 @@ def test_overflowing_root_weight_is_a_usage_error(capsys, command):
         ("dual-map", "A", "709.5,710", "0,0", 2, "usage error: Toda-gauge entry g[1, 1] = exp(710) overflows float64"),
         # the start row's H_2 = Tr(X^4) / 8 does not fit in the H columns
         ("integrate --steps 0", "B", "0,0", "1e80,0", 2, "usage error: Toda Hamiltonian H_2, a trace of X^4, overflows float64"),
+        # X^2 behind H_1 overflows while X fits: named, with no numpy warning first
+        ("integrate --steps 0", "B", "0,0", "1e200,1e200", 2, "usage error: Toda Hamiltonian H_1, a trace of X^2, overflows float64"),
+        ("integrate --steps 0", "C", "0,0", "1e200,1e200", 2, "usage error: Toda Hamiltonian H_1, a trace of X^2, overflows float64"),
+        ("integrate --steps 0", "D", "0,0", "1e200,1e200", 2, "usage error: Toda Hamiltonian H_1, a trace of X^2, overflows float64"),
     ],
 )
 def test_extreme_points_name_their_cause(capsys, command, fam, q, p, code, message):

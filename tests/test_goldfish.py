@@ -9,6 +9,7 @@ from todadual.errors import ChamberError, SingularConfigurationError, Validation
 from todadual.goldfish import (
     GoldfishPoint,
     RSCoupling,
+    _heine_pass,
     a_from_p,
     d_h1_pairsum_variant,
     goldfish_gradients,
@@ -23,6 +24,8 @@ from todadual.rootsys import FAMILIES, AlgebraType, build_root_datum
 from todadual.sampling import sample_goldfish, sample_moser, spawn_rng
 
 ALGEBRAS = [("A", 2), ("A", 4), ("B", 1), ("B", 3), ("C", 2), ("C", 4), ("D", 2), ("D", 3)]
+# Every family at ranks 1-8 (D from 2).
+ALL_TO_EIGHT = [(fam, n) for fam in FAMILIES for n in range(1 + (fam == "D"), 9)]
 
 
 def test_point_and_coupling_validation():
@@ -163,6 +166,25 @@ def test_closed_forms_match_minor_oracle():
             for k in range(1, n + 1):
                 oracle = minor_oracle_mk(datum, g, k)
                 assert abs(values[k - 1] - oracle) < 1e-8 * oracle, f"{fam}{n} draw {j} k={k}"
+
+
+@pytest.mark.parametrize("fam, n", ALL_TO_EIGHT)
+def test_pass_has_one_orthonormal_lanczos_vector_per_step(fam, n):
+    # one loop of n steps for every family: Q is N x n with orthonormal
+    # columns, and D's last column is the fused-root row's normalised
+    # residual against the n - 1 vectors before it
+    datum = build_root_datum(AlgebraType(fam, n))
+    for j in range(3):
+        _, _, Q, beta, _, _, fused = _heine_pass(datum, sample_goldfish(datum, spawn_rng(j, 300 + n)))
+        assert Q.shape == (datum.size, n)
+        assert beta.all(), f"{fam}{n} draw {j}: {beta}"
+        assert np.abs(Q.T @ Q - np.eye(n)).max() < 1e-12, f"{fam}{n} draw {j}"
+        assert (fused is None) == (fam != "D")
+        if fused is not None:
+            f, m = fused[0], n - 1
+            residual = f - Q[:, :m] @ (Q[:, :m].T @ f)
+            gap = np.abs(beta[m] * Q[:, m] - residual).max() / np.abs(f).max()
+            assert gap < 1e-12, f"D{n} draw {j}: {gap:.3e}"
 
 
 def test_hamiltonians_are_the_cauchy_binet_sums():

@@ -5,6 +5,7 @@ import pytest
 
 from todadual import toda
 from todadual.errors import StepFailureError, ValidationError
+from todadual.poisson import commutativity_matrix
 from todadual.rootsys import AlgebraType, algebra_residual, build_root_datum, cartan_pattern
 from todadual.sampling import sample_flow_toda, sample_toda, spawn_rng
 from todadual.toda import (
@@ -232,6 +233,22 @@ def test_overflowing_root_weight_is_named():
     assert np.isfinite(build_lax(datum, edge)).all()
     with pytest.raises(ValidationError, match="group element"):
         toda_group_element(build_root_datum(AlgebraType("A", 2)), TodaPoint(q=[800.0, 800.0], p=[0.0, 0.0]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "call",
+    [toda_gradients, commutativity_matrix, lambda datum, point: equations_of_motion(datum, point, 2)],
+    ids=["toda_gradients", "commutativity_matrix", "equations_of_motion"],
+)
+def test_overflowing_gradient_is_named(call):
+    # B2 at p = (1e200, 1e200): X fits, and so does dH_1 = Tr(X dX) / 2, but
+    # X^3 behind dH_2 does not; each exact-gradient route names H_2, not NaN.
+    datum = build_root_datum(AlgebraType("B", 2))
+    point = TodaPoint(q=[0.0, 0.0], p=[1e200, 1e200])
+    with pytest.raises(ValidationError, match=r"^gradient of Toda Hamiltonian H_2, a trace against X\^3, overflows float64$"):
+        call(datum, point)
+    assert np.isfinite(np.hstack(equations_of_motion(datum, point, 1))).all()
 
 
 def test_checked_exp_rejects_a_nan_after_a_finite_entry():
