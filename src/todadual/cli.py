@@ -13,13 +13,16 @@ Output conventions
 * Output is byte-identical for fixed seed and flags.  The default seed
   comes from the TODADUAL_SEED environment variable when set; explicit
   --seed wins.
-* `integrate` builds the whole table before writing it.  Its batched
-  eigensolve (the lam columns) runs on one worker thread beside the trace
-  columns and the text of the other columns; the worker makes that one
-  numpy call only, since LAPACK releases the GIL and any other numpy work
-  there would wait for the GIL that the formatting holds.  The thread is
-  joined before the command returns or raises, and every cell is the same
-  %.17g text of the same double, so the bytes do not depend on it.
+* `integrate` builds the whole table before writing it, formatted in two
+  whole-table passes.  Its batched eigensolve (the lam columns) runs on
+  one worker thread beside the trace columns and the first pass, which
+  writes the t, q, p and H cells and leaves each lam cell a %.17g
+  directive; the second pass, after the join, fills the lam cells.  The
+  worker makes that one numpy call only, since LAPACK releases the GIL
+  and any other numpy work there would wait for the GIL that the
+  formatting holds.  The thread is joined before the command returns or
+  raises, and every cell is the same %.17g text of the same double, so
+  the bytes do not depend on it.
 """
 
 from __future__ import annotations
@@ -257,7 +260,7 @@ def cmd_integrate(args) -> tuple[int, str]:
     traj = integrate_flow(datum, point, k, args.dt, args.steps)
     X, _ = _lax(datum, traj[:, :n], traj[:, n:])
     # The batched eigensolve runs on one worker thread while this thread
-    # computes the traces and the text of the t, q, p and H cells.  The
+    # computes the traces and makes the first pass over the text.  The
     # worker makes exactly one numpy call: LAPACK runs without the GIL, but
     # any further numpy work there would wait for the GIL held by the
     # formatting here.  It is joined before this function returns or
@@ -275,8 +278,12 @@ def cmd_integrate(args) -> tuple[int, str]:
     sep = "," if args.format == "csv" else "\t"
     try:
         left = np.column_stack([np.arange(args.steps + 1) * args.dt, traj, _trace_hamiltonians(datum, X)])
-        row = sep.join(["%.17g"] * left.shape[1])  # _fmt's format for every cell
-        heads = [row % tuple(cells) for cells in left.tolist()]
+        # The table is formatted in two whole-table passes of _fmt's format.
+        # This first one writes the t, q, p and H cells and leaves each lam
+        # cell as a %.17g directive; a %.17g cell never contains "%", so its
+        # output is the template of the second pass.
+        row = sep.join(["%.17g"] * left.shape[1] + ["%%.17g"] * datum.size) + "\n"
+        body = (row * left.shape[0]) % tuple(left.ravel().tolist())
     finally:
         worker.join()
     (lam,) = box
@@ -289,10 +296,8 @@ def cmd_integrate(args) -> tuple[int, str]:
         + [f"H{i}" for i in range(1, n + 1)]
         + [f"lam{i}" for i in range(1, datum.size + 1)]
     )
-    lam_row = sep + sep.join(["%.17g"] * datum.size)
-    lam = lam[:, ::-1].tolist()  # descending, chamber order
-    lines = [sep.join(names)] + [head + lam_row % tuple(cells) for head, cells in zip(heads, lam)]
-    return EXIT_OK, "\n".join(lines) + "\n"
+    lam = lam[:, ::-1].ravel().tolist()  # descending, chamber order
+    return EXIT_OK, sep.join(names) + "\n" + body % tuple(lam)
 
 
 def _add_common(sub: argparse.ArgumentParser, formats: list) -> None:

@@ -30,10 +30,12 @@ For the physical Hamiltonian G is linear in X and the generators are
 orthogonal, so t is the entrywise product of the diagonal of lax_gram with
 [p, w] up to the factor, and no N x N matrix is built.  integrate_flow
 binds the field once per trajectory (_vector_field) and evaluates it on
-its midpoint buffer in every sweep.  A root weight past the float64 range
-raises ValidationError naming the root.  That check is _checked_exp, the
-package's one named-overflow exponential: goldfish and duality name their
-Moser weights, Toda-gauge entries and dual Hamiltonians through it too.
+its midpoint buffer in every sweep; the sweeps run in place into the
+trajectory row, with no temporary array per sweep.  A root weight past
+the float64 range raises ValidationError naming the root.  That check is
+_checked_exp, the package's one named-overflow exponential: goldfish and
+duality name their Moser weights, Toda-gauge entries and dual
+Hamiltonians through it too.
 """
 
 from __future__ import annotations
@@ -256,7 +258,7 @@ def _vector_field(datum: RootDatum, k: int):
             t /= d * d
             out[:n] = t[:n]
             t_w = t[n:]
-        out[n:] = np.dot(neg_alpha_t, w * t_w)
+        np.dot(neg_alpha_t, w * t_w, out=out[n:])
 
     return field
 
@@ -296,12 +298,15 @@ def integrate_flow(datum: RootDatum, point: TodaPoint, k: int, dt: float, steps:
     5z_0 - 10z_{-1} + 10z_{-2} - 5z_{-3} + z_{-4} of the trajectory's last
     five rows (the first five steps start from the Euler guess
     z + dt * f(z)), so one field evaluation usually settles a step.
-    A start whose root weights or vector field overflow raises
-    ValidationError; the field check reads the first sweep of step 1,
-    which evaluates exactly f(z_0).  Non-convergence within
-    MIDPOINT_MAX_ITER sweeps, or a floating-point overflow or invalid value
-    (a diverging flow, including a root weight leaving the float64 range),
-    raises StepFailureError naming the step.
+    Sweeps run in place: each forms its midpoint in a bound buffer and
+    writes z + dt * f straight into the trajectory row, so no sweep makes
+    a temporary array; only a sweep that leaves the step unsettled copies
+    the row back into the iterate buffer.  A start whose root weights or
+    vector field overflow raises ValidationError; the field check reads
+    the first sweep of step 1, which evaluates exactly f(z_0).
+    Non-convergence within MIDPOINT_MAX_ITER sweeps, or a floating-point
+    overflow or invalid value (a diverging flow, including a root weight
+    leaving the float64 range), raises StepFailureError naming the step.
     """
     if steps < 0:
         raise ValidationError(f"steps must be non-negative, got {steps}")
@@ -313,40 +318,53 @@ def integrate_flow(datum: RootDatum, point: TodaPoint, k: int, dt: float, steps:
     n = datum.algebra.rank
     traj = np.empty((steps + 1, 2 * n))
     traj[0, :n], traj[0, n:] = point.q, point.p
-    # The field is bound once; the loop rewrites the midpoint buffer in
-    # place and the kernel reads its q and p views.
+    # The field is bound once; every sweep forms the midpoint in its buffer,
+    # the kernel reads its q and p views and writes the field into the
+    # sweep's output (the trajectory row, or the iterate buffer for an
+    # Euler guess), which then becomes z + dt * f in place.
     vector_field = _vector_field(datum, k)
-    mid = traj[0].copy()
+    mid = np.empty(2 * n)
     mid_q, mid_p = mid[:n], mid[n:]
-    field = np.empty(2 * n)
-    w = None  # the iterate; None until f(z_0) has been evaluated
+    w = np.empty(2 * n)  # the iterate a sweep starts from
+    gap = np.empty(2 * n)  # |z' - w| after a sweep
+    started = False  # True once f(z_0) has been evaluated
+    # 0-d arrays: a Python float operand costs a numpy call a scalar
+    # conversion each time; the products are the same.
+    half, step_size = np.array(0.5), np.array(dt, dtype=float)
 
-    def sweep(z, w):
-        """z + dt * f((z + w)/2): one fixed-point sweep from the iterate w."""
+    def sweep(z, w, out):
+        """out = z + dt * f((z + w)/2): one fixed-point sweep from the iterate w."""
         np.add(z, w, out=mid)
-        np.multiply(mid, 0.5, out=mid)
-        vector_field(mid_q, mid_p, field)
-        return z + dt * field
+        np.multiply(mid, half, out=mid)
+        vector_field(mid_q, mid_p, out)
+        np.multiply(out, step_size, out=out)
+        np.add(z, out, out=out)
 
     try:
         with np.errstate(over="raise", invalid="raise"):
             for step in range(1, steps + 1):
-                z = traj[step - 1]
+                z, row = traj[step - 1], traj[step]
                 if step > PREDICTOR.size:
-                    w = np.dot(PREDICTOR, traj[step - PREDICTOR.size : step])
+                    np.dot(PREDICTOR, traj[step - PREDICTOR.size : step], out=w)
                 else:
-                    w = sweep(z, z)
+                    sweep(z, z, w)
+                    started = True
                 for _ in range(MIDPOINT_MAX_ITER):
-                    w_next = sweep(z, w)
-                    delta = float(np.abs(w_next - w).max())
-                    w = w_next
+                    sweep(z, w, row)
+                    np.subtract(row, w, out=gap)
+                    # gap.max() from Python floats, which cost less than the
+                    # numpy reduction on 2n entries: the sum is NaN only
+                    # when a gap is, and then delta is that NaN as well.
+                    gaps = np.abs(gap, out=gap).tolist()
+                    total = sum(gaps)
+                    delta = max(gaps) if total == total else total
                     if delta <= MIDPOINT_TOL:
                         break
+                    w[:] = row
                 else:
                     raise StepFailureError(f"midpoint iteration stalled at step {step} (delta {delta:.3e})")
-                traj[step] = w
     except (FloatingPointError, ValidationError) as exc:
-        if w is None:
+        if not started:
             raise ValidationError(f"vector field of H_{k} overflows float64 at the start point: {exc}") from None
         # Inputs are validated above, so a ValidationError here is a root
         # weight leaving the float64 range mid-flow.

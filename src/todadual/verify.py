@@ -48,7 +48,7 @@ from .sampling import (
     sample_toda,
     spawn_rng,
 )
-from .toda import TodaPoint, build_lax, integrate_flow, toda_hamiltonians, toda_momentum_residual
+from .toda import TodaPoint, _trace_hamiltonians, build_lax, integrate_flow, toda_momentum_residual
 
 RANK_CAP = 8
 # Above RANK_CAP, `dual-map` and `verify` state this after "rank <n> ".
@@ -212,8 +212,9 @@ def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 2
     def flow_drift(pt):
         z = integrate_flow(datum, pt, k_flow, 1.0e-3, flow_steps)[-1]
         final = TodaPoint(q=z[:n], p=z[n:])
-        h0, hT = toda_hamiltonians(datum, pt), toda_hamiltonians(datum, final)
-        lam0, lamT = (np.linalg.eigvalsh(build_lax(datum, x)) for x in (pt, final))
+        X0, XT = build_lax(datum, pt), build_lax(datum, final)
+        h0, hT = _trace_hamiltonians(datum, X0), _trace_hamiltonians(datum, XT)
+        lam0, lamT = np.linalg.eigvalsh(X0), np.linalg.eigvalsh(XT)
         # Drift is normalized by family scale: near-zero individual invariants
         # (family B keeps an exact zero eigenvalue) make per-value ratios
         # ill-conditioned without testing anything extra.  np.max keeps a

@@ -1,17 +1,20 @@
 """Command-line interface: exit codes, formats, determinism, seeds."""
 
+import itertools
 import json
 import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from todadual import cli, verify
+from todadual import cli, toda, verify
 from todadual.cli import main
+from todadual.errors import StepFailureError
 from todadual.rootsys import AlgebraType, build_root_datum
 from todadual.sampling import sample_flow_toda, spawn_rng
 from todadual.toda import TodaPoint, _trace_hamiltonians, build_lax, integrate_flow, quadratic_index
@@ -206,6 +209,18 @@ def test_diverging_flow_is_a_step_failure(capsys, argv):
     assert "usage error" not in err
 
 
+def test_stalled_midpoint_iteration_is_a_step_failure(capsys, monkeypatch):
+    # one sweep after the Euler guess cannot settle a step to MIDPOINT_TOL
+    monkeypatch.setattr(toda, "MIDPOINT_MAX_ITER", 1)
+    datum = build_root_datum(AlgebraType("C", 2))
+    point = sample_flow_toda(datum, spawn_rng(0, 0))
+    with pytest.raises(StepFailureError, match=r"^midpoint iteration stalled at step 1 \(delta "):
+        integrate_flow(datum, point, quadratic_index(datum), 1e-3, 5)
+    code, out, err = run_cli(capsys, "integrate", "--type", "C", "--rank", "2", "--seed", "0", "--steps", "5")
+    assert code == 1 and out == ""
+    assert err.startswith("todadual: midpoint iteration stalled at step 1 (delta ")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["lax", "integrate", "dual-map"])
 def test_overflowing_root_weight_is_a_usage_error(capsys, command):
@@ -247,6 +262,44 @@ def test_extreme_points_name_their_cause(capsys, command, fam, q, p, code, messa
     assert message in err
     assert (err == "") == (code == 0)
     assert "Infinity" not in out and "NaN" not in out
+
+
+def test_extreme_input_sweep_ends_in_a_named_exit(capsys):
+    # Every call of a seeded grid of extreme points, with warnings raised as
+    # errors, ends in a known exit code without an exception: finite numbers
+    # on stdout at exit 0, a message on stderr at any other exit.
+    def reject(constant):
+        raise ValueError(f"non-finite number {constant} on stdout")
+
+    rng = np.random.default_rng(12345)
+    grid = itertools.product("ABCD", (2, 3, 6), (0.0, 1.0, 30.0, 300.0, 700.0), (0.0, 1.0, 1e2, 1e5, 1e200), range(2))
+    violations, calls = [], 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fam, n, q_scale, p_scale, _ in grid:
+            q = q_scale * rng.standard_normal(n)
+            p = p_scale * rng.standard_normal(n)
+            point = ("--q=" + ",".join(map(repr, q.tolist())), "--p=" + ",".join(map(repr, p.tolist())))
+            for command in (["lax"], ["integrate", "--steps", "5"], ["dual-map"]):
+                calls += 1
+                argv = [*command, "--type", fam, "--rank", str(n), *point]
+                code, out, err = run_cli(capsys, *argv)
+                if code == 0:
+                    if command[0] == "integrate":
+                        cells = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
+                        finite = bool(np.isfinite(cells).all())
+                    else:
+                        try:
+                            json.loads(out, parse_constant=reject)
+                            finite = True
+                        except ValueError:
+                            finite = False
+                    if not finite:
+                        violations.append((argv, code, "non-finite output"))
+                elif code not in (1, 2, 3) or not err:
+                    violations.append((argv, code, err))
+    assert calls == 1800
+    assert violations == [], f"{len(violations)} violations, first: {violations[0]}"
 
 
 def test_rank_cap_warning_only_where_duality_maps_run(capsys):

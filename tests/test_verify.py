@@ -181,14 +181,14 @@ def test_non_finite_residual_breaks_its_point(monkeypatch):
 
 def test_non_finite_flow_drift_is_inf(monkeypatch):
     # NaN invariants at the end of the flow read as an infinite drift
-    real = todadual.verify.toda_hamiltonians
+    real = todadual.verify._trace_hamiltonians
     calls = []
 
-    def hamiltonians(datum, point):
-        calls.append(point)
-        return real(datum, point) * (np.nan if len(calls) == 2 else 1.0)
+    def hamiltonians(datum, X):
+        calls.append(X)
+        return real(datum, X) * (np.nan if len(calls) == 2 else 1.0)
 
-    monkeypatch.setattr(todadual.verify, "toda_hamiltonians", hamiltonians)
+    monkeypatch.setattr(todadual.verify, "_trace_hamiltonians", hamiltonians)
     report = run_suite(build_root_datum(AlgebraType("C", 2)), seed=0, npoints=1, flow_steps=2)
     record = next(r for r in report["properties"] if r["property"] == "flow-conservation")
     assert record["worst_residual"] == float("inf")
