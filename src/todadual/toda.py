@@ -12,11 +12,13 @@ commuting Hamiltonians, the trace powers
 so the physical (quadratic) Hamiltonian has index 2/d: H_2 for family A
 and H_1 for B/C/D.  The flow uses the implicit midpoint rule, which
 preserves the quadratic invariants of the exact flow to the iteration
-tolerance.  Each step solves its midpoint equation by
-fixed-point sweeps until two consecutive iterates agree to MIDPOINT_TOL
-(at most MIDPOINT_MAX_ITER sweeps), starting from the degree-4
-extrapolation of the trajectory's last five rows; at dt = 1e-3 one field
-evaluation settles almost every step.
+tolerance.  integrate_flow solves the midpoint equations of a window of
+consecutive steps together, by Picard sweeps over the whole window
+(discrete waveform relaxation), until no row moves by more than
+MIDPOINT_TOL between two sweeps (at most MIDPOINT_MAX_ITER sweeps).  The
+window grows from one step to WINDOW_CAP while its sweeps settle fast and
+halves when they stop contracting; at dt = 1e-3, 1000 steps take about a
+hundred kernel calls and 7-9 row evaluations per step.
 
 X is linear in the coordinates [p, w], w = exp((alpha, q)), over the
 flattened symmetric generators in RootDatum.lax_basis (the h_i, then
@@ -29,9 +31,10 @@ toda_gradients reads every H_k at once from the stacked power chain.
 For the physical Hamiltonian G is linear in X and the generators are
 orthogonal, so t is the entrywise product of the diagonal of lax_gram with
 [p, w] up to the factor, and no N x N matrix is built.  integrate_flow
-binds the field once per trajectory (_vector_field) and evaluates it on
-its midpoint buffer in every sweep; the sweeps run in place into the
-trajectory row, with no temporary array per sweep.  A root weight past
+binds the field once per trajectory (_vector_field), whose kernel
+evaluates it at a batch of points, and calls it once per sweep on all of
+a window's midpoints; each sweep's cumsum runs straight into the window's
+trajectory rows.  A root weight past
 the float64 range raises ValidationError naming the root.  That check is
 _checked_exp, the package's one named-overflow exponential: goldfish and
 duality name their Moser weights, Toda-gauge entries and dual
@@ -50,9 +53,10 @@ from .rootsys import RootDatum, cartan_pattern, check_index, check_rank, vector_
 # Fixed-point iteration control for the implicit midpoint rule.
 MIDPOINT_TOL = 1.0e-12
 MIDPOINT_MAX_ITER = 100
-# Weights of the degree-4 extrapolation that starts each midpoint iteration,
-# applied to the trajectory's last five rows, oldest first.
-PREDICTOR = np.array([1.0, -5.0, 10.0, -10.0, 5.0])
+# integrate_flow's window: at most WINDOW_CAP steps, doubled after a window
+# that settles in at most WINDOW_FAST_SWEEPS sweeps.
+WINDOW_CAP = 128
+WINDOW_FAST_SWEEPS = 8
 # Largest x with exp(x) finite in float64.
 MAX_EXPONENT = float(np.log(np.finfo(float).max))
 # _checked_exp's message for a root weight exp((alpha_i, q)) past the float64 range.
@@ -209,56 +213,52 @@ def equations_of_motion(datum: RootDatum, point: TodaPoint, k: int):
     check_index(datum.algebra.rank, k)
     check_rank(datum, point.q)
     n = datum.algebra.rank
-    out = np.empty(2 * n)
+    out = np.empty((1, 2 * n))
     with np.errstate(over="ignore", invalid="ignore"):
-        _vector_field(datum, k)(point.q, point.p, out)
+        _vector_field(datum, k)(point.q[None], point.p[None], out)
     if not np.isfinite(out).all():
         raise ValidationError(_GRADIENT_OVERFLOW.format(k=k, power=symplectic_scale(datum) * k - 1))
-    return out[:n], out[n:]
+    return out[0, :n], out[0, n:]
 
 
 def _vector_field(datum: RootDatum, k: int):
-    """Kernel f(q, p, out) writing (dq/dt, dp/dt) of H_k into out, shape (2n,).
+    """Kernel f(q, p, out) writing (dq/dt, dp/dt) of H_k at m points into out.
 
-    Everything a trajectory keeps fixed is bound once: n, d and the power
-    dk - 1, the root table alpha_coeffs and its negated transpose, and, for
-    the physical Hamiltonian, the diagonal of lax_gram over d^2 (d^2 is a
-    power of two, so the pre-scaling is exact), or else one coords buffer.
-    The kernel checks neither k nor the shapes of q and p; a root weight
-    past the float64 range still raises _root_weights' ValidationError.
+    q and p have shape (m, n) and out shape (m, 2n); row i of out is the
+    field at row i of q and p.  Everything a trajectory keeps fixed is bound
+    once: n, d and the power dk - 1, the root table alpha_coeffs, its
+    transpose and its negation, and, for the physical Hamiltonian, the
+    diagonal of lax_gram over d^2 (d^2 is a power of two, so the
+    pre-scaling is exact), or else the transposed basis.  The kernel checks
+    neither k nor the shapes of q and p; a root weight past the float64
+    range still raises _root_weights' ValidationError.
     """
     n, d = datum.algebra.rank, symplectic_scale(datum)
     power = d * k - 1
-    alpha_t = datum.alpha_coeffs.T
-    # Negating keeps the transposed layout, so the BLAS route and the bits
-    # match -(alpha_coeffs^T @ v); a contiguous copy would change both.
-    neg_alpha_t = -alpha_t
+    alpha_t, neg_alpha = datum.alpha_coeffs.T, -datum.alpha_coeffs
     if power == 1:
         gram = datum.lax_gram.diagonal() / (d * d)
         gram_p, gram_w = gram[:n], gram[n:]
     else:
         N, basis = datum.size, datum.lax_basis
-        coords = np.empty(n + datum.num_roots)
+        basis_t = basis.T
 
     def field(q, p, out):
         a = np.dot(q, alpha_t)
-        # _root_weights' check; a.size guards A1, which has no roots.  A
-        # Python max of the few exponents is cheaper than a.max(): a finite
-        # q gives no NaN, and the flow's errstate raises on one.
-        if a.size and not max(a.tolist()) <= MAX_EXPONENT:
+        # _root_weights' check; a.size guards A1, which has no roots.
+        if a.size and not a.max() <= MAX_EXPONENT:
             raise _overflow(a, _ROOT_WEIGHT_OVERFLOW)
         w = np.exp(a)
         if power == 1:
-            np.multiply(gram_p, p, out=out[:n])
+            np.multiply(gram_p, p, out=out[:, :n])
             t_w = gram_w * w
         else:
-            coords[:n], coords[n:] = p, w
-            X = np.dot(coords, basis).reshape(N, N)
-            t = np.dot(basis, np.linalg.matrix_power(X, power).ravel())
+            X = np.dot(np.concatenate([p, w], axis=1), basis).reshape(-1, N, N)
+            t = np.dot(np.linalg.matrix_power(X, power).reshape(len(X), N * N), basis_t)
             t /= d * d
-            out[:n] = t[:n]
-            t_w = t[n:]
-        np.dot(neg_alpha_t, w * t_w, out=out[n:])
+            out[:, :n] = t[:, :n]
+            t_w = t[:, n:]
+        np.matmul(w * t_w, neg_alpha, out=out[:, n:])
 
     return field
 
@@ -292,18 +292,28 @@ def integrate_flow(datum: RootDatum, point: TodaPoint, k: int, dt: float, steps:
     """Implicit-midpoint trajectory of the H_k flow.
 
     Returns an array of shape (steps + 1, 2n); each row is (q, p) at one
-    time.  Every step solves z' = z + dt * f((z + z')/2) by fixed-point
-    iteration, stopping once two consecutive iterates agree to MIDPOINT_TOL
-    in the sup norm.  The iteration starts from the degree-4 extrapolation
-    5z_0 - 10z_{-1} + 10z_{-2} - 5z_{-3} + z_{-4} of the trajectory's last
-    five rows (the first five steps start from the Euler guess
-    z + dt * f(z)), so one field evaluation usually settles a step.
-    Sweeps run in place: each forms its midpoint in a bound buffer and
-    writes z + dt * f straight into the trajectory row, so no sweep makes
-    a temporary array; only a sweep that leaves the step unsettled copies
-    the row back into the iterate buffer.  A start whose root weights or
-    vector field overflow raises ValidationError; the field check reads
-    the first sweep of step 1, which evaluates exactly f(z_0).
+    time.  Every step solves z' = z + dt * f((z + z')/2).  The equations
+    of a window of m consecutive steps after the last settled row z_0 are
+    solved together by Picard sweeps over the whole window (discrete
+    waveform relaxation):
+
+        z_{s+1} = z_0 + dt * sum_{j <= s} f((z_j + z_{j+1})/2),  s < m,
+
+    whose fixed point is the midpoint trajectory.  A sweep forms the m
+    midpoints in a bound buffer, evaluates the field at all of them in one
+    kernel call, scales by dt and writes the cumsum straight into the
+    window's trajectory rows, then adds z_0.  The sweeps start from the
+    Euler ramp z_0 + j * dt * f(z_0), j = 1..m, and stop once no row moved
+    by more than MIDPOINT_TOL in the sup norm between two sweeps.
+
+    The window starts at one step and doubles after a window settled in at
+    most WINDOW_FAST_SWEEPS sweeps, up to WINDOW_CAP.  A window of more
+    than one step whose sweep fails to halve the change, overflows, or
+    reaches MIDPOINT_MAX_ITER sweeps is redone at half its size; a
+    one-step window is the plain per-step iteration from the Euler guess,
+    and only it raises, so every error names one step.  A start whose root
+    weights or vector field overflow raises ValidationError; the field
+    check reads the first kernel call, which evaluates exactly f(z_0).
     Non-convergence within MIDPOINT_MAX_ITER sweeps, or a floating-point
     overflow or invalid value (a diverging flow, including a root weight
     leaving the float64 range), raises StepFailureError naming the step.
@@ -318,55 +328,73 @@ def integrate_flow(datum: RootDatum, point: TodaPoint, k: int, dt: float, steps:
     n = datum.algebra.rank
     traj = np.empty((steps + 1, 2 * n))
     traj[0, :n], traj[0, n:] = point.q, point.p
-    # The field is bound once; every sweep forms the midpoint in its buffer,
-    # the kernel reads its q and p views and writes the field into the
-    # sweep's output (the trajectory row, or the iterate buffer for an
-    # Euler guess), which then becomes z + dt * f in place.
     vector_field = _vector_field(datum, k)
-    mid = np.empty(2 * n)
-    mid_q, mid_p = mid[:n], mid[n:]
-    w = np.empty(2 * n)  # the iterate a sweep starts from
-    gap = np.empty(2 * n)  # |z' - w| after a sweep
+    cap = max(1, min(WINDOW_CAP, steps))
+    iterate = np.empty((cap + 1, 2 * n))  # row 0 is z_0, then the window's iterate
+    mid = np.empty((cap, 2 * n))
+    field = np.empty((cap, 2 * n))
+    gap = np.empty((cap, 2 * n))  # |z' - z| between two sweeps
+    ramp = np.arange(1.0, cap + 1.0)[:, None]
     started = False  # True once f(z_0) has been evaluated
     # 0-d arrays: a Python float operand costs a numpy call a scalar
     # conversion each time; the products are the same.
     half, step_size = np.array(0.5), np.array(dt, dtype=float)
 
-    def sweep(z, w, out):
-        """out = z + dt * f((z + w)/2): one fixed-point sweep from the iterate w."""
-        np.add(z, w, out=mid)
-        np.multiply(mid, half, out=mid)
-        vector_field(mid_q, mid_p, out)
-        np.multiply(out, step_size, out=out)
-        np.add(z, out, out=out)
+    def window(settled: int, m: int):
+        """Sweeps that settled rows settled+1 .. settled+m; None if a window of m > 1 fails."""
+        nonlocal started
+        z, w = iterate[: m + 1], iterate[1 : m + 1]
+        rows, mids, f, g = traj[settled + 1 : settled + m + 1], mid[:m], field[:m], gap[:m]
+        z[0] = traj[settled]
+        # the Euler ramp; its midpoint (z_0 + z_0)/2 is z_0, as a sweep forms it
+        np.add(z[0], z[0], out=mids[0])
+        np.multiply(mids[0], half, out=mids[0])
+        vector_field(mids[:1, :n], mids[:1, n:], f[:1])
+        started = True
+        np.multiply(f[0], step_size, out=f[0])
+        np.multiply(ramp[:m], f[0], out=w)
+        np.add(w, z[0], out=w)
+        previous = np.inf
+        for sweeps in range(1, MIDPOINT_MAX_ITER + 1):
+            np.add(z[:-1], w, out=mids)
+            np.multiply(mids, half, out=mids)
+            vector_field(mids[:, :n], mids[:, n:], f)
+            np.multiply(f, step_size, out=f)
+            np.cumsum(f, axis=0, out=rows)
+            np.add(rows, z[0], out=rows)
+            np.subtract(rows, w, out=g)
+            delta = np.abs(g, out=g).max()
+            if delta <= MIDPOINT_TOL:
+                return sweeps
+            if m > 1 and not delta < 0.5 * previous:
+                return None
+            previous = delta
+            w[:] = rows
+        if m > 1:
+            return None
+        raise StepFailureError(f"midpoint iteration stalled at step {settled + 1} (delta {delta:.3e})")
 
+    settled, size = 0, 1
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for step in range(1, steps + 1):
-                z, row = traj[step - 1], traj[step]
-                if step > PREDICTOR.size:
-                    np.dot(PREDICTOR, traj[step - PREDICTOR.size : step], out=w)
-                else:
-                    sweep(z, z, w)
-                    started = True
-                for _ in range(MIDPOINT_MAX_ITER):
-                    sweep(z, w, row)
-                    np.subtract(row, w, out=gap)
-                    # gap.max() from Python floats, which cost less than the
-                    # numpy reduction on 2n entries: the sum is NaN only
-                    # when a gap is, and then delta is that NaN as well.
-                    gaps = np.abs(gap, out=gap).tolist()
-                    total = sum(gaps)
-                    delta = max(gaps) if total == total else total
-                    if delta <= MIDPOINT_TOL:
-                        break
-                    w[:] = row
-                else:
-                    raise StepFailureError(f"midpoint iteration stalled at step {step} (delta {delta:.3e})")
+            while settled < steps:
+                m = min(size, steps - settled)
+                try:
+                    sweeps = window(settled, m)
+                except (FloatingPointError, ValidationError):
+                    if m == 1:
+                        raise
+                    sweeps = None
+                if sweeps is None:
+                    size = m // 2
+                    continue
+                settled += m
+                if sweeps <= WINDOW_FAST_SWEEPS:
+                    size = min(2 * m, WINDOW_CAP)
     except (FloatingPointError, ValidationError) as exc:
         if not started:
             raise ValidationError(f"vector field of H_{k} overflows float64 at the start point: {exc}") from None
         # Inputs are validated above, so a ValidationError here is a root
         # weight leaving the float64 range mid-flow.
-        raise StepFailureError(f"flow diverged at step {step}: {exc}") from None
+        raise StepFailureError(f"flow diverged at step {settled + 1}: {exc}") from None
     return traj
