@@ -120,7 +120,7 @@ def _matrix_payload(M: np.ndarray) -> dict:
 
 
 def _vector(values) -> list:
-    return [float(v) for v in np.asarray(values, dtype=float)]
+    return np.asarray(values, dtype=float).tolist()
 
 
 def _parse_vector(text: str, rank: int, flag: str) -> np.ndarray:

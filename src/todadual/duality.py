@@ -67,11 +67,13 @@ class DualityReport:
     max_relative_mismatch: float
 
 
-def _relative_gap(a: float, b: float) -> float:
-    scale = max(abs(a), abs(b))
-    if scale == 0.0:
-        return 0.0
-    return abs(a - b) / scale
+def _relative_gaps(a, b) -> np.ndarray:
+    """|a - b| / max(|a|, |b|) entrywise: 0 where both sides are 0, NaN where either is NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    scale = np.maximum(np.abs(a), np.abs(b))
+    # an inf on a side gives NaN with no warning, as Python's float arithmetic does
+    with np.errstate(invalid="ignore"):
+        return np.divide(np.abs(a - b), scale, out=np.zeros_like(scale), where=scale != 0.0)
 
 
 def toda_to_moser(datum: RootDatum, point: TodaPoint) -> MoserPoint:
@@ -184,7 +186,7 @@ def verify_duality_identities(datum: RootDatum, point: TodaPoint) -> DualityRepo
     jk = toda_gauge_minors(datum, point)
     ik = moser_gauge_traces(datum, gp.qhat)
     # np.max keeps a NaN gap, which Python's max would drop
-    worst = np.max([_relative_gap(*pair) for pair in zip([*jk, *toda_values], [*goldfish_values, *ik])])
+    worst = np.max(_relative_gaps(np.concatenate([jk, toda_values]), np.concatenate([goldfish_values, ik])))
     return DualityReport(
         toda_values=toda_values,
         goldfish_values=goldfish_values,

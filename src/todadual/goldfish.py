@@ -25,8 +25,8 @@ in closed form.  The pass is the inverse duality map too (duality), which
 has its own forward-mode tangent.
 
 The values are verified against an independent minor oracle,
-moser.minor_oracle_mk (the Gram minors of the bottom rows of g from their
-QR), in the tests and in `todadual verify`.
+moser.minor_oracle_mk (every Gram minor of the bottom rows of g from one
+QR of those rows), in the tests and in `todadual verify`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .moser import AHAT_OVERFLOW, MoserPoint, check_chamber, log_gap_sums, node_tables
-from .rootsys import RootDatum, check_distinct, check_index, vector_pair
+from .rootsys import RootDatum, check_distinct, check_index, check_rank, vector_pair
 from .toda import _checked_exp
 
 # _checked_exp's message for an H-hat_k = exp(log H-hat_k) past the float64 range.
@@ -263,11 +263,15 @@ def d_h1_pairsum_variant(datum: RootDatum, point: GoldfishPoint) -> float:
 
     Replaces the product over k != i of |q_i^2 - q_k^2|^{-1} by the sum of
     the same reciprocals.  It disagrees with the determinant oracle; it is
-    kept so verification reports can quantify the discrepancy.
+    kept so verification reports can quantify the discrepancy.  A point of
+    another rank raises ValidationError, and moduli |qhat_i| closer than
+    NODE_TOL, which would zero a denominator, SingularConfigurationError.
     """
     if datum.algebra.family != "D":
         raise ValidationError("variant defined for family D only")
     q, p = point.qhat, point.phat
+    check_rank(datum, q)
+    check_distinct(np.abs(q), "moduli |qhat|")
     n = q.size
     total = 0.0
     for i in range(n):

@@ -3,8 +3,9 @@
 * structured_diagonalize: conjugate a real symmetric algebra element (the
   Lax matrix) into the canonical diagonal pattern by a real orthogonal
   group element.
-* bottom_row_qr: R of the row-sorted thin QR of the bottom rows of g; its
-  diagonal gives the trailing minors of g g^dagger to the minor oracle.
+* bottom_row_qr: R of the row-sorted thin QR of the bottom rows of g; the
+  cumulative products of its squared diagonal give the minor oracle every
+  trailing minor of g g^dagger at once.
 * extended_solve: pivoted elimination in extended complex precision; no
   production caller is left, and the tests keep it as an oracle.
 * lower_triangularize: split g = nplus * glow with nplus unipotent upper
@@ -226,12 +227,14 @@ def iwasawa(datum: RootDatum, g):
 def bottom_row_qr(g, k: int) -> np.ndarray:
     """R of the thin QR of the bottom k rows of g, taken last row first.
 
-    M = g[::-1][:k]^dagger is N x k, so the trailing j x j block of
-    g g^dagger has determinant prod_{i<j} |R_ii|^2.  Rows of M spanning
-    many decades are sorted largest modulus first, which keeps Householder
-    QR row-wise stable (Cox & Higham 1998); sorting leaves M^dagger M =
-    R^dagger R unchanged, so R is M's own factor up to the signs of its
-    rows.  A zero R_ii raises SingularMatrixError.
+    M = g[::-1][:k]^dagger is N x k.  For every j <= k the leading j x j
+    block of R is the R factor of M's first j columns under the same row
+    order, so the trailing j x j block of g g^dagger has determinant
+    prod_{i<j} |R_ii|^2: one QR at k gives every minor up to k.  Rows of M
+    spanning many decades are sorted largest modulus first, which keeps
+    Householder QR row-wise stable (Cox & Higham 1998); sorting leaves
+    M^dagger M = R^dagger R unchanged, so R is M's own factor up to the
+    signs of its rows.  A zero R_ii raises SingularMatrixError.
     """
     M = np.asarray(g)[::-1][:k].conj().T
     order = np.argsort(-np.max(np.abs(M), axis=1), kind="stable")

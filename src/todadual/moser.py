@@ -186,18 +186,20 @@ def moser_momentum_residual(datum: RootDatum, mp: MoserPoint) -> float:
     return momentum_equation_residual(datum, build_moser_g(datum, mp), mp.qhat)
 
 
-def minor_oracle_mk(datum: RootDatum, g: np.ndarray, k: int) -> float:
-    """Bottom-right k x k principal minor of g g^dagger, from a QR.
+def minor_oracle_mk(datum: RootDatum, g: np.ndarray, k: int) -> np.ndarray:
+    """Bottom-right j x j principal minors (m_1, ..., m_k) of g g^dagger, from one QR.
 
-    The minor is the Gram determinant of the bottom k rows of g, which is
-    prod |R_ii|^2 of linalg.bottom_row_qr; the row-sorted QR keeps the
-    digits a double-precision Gram determinant loses.  It reads g, which
-    the Lanczos pass behind the dual Hamiltonians never builds, so it
-    serves as their independent oracle.
+    m_j is the Gram determinant of the bottom j rows of g.  The leading
+    j x j block of R from linalg.bottom_row_qr(g, k) is the R factor of
+    those j rows under the same row order, so m_j = prod_{i<j} |R_ii|^2 and
+    the vector is one cumulative product over R's diagonal; the row-sorted
+    QR keeps the digits a double-precision Gram determinant loses.  It
+    reads g, which the Lanczos pass behind the dual Hamiltonians never
+    builds, so it serves as their independent oracle.
     """
     g = check_shape(datum, g)
     check_index(datum.algebra.rank, k)
-    return float(np.prod(np.abs(np.diagonal(bottom_row_qr(g, k))) ** 2))
+    return np.cumprod(np.abs(np.diagonal(bottom_row_qr(g, k))) ** 2)
 
 
 def ruijsenaars_spec_for(datum: RootDatum, point: MoserPoint) -> RuijsenaarsMatrixSpec:

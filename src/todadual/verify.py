@@ -12,10 +12,11 @@ policy: a non-generic draw is skipped, a residual failure or a singular
 matrix marks its point broken, and either is named in the record's note by
 its point index; a non-finite residual breaks its point too.  The dual
 Hamiltonians, one Lanczos pass on the Moser measure, are checked against
-moser.minor_oracle_mk, the QR of the bottom rows of g.  Both commutativity
-properties pair exact gradients; the dual ones are goldfish_gradients'
-closed form, independent of the forward-mode tangent through that same
-pass by which the symplectomorphism check differentiates the inverse map.
+moser.minor_oracle_mk: every trailing minor of g g^dagger from one QR of
+the bottom rows of g per point.  Both commutativity properties pair exact
+gradients; the dual ones are goldfish_gradients' closed form, independent
+of the forward-mode tangent through that same pass by which the
+symplectomorphism check differentiates the inverse map.
 No property runs a finite-difference stencil.
 
 Counters are allocated as 1000 * property_slot + point_index, so any
@@ -29,7 +30,7 @@ from functools import partial
 import numpy as np
 
 from .duality import (
-    _relative_gap,
+    _relative_gaps,
     goldfish_to_toda,
     symplectomorphism_check,
     toda_to_goldfish,
@@ -184,7 +185,7 @@ def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 2
         mp, x = _moser_point(datum, gp)  # one chamber check for the weights and g
         g = _moser_g(datum, x, mp.ahat)
         # np.max keeps a NaN gap, which Python's max would drop
-        return np.max([_relative_gap(values[k - 1], minor_oracle_mk(datum, g, k)) for k in range(1, n + 1)])
+        return np.max(_relative_gaps(values, minor_oracle_mk(datum, g, n)))
 
     def round_trip(pt):
         return round_trip_error(pt, goldfish_to_toda(datum, toda_to_goldfish(datum, pt)))
@@ -259,7 +260,7 @@ def run_suite(datum: RootDatum, seed: int, npoints: int = 8, flow_steps: int = 2
                     "hamiltonian_index": 1,
                     "printed_value": printed,
                     "oracle_value": oracle,
-                    "relative_gap": _relative_gap(printed, oracle),
+                    "relative_gap": float(_relative_gaps(printed, oracle)),
                     "qhat": [float(v) for v in gp.qhat],
                     "phat": [float(v) for v in gp.phat],
                     "counter": COUNTER_STRIDE * SLOTS["discrepancy-log"] + j,

@@ -10,6 +10,7 @@ import pytest
 import todadual.duality
 from todadual import cli
 from todadual.duality import (
+    _relative_gaps,
     duality_jacobian,
     goldfish_to_toda,
     moser_gauge_traces,
@@ -185,6 +186,18 @@ def test_identity_report_matches_both_pairs():
         assert report.jk_toda_gauge.shape == (n,)
         assert report.ik_moser_gauge.shape == (n,)
         assert report.max_relative_mismatch < 1e-9, f"{fam}{n}: {report.max_relative_mismatch:.3e}"
+
+
+def test_relative_gaps_fold_zero_scales_and_keep_nan():
+    assert _relative_gaps(0.0, 0.0) == 0.0
+    assert _relative_gaps([0.0, -0.0], [-0.0, 0.0]).tolist() == [0.0, 0.0]
+    for a, b in ((np.nan, 1.0), (1.0, np.nan), (0.0, np.nan), (np.nan, 0.0), (np.nan, np.nan)):
+        assert np.isnan(_relative_gaps(a, b))
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, size=200)
+    b = a * (1.0 + rng.normal(size=200) * 10.0 ** rng.integers(-16, 1, size=200))
+    scalar = [abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a.tolist(), b.tolist())]
+    assert _relative_gaps(a, b).tolist() == scalar
 
 
 def test_gauge_minors_are_position_exponentials():

@@ -150,8 +150,7 @@ def test_closed_forms_match_minor_oracle():
         for j in range(4):
             gp = sample_goldfish(datum, spawn_rng(61, 10 * n + j))
             g = build_moser_g(datum, a_from_p(datum, gp))
-            for k in range(1, n + 1):
-                oracle = minor_oracle_mk(datum, g, k)
+            for k, oracle in enumerate(minor_oracle_mk(datum, g, n), start=1):
                 closed = goldfish_hamiltonian(datum, gp, k)
                 assert abs(closed - oracle) < 1e-8 * max(1.0, abs(oracle))
     # rank-8 draws of the seed-0 verify property, whose Gram blocks are so
@@ -163,8 +162,7 @@ def test_closed_forms_match_minor_oracle():
             gp = sample_goldfish(datum, spawn_rng(0, 2000 + j))
             g = build_moser_g(datum, a_from_p(datum, gp))
             values = goldfish_hamiltonians(datum, gp)
-            for k in range(1, n + 1):
-                oracle = minor_oracle_mk(datum, g, k)
+            for k, oracle in enumerate(minor_oracle_mk(datum, g, n), start=1):
                 assert abs(values[k - 1] - oracle) < 1e-8 * oracle, f"{fam}{n} draw {j} k={k}"
 
 
@@ -208,13 +206,24 @@ def test_d_pairsum_variant_disagrees_at_rank_three():
     datum = build_root_datum(AlgebraType("D", 3))
     gp = GoldfishPoint(qhat=[1.9, 1.1, 0.4], phat=[0.2, -0.4, 0.1])
     g = build_moser_g(datum, a_from_p(datum, gp))
-    oracle = minor_oracle_mk(datum, g, 1)
+    (oracle,) = minor_oracle_mk(datum, g, 1)
     closed = goldfish_hamiltonian(datum, gp, 1)
     variant = d_h1_pairsum_variant(datum, gp)
     assert abs(closed - oracle) < 1e-10 * oracle
     assert abs(variant - oracle) > 0.5 * oracle  # kept only for reporting
     with pytest.raises(ValidationError):
         d_h1_pairsum_variant(build_root_datum(AlgebraType("C", 2)), gp)
+
+
+def test_d_pairsum_variant_refuses_equal_moduli_and_a_short_point():
+    # two equal |qhat_i| zero a reciprocal; a rank-2 point against a D3 datum
+    # would sum over the wrong pairs
+    datum = build_root_datum(AlgebraType("D", 3))
+    for qhat in ([1.0, 1.0, 0.5], [1.0, 0.5, -0.5]):
+        with pytest.raises(SingularConfigurationError, match="moduli"):
+            d_h1_pairsum_variant(datum, GoldfishPoint(qhat=qhat, phat=[0.0, 0.0, 0.0]))
+    with pytest.raises(ValidationError, match="does not match algebra rank 3"):
+        d_h1_pairsum_variant(datum, GoldfishPoint(qhat=[1.0, 0.5], phat=[0.0, 0.0]))
 
 
 def test_signed_form_vs_modulus_form():

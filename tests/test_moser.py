@@ -8,7 +8,7 @@ import pytest
 
 from todadual.errors import ChamberError, SingularConfigurationError, ValidationError
 from todadual.goldfish import a_from_p
-from todadual.linalg import extended_solve
+from todadual.linalg import bottom_row_qr, extended_solve
 from todadual.moser import (
     MoserPoint,
     RuijsenaarsMatrixSpec,
@@ -203,11 +203,25 @@ def test_minor_oracle_two_routes_agree():
         datum = build_root_datum(AlgebraType(fam, n))
         gp = sample_goldfish(datum, spawn_rng(777, n))
         g = build_moser_g(datum, a_from_p(datum, gp))
-        for k in range(1, n + 1):
-            value = minor_oracle_mk(datum, g, k)
+        values = minor_oracle_mk(datum, g, n)
+        assert values.shape == (n,)
+        for k, value in enumerate(values, start=1):
             dense = cauchy_binet_minor(g, k)
             assert value > 0.0  # principal minors of a Gram matrix
             assert abs(value - dense) < 1e-8 * max(value, dense), f"{fam}{n} k={k}"
+
+
+def test_one_qr_minors_match_a_qr_per_minor():
+    # m_j from the leading blocks of one QR at k = n against a fresh
+    # row-sorted QR of the bottom j rows for each j, the oracle's earlier route
+    for fam in FAMILIES:
+        for n in range(1 + (fam == "D"), 9):
+            datum = build_root_datum(AlgebraType(fam, n))
+            for j in range(5):
+                g = build_moser_g(datum, a_from_p(datum, sample_goldfish(datum, spawn_rng(j, 3400 + n))))
+                per_k = [np.prod(np.abs(np.diagonal(bottom_row_qr(g, k))) ** 2) for k in range(1, n + 1)]
+                gaps = np.abs(minor_oracle_mk(datum, g, n) - per_k) / per_k
+                assert gaps.max() < 1e-11, f"{fam}{n} draw {j}: {gaps}"
 
 
 def test_minor_oracle_rejects_inconsistent_matrix():

@@ -141,7 +141,9 @@ def test_nan_minor_gap_breaks_its_point(monkeypatch):
     real = todadual.verify.minor_oracle_mk
 
     def oracle(datum, g, k):
-        return float("nan") if k == 2 else real(datum, g, k)
+        values = real(datum, g, k)
+        values[1] = np.nan
+        return values
 
     monkeypatch.setattr(todadual.verify, "minor_oracle_mk", oracle)
     report = run_suite(build_root_datum(AlgebraType("A", 3)), seed=0, npoints=2, flow_steps=2)
