@@ -14,11 +14,12 @@ and H_1 for B/C/D.  The flow uses the implicit midpoint rule, which
 preserves the quadratic invariants of the exact flow to the iteration
 tolerance.  integrate_flow solves the midpoint equations of a window of
 consecutive steps together, by Picard sweeps over the whole window
-(discrete waveform relaxation), until no row moves by more than
+(discrete waveform relaxation), starting from the ramp that extends the
+previous window's last increment, until no row moves by more than
 MIDPOINT_TOL between two sweeps (at most MIDPOINT_MAX_ITER sweeps).  The
 window grows from one step to WINDOW_CAP while its sweeps settle fast and
-halves when they stop contracting; at dt = 1e-3, 1000 steps take about a
-hundred kernel calls and 7-9 row evaluations per step.
+halves when they stop contracting; at dt = 1e-3, 1000 steps take 80-100
+kernel calls and 7-9 row evaluations per step.
 
 X is linear in the coordinates [p, w], w = exp((alpha, q)), over the
 flattened symmetric generators in RootDatum.lax_basis (the h_i, then
@@ -32,10 +33,10 @@ For the physical Hamiltonian G is linear in X and the generators are
 orthogonal, so t is the entrywise product of the diagonal of lax_gram with
 [p, w] up to the factor, and no N x N matrix is built.  integrate_flow
 binds the field once per trajectory (_vector_field), whose kernel
-evaluates it at a batch of points, and calls it once per sweep on all of
-a window's midpoints; each sweep's cumsum runs straight into the window's
-trajectory rows.  A root weight past
-the float64 range raises ValidationError naming the root.  That check is
+evaluates it at a batch of points, and calls it once at the start point
+and once per sweep on all of a window's midpoints; each sweep's cumsum
+runs straight into the window's trajectory rows.  A root weight past the
+float64 range raises ValidationError naming the root.  That check is
 _checked_exp, the package's one named-overflow exponential: goldfish and
 duality name their Moser weights, Toda-gauge entries and dual
 Hamiltonians through it too.
@@ -226,16 +227,16 @@ def _vector_field(datum: RootDatum, k: int):
 
     q and p have shape (m, n) and out shape (m, 2n); row i of out is the
     field at row i of q and p.  Everything a trajectory keeps fixed is bound
-    once: n, d and the power dk - 1, the root table alpha_coeffs, its
-    transpose and its negation, and, for the physical Hamiltonian, the
-    diagonal of lax_gram over d^2 (d^2 is a power of two, so the
-    pre-scaling is exact), or else the transposed basis.  The kernel checks
-    neither k nor the shapes of q and p; a root weight past the float64
-    range still raises _root_weights' ValidationError.
+    once: n, d and the power dk - 1, the negated root table alpha_coeffs,
+    and, for the physical Hamiltonian, the diagonal of lax_gram over d^2
+    (d^2 is a power of two, so the pre-scaling is exact), or else the
+    transposed basis.  The kernel checks neither k nor the shapes of q and
+    p; it reads the root weights through _root_weights, so a weight past
+    the float64 range raises its ValidationError.
     """
     n, d = datum.algebra.rank, symplectic_scale(datum)
     power = d * k - 1
-    alpha_t, neg_alpha = datum.alpha_coeffs.T, -datum.alpha_coeffs
+    neg_alpha = -datum.alpha_coeffs
     if power == 1:
         gram = datum.lax_gram.diagonal() / (d * d)
         gram_p, gram_w = gram[:n], gram[n:]
@@ -244,11 +245,7 @@ def _vector_field(datum: RootDatum, k: int):
         basis_t = basis.T
 
     def field(q, p, out):
-        a = np.dot(q, alpha_t)
-        # _root_weights' check; a.size guards A1, which has no roots.
-        if a.size and not a.max() <= MAX_EXPONENT:
-            raise _overflow(a, _ROOT_WEIGHT_OVERFLOW)
-        w = np.exp(a)
+        w = _root_weights(datum, q)
         if power == 1:
             np.multiply(gram_p, p, out=out[:, :n])
             t_w = gram_w * w
@@ -297,23 +294,24 @@ def integrate_flow(datum: RootDatum, point: TodaPoint, k: int, dt: float, steps:
     solved together by Picard sweeps over the whole window (discrete
     waveform relaxation):
 
-        z_{s+1} = z_0 + dt * sum_{j <= s} f((z_j + z_{j+1})/2),  s < m,
+        z_{i+1} = z_0 + dt * sum_{j <= i} f((z_j + z_{j+1})/2),  i < m,
 
     whose fixed point is the midpoint trajectory.  A sweep forms the m
     midpoints in a bound buffer, evaluates the field at all of them in one
     kernel call, scales by dt and writes the cumsum straight into the
     window's trajectory rows, then adds z_0.  The sweeps start from the
-    Euler ramp z_0 + j * dt * f(z_0), j = 1..m, and stop once no row moved
-    by more than MIDPOINT_TOL in the sup norm between two sweeps.
+    ramp z_0 + j * s, j = 1..m, with s the last increment dt * f of the
+    last settled window's final sweep (dt * f(z_0) for the first window),
+    and stop once no row moved by more than MIDPOINT_TOL in the sup norm
+    between two sweeps.
 
     The window starts at one step and doubles after a window settled in at
     most WINDOW_FAST_SWEEPS sweeps, up to WINDOW_CAP.  A window of more
     than one step whose sweep fails to halve the change, overflows, or
-    reaches MIDPOINT_MAX_ITER sweeps is redone at half its size; a
-    one-step window is the plain per-step iteration from the Euler guess,
-    and only it raises, so every error names one step.  A start whose root
-    weights or vector field overflow raises ValidationError; the field
-    check reads the first kernel call, which evaluates exactly f(z_0).
+    reaches MIDPOINT_MAX_ITER sweeps is redone at half its size; only a
+    one-step window raises, so every error names one step.  A start whose
+    root weights, or (if steps > 0) vector field f(z_0), overflow raises
+    ValidationError; f(z_0) is the one evaluation outside the sweeps.
     Non-convergence within MIDPOINT_MAX_ITER sweeps, or a floating-point
     overflow or invalid value (a diverging flow, including a root weight
     leaving the float64 range), raises StepFailureError naming the step.
@@ -328,31 +326,26 @@ def integrate_flow(datum: RootDatum, point: TodaPoint, k: int, dt: float, steps:
     n = datum.algebra.rank
     traj = np.empty((steps + 1, 2 * n))
     traj[0, :n], traj[0, n:] = point.q, point.p
+    if not steps:
+        return traj
     vector_field = _vector_field(datum, k)
-    cap = max(1, min(WINDOW_CAP, steps))
+    cap = min(WINDOW_CAP, steps)
     iterate = np.empty((cap + 1, 2 * n))  # row 0 is z_0, then the window's iterate
     mid = np.empty((cap, 2 * n))
     field = np.empty((cap, 2 * n))
     gap = np.empty((cap, 2 * n))  # |z' - z| between two sweeps
     ramp = np.arange(1.0, cap + 1.0)[:, None]
-    started = False  # True once f(z_0) has been evaluated
+    slope = np.empty((1, 2 * n))  # s: dt * f(z_0), then each settled window's last increment
     # 0-d arrays: a Python float operand costs a numpy call a scalar
     # conversion each time; the products are the same.
     half, step_size = np.array(0.5), np.array(dt, dtype=float)
 
     def window(settled: int, m: int):
         """Sweeps that settled rows settled+1 .. settled+m; None if a window of m > 1 fails."""
-        nonlocal started
         z, w = iterate[: m + 1], iterate[1 : m + 1]
         rows, mids, f, g = traj[settled + 1 : settled + m + 1], mid[:m], field[:m], gap[:m]
         z[0] = traj[settled]
-        # the Euler ramp; its midpoint (z_0 + z_0)/2 is z_0, as a sweep forms it
-        np.add(z[0], z[0], out=mids[0])
-        np.multiply(mids[0], half, out=mids[0])
-        vector_field(mids[:1, :n], mids[:1, n:], f[:1])
-        started = True
-        np.multiply(f[0], step_size, out=f[0])
-        np.multiply(ramp[:m], f[0], out=w)
+        np.multiply(ramp[:m], slope, out=w)
         np.add(w, z[0], out=w)
         previous = np.inf
         for sweeps in range(1, MIDPOINT_MAX_ITER + 1):
@@ -365,6 +358,7 @@ def integrate_flow(datum: RootDatum, point: TodaPoint, k: int, dt: float, steps:
             np.subtract(rows, w, out=g)
             delta = np.abs(g, out=g).max()
             if delta <= MIDPOINT_TOL:
+                slope[0] = f[-1]
                 return sweeps
             if m > 1 and not delta < 0.5 * previous:
                 return None
@@ -375,8 +369,13 @@ def integrate_flow(datum: RootDatum, point: TodaPoint, k: int, dt: float, steps:
         raise StepFailureError(f"midpoint iteration stalled at step {settled + 1} (delta {delta:.3e})")
 
     settled, size = 0, 1
-    try:
-        with np.errstate(over="raise", invalid="raise"):
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            vector_field(traj[:1, :n], traj[:1, n:], slope)
+        except FloatingPointError as exc:
+            raise ValidationError(f"vector field of H_{k} overflows float64 at the start point: {exc}") from None
+        try:
+            np.multiply(slope, step_size, out=slope)
             while settled < steps:
                 m = min(size, steps - settled)
                 try:
@@ -391,10 +390,8 @@ def integrate_flow(datum: RootDatum, point: TodaPoint, k: int, dt: float, steps:
                 settled += m
                 if sweeps <= WINDOW_FAST_SWEEPS:
                     size = min(2 * m, WINDOW_CAP)
-    except (FloatingPointError, ValidationError) as exc:
-        if not started:
-            raise ValidationError(f"vector field of H_{k} overflows float64 at the start point: {exc}") from None
-        # Inputs are validated above, so a ValidationError here is a root
-        # weight leaving the float64 range mid-flow.
-        raise StepFailureError(f"flow diverged at step {settled + 1}: {exc}") from None
+        except (FloatingPointError, ValidationError) as exc:
+            # Inputs are validated above, so a ValidationError here is a
+            # root weight leaving the float64 range mid-flow.
+            raise StepFailureError(f"flow diverged at step {settled + 1}: {exc}") from None
     return traj

@@ -470,7 +470,7 @@ FLOW_ALGEBRAS = [("A", 4), ("A", 8), ("B", 4), ("C", 6), ("D", 5), ("D", 8)]
 def test_windows_settle_a_thousand_steps_in_about_a_hundred_kernel_calls(monkeypatch):
     # Windows grow from one step to WINDOW_CAP, and each settles in a few
     # sweeps of one kernel call over all its rows.  Measured at these six
-    # draws: 92-111 calls and 6.8-8.7 row evaluations per step; the
+    # draws: 79-99 calls and 6.8-8.7 row evaluations per step; the
     # sequential loop made 1000-1100 calls of one row each.
     calls = rows = 0
     bind = toda._vector_field
@@ -494,6 +494,53 @@ def test_windows_settle_a_thousand_steps_in_about_a_hundred_kernel_calls(monkeyp
         integrate_flow(datum, point, quadratic_index(datum), dt=1e-3, steps=1000)
         assert calls <= 120, f"{fam}{n}: {calls} kernel calls over 1000 steps"
         assert rows <= 9 * 1000, f"{fam}{n}: {rows} row evaluations over 1000 steps"
+
+
+def test_the_kernel_sees_a_settled_row_only_at_the_start(monkeypatch):
+    # f(z_0) is evaluated once, before the first window; every later window
+    # starts from the last increment of its predecessor's final sweep, so
+    # no other kernel call sees a row of the trajectory.  An Euler start
+    # per window would evaluate each window's z_0, over ten times here.
+    inputs = []
+    bind = toda._vector_field
+
+    def recording_binding(datum, k):
+        kernel = bind(datum, k)
+
+        def recording(q, p, out):
+            inputs.append(np.hstack([q, p]))
+            return kernel(q, p, out)
+
+        return recording
+
+    monkeypatch.setattr(toda, "_vector_field", recording_binding)
+    for fam, n in FLOW_ALGEBRAS:
+        datum = build_root_datum(AlgebraType(fam, n))
+        inputs.clear()
+        traj = integrate_flow(datum, sample_flow_toda(datum, spawn_rng(0, 0)), quadratic_index(datum), dt=1e-3, steps=1000)
+        settled = {row.tobytes() for row in traj}
+        hits = [i for i, rows in enumerate(inputs) if any(row.tobytes() in settled for row in rows)]
+        assert hits == [0], f"{fam}{n}: calls {hits[:5]} of {len(inputs)} evaluate a trajectory row"
+        assert np.array_equal(inputs[0], traj[:1])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_start_field_overflow_is_a_bad_input_and_its_dt_scaling_a_step_failure():
+    # A2 at q = 0, p = (100, -100): f(z_0) is finite, but dt * f(z_0)
+    # overflows, which is the flow diverging in step 1.
+    a2 = build_root_datum(AlgebraType("A", 2))
+    with pytest.raises(StepFailureError, match=r"^flow diverged at step 1: overflow"):
+        integrate_flow(a2, TodaPoint(q=[0.0, 0.0], p=[100.0, -100.0]), 2, dt=1e308, steps=3)
+    # So is a first midpoint z_0 + z_1 past float64 where f(z_0) is finite.
+    with pytest.raises(StepFailureError, match=r"^flow diverged at step 1: overflow"):
+        integrate_flow(a2, TodaPoint(q=[0.0, 0.0], p=[1e308, -1e308]), 2, dt=1e-3, steps=3)
+    # B2 at q = (700, 0): the root weights are finite, but the H_1 field is
+    # not; with no step to take the field is never evaluated.
+    b2 = build_root_datum(AlgebraType("B", 2))
+    point = TodaPoint(q=[700.0, 0.0], p=[0.0, 0.0])
+    with pytest.raises(ValidationError, match=r"^vector field of H_1 overflows float64 at the start point: overflow"):
+        integrate_flow(b2, point, 1, dt=1e-3, steps=3)
+    assert integrate_flow(b2, point, 1, dt=1e-3, steps=0).shape == (1, 4)
 
 
 @pytest.mark.parametrize(
