@@ -13,16 +13,18 @@ Output conventions
 * Output is byte-identical for fixed seed and flags.  The default seed
   comes from the TODADUAL_SEED environment variable when set; explicit
   --seed wins.
-* `integrate` builds the whole table before writing it, formatted in two
-  whole-table passes.  Its batched eigensolve (the lam columns) runs on
-  one worker thread beside the trace columns and the first pass, which
-  writes the t, q, p and H cells and leaves each lam cell a %.17g
-  directive; the second pass, after the join, fills the lam cells.  The
-  worker makes that one numpy call only, since LAPACK releases the GIL
-  and any other numpy work there would wait for the GIL that the
-  formatting holds.  The thread is joined before the command returns or
-  raises, and every cell is the same %.17g text of the same double, so
-  the bytes do not depend on it.
+* `integrate` builds the whole table before writing it.  A vectorised
+  writer (_write_g17) puts each cell's text into a fixed-width slot of
+  one buffer, byte for byte the text of "%.17g" % x; the few cells it
+  cannot round with certainty take Python's own "%.17g".  The batched
+  eigensolve (the lam columns) runs on one worker thread while this
+  thread computes the trace columns and writes the t, q, p and H cells;
+  the lam cells are written after the join.  The worker makes that one
+  numpy call only, since LAPACK releases the GIL and any other numpy work
+  there would wait for the GIL that this thread holds.  The thread is
+  joined before the command returns or raises, so the bytes do not
+  depend on it.  A table too large to allocate exits 1, naming its rows
+  and bytes.
 """
 
 from __future__ import annotations
@@ -64,6 +66,128 @@ SEED_ENV = "TODADUAL_SEED"
 def _fmt(x: float) -> str:
     """17-significant-digit decimal, round-trip exact for doubles."""
     return "%.17g" % float(x)
+
+
+# The whole-table twin of _fmt, for integrate.  A cell is a slot of
+# _CELL_BYTES bytes read as _CELL_WORDS little-endian words: byte 0 the
+# sign, 1-5 a "0.000" prefix, 6-39 the 17 digits each followed by a point
+# slot, 40-44 the exponent and 47 the separator, which the caller writes.
+# Unused bytes stay NUL, and one bytes.translate drops them.
+_CELL_WORDS = 6
+_CELL_BYTES = 8 * _CELL_WORDS
+_S_MIN, _S_MAX = -300, 350  # the scales s = 16 - e that a double's exponent e needs
+_X_MIN, _X_MAX = -330, 330  # the decimal exponents of a double, with room on either side
+_LONG = np.finfo(np.longdouble)
+_G17_MARGIN = (1.5 * _LONG.eps / 2 * 1e17, 3 * _LONG.eps / 2 * 1e17)  # (10**s exact, inexact)
+
+
+def _words(text: bytes, count: int) -> np.ndarray:
+    return np.frombuffer(text.ljust(8 * count, b"\0"), "<u8")
+
+
+@functools.cache
+def _g17_tables():
+    """Powers of ten in long double, and the digit and layout words of _write_g17."""
+    powers = np.array([np.longdouble(f"1e{s}") for s in range(_S_MIN, _S_MAX + 1)])
+    scales = np.arange(_S_MIN, _S_MAX + 1)
+    exact = (scales >= 0) & (5.0**scales < 2.0 ** (_LONG.nmant + 1))  # 5**s fits the significand
+    group = np.arange(10000)
+    digits = np.zeros((10000, 8), np.uint8)
+    digits[:, ::2] = group[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
+    trailing = np.count_nonzero(group[:, None] % [10, 100, 1000, 10000] == 0, axis=1)  # 4 for 0000
+
+    def frame(x):  # bytes 0-39: the prefix, or the point after digit x (fixed) or 0 (scientific)
+        if -4 <= x < 0:
+            return b"\0" + b"0." + b"0" * (-x - 1)
+        slot = x if 0 <= x < 17 else 0
+        return b"\0" * (7 + 2 * slot) + (b"." if slot < 16 else b"")
+
+    xs = range(_X_MIN, _X_MAX + 1)
+    frames = np.array([_words(frame(x), 5) for x in xs]).T.copy()
+    exponents = np.array([0 if -4 <= x < 17 else _words(b"e%+03d" % x, 1)[0] for x in xs], "<u8")
+    fewest = np.array([x + 1 if 0 <= x < 17 else 1 for x in xs])  # fixed notation keeps its integer digits
+    # a cell of k digits keeps its bytes up to digit k - 1, dropping the point slot after it
+    keep = np.array([_words(b"\xff" * (5 + 2 * k), 5) for k in range(18)])
+    return powers, exact, digits.view("<u8")[:, 0], trailing, frames, exponents, fewest, keep
+
+
+def _write_g17(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the text of "%.17g" % v for every double v of x into its cell of out.
+
+    out has shape x.shape + (_CELL_WORDS,) and dtype "<u8"; each cell
+    holds the text NUL-padded, its last byte left for the caller.  The
+    bytes equal Python's for every double, on every platform.
+
+    For a finite nonzero v with decimal exponent e, the 17 digits are
+    rint(T), T = |v| * 10**s, s = 16 - e, T in [1e16, 1e17), carried to
+    1e16 at e + 1 when they round to 1e17.  T is computed as t in long
+    double, unit roundoff u, with 10**s from np.longdouble("1e{s}"):
+    |t - T| <= u * T where 10**s is exact and (2u + u**2) * T elsewhere,
+    below _G17_MARGIN's 1.5u * 1e17 and 3u * 1e17.  A t farther than that
+    from a half-integer therefore rounds as T does.  A T on the other side
+    of 1e16 or 1e17 from t lies within that error of the bound, where
+    both round to the same power of ten.
+
+    Fallback: a cell within the margin of a half-integer (exact ties
+    included), one whose t falls outside [1e16, 1e17) because log10
+    misjudged e next to a power of ten, and zero, nan and inf take their
+    whole text from Python's own "%.17g".  With an 80-bit long double that
+    is about 2% of integrate's cells and 3.4% of random bit patterns; where
+    long double is a double the margin exceeds 0.5, so every cell does.
+    """
+    powers, exact, digits, trailing, frames, exponents, fewest, keep = _g17_tables()
+    a = np.abs(x)
+    fast = np.isfinite(a) & (a > 0)
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    scale = 16 - e - _S_MIN
+    # where long double is a double, 10**s overflows for a subnormal v, and
+    # its inf and nan cells fall back
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = a.astype(np.longdouble) * powers[scale]
+        fast &= (t >= 1e16) & (t < 1e17)
+        rounded = np.rint(t)
+        limit = 0.5 - np.where(exact, *_G17_MARGIN)
+        fast &= np.abs((t - rounded).astype(np.float64)) <= limit[scale]
+        d = rounded.astype(np.int64)
+    carry = d == 10**17
+    d[carry] = 10**16
+    e += carry
+    # the digits as d0 and four groups of four
+    hi = d // 10**8
+    lo = d - hi * 10**8
+    g3 = lo // 10**4
+    g4 = lo - g3 * 10**4
+    d0 = hi // 10**8
+    hi -= d0 * 10**8
+    g1 = hi // 10**4
+    g2 = hi - g1 * 10**4
+    xi = e - _X_MIN
+    sign = np.signbit(x).astype(np.uint64) * ord("-")
+    out[..., 0] = frames[0][xi] | (d0 + ord("0")).astype(np.uint64) << 48 | sign
+    for word, group in enumerate((g1, g2, g3, g4), 1):
+        out[..., word] = digits[group] | frames[word][xi]
+    out[..., 5] = exponents[xi]
+    # strip trailing zeros from the fraction, and the point when nothing follows it
+    z = np.nonzero(trailing[g4])
+    zeros = np.zeros(z[0].shape, np.intp)
+    run = np.ones(z[0].shape, bool)
+    for group in (g4, g3, g2, g1):
+        group = group[z]
+        zeros += run * trailing[group]
+        run &= group == 0
+    out[z + (slice(0, 5),)] &= keep[np.maximum(17 - zeros, fewest[xi[z]])]
+    slow = np.nonzero(~fast)
+    texts = np.array([_fmt(v) for v in x[slow].tolist()], f"S{_CELL_BYTES}")
+    out[slow] = texts.view("<u8").reshape(-1, _CELL_WORDS)
+
+
+def _cells_text(cells: np.ndarray, sep: str) -> str:
+    """The text of a (rows, cols, _CELL_WORDS) table of cells: sep between cells, a newline after each row."""
+    text = cells.view(np.uint8).reshape(cells.shape[:2] + (_CELL_BYTES,))
+    text[..., -1] = ord(sep)
+    text[:, -1, -1] = ord("\n")
+    return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _scalar_text(obj) -> str:
@@ -257,13 +381,37 @@ def cmd_integrate(args) -> tuple[int, str]:
     point, _ = _toda_point(args, datum, sampler=sample_flow_toda)
     n = datum.algebra.rank
     k = args.hamiltonian if args.hamiltonian is not None else quadratic_index(datum)
-    traj = integrate_flow(datum, point, k, args.dt, args.steps)
+    names = (
+        ["t"]
+        + [f"q{i}" for i in range(1, n + 1)]
+        + [f"p{i}" for i in range(1, n + 1)]
+        + [f"H{i}" for i in range(1, n + 1)]
+        + [f"lam{i}" for i in range(1, datum.size + 1)]
+    )
+    sep = "," if args.format == "csv" else "\t"
+    try:
+        body = _integrate_body(datum, point, k, args.dt, args.steps, len(names), sep)
+    except MemoryError:
+        rows = args.steps + 1
+        raise TodaDualError(
+            f"a table of {rows} rows and {len(names)} columns needs at least "
+            f"{rows * len(names) * _CELL_BYTES} bytes of text, more than could be allocated"
+        ) from None
+    return EXIT_OK, sep.join(names) + "\n" + body
+
+
+def _integrate_body(
+    datum: RootDatum, point: TodaPoint, k: int, dt: float, steps: int, cols: int, sep: str
+) -> str:
+    """integrate's table rows: t, q, p, the traces H and the descending spectrum lam."""
+    n = datum.algebra.rank
+    traj = integrate_flow(datum, point, k, dt, steps)
     X, _ = _lax(datum, traj[:, :n], traj[:, n:])
     # The batched eigensolve runs on one worker thread while this thread
-    # computes the traces and makes the first pass over the text.  The
-    # worker makes exactly one numpy call: LAPACK runs without the GIL, but
-    # any further numpy work there would wait for the GIL held by the
-    # formatting here.  It is joined before this function returns or
+    # computes the traces and writes the t, q, p and H cells; the lam cells
+    # follow the join.  The worker makes exactly one numpy call: LAPACK
+    # runs without the GIL, but any further numpy work there would wait for
+    # the GIL held here.  It is joined before this function returns or
     # raises, and its exception, if any, is raised here.
     box = []
 
@@ -275,29 +423,17 @@ def cmd_integrate(args) -> tuple[int, str]:
 
     worker = threading.Thread(target=solve)
     worker.start()
-    sep = "," if args.format == "csv" else "\t"
     try:
-        left = np.column_stack([np.arange(args.steps + 1) * args.dt, traj, _trace_hamiltonians(datum, X)])
-        # The table is formatted in two whole-table passes of _fmt's format.
-        # This first one writes the t, q, p and H cells and leaves each lam
-        # cell as a %.17g directive; a %.17g cell never contains "%", so its
-        # output is the template of the second pass.
-        row = sep.join(["%.17g"] * left.shape[1] + ["%%.17g"] * datum.size) + "\n"
-        body = (row * left.shape[0]) % tuple(left.ravel().tolist())
+        left = np.column_stack([np.arange(steps + 1) * dt, traj, _trace_hamiltonians(datum, X)])
+        cells = np.zeros((steps + 1, cols, _CELL_WORDS), "<u8")
+        _write_g17(left, cells[:, : left.shape[1]])
     finally:
         worker.join()
     (lam,) = box
     if isinstance(lam, BaseException):
         raise lam
-    names = (
-        ["t"]
-        + [f"q{i}" for i in range(1, n + 1)]
-        + [f"p{i}" for i in range(1, n + 1)]
-        + [f"H{i}" for i in range(1, n + 1)]
-        + [f"lam{i}" for i in range(1, datum.size + 1)]
-    )
-    lam = lam[:, ::-1].ravel().tolist()  # descending, chamber order
-    return EXIT_OK, sep.join(names) + "\n" + body % tuple(lam)
+    _write_g17(lam[:, ::-1], cells[:, left.shape[1] :])  # descending, chamber order
+    return _cells_text(cells, sep)
 
 
 def _add_common(sub: argparse.ArgumentParser, formats: list) -> None:

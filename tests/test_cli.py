@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -155,10 +156,16 @@ def test_integrate_table_matches_per_row_reference(capsys, fam, n, extra, steps,
         "--dt", repr(dt), "--steps", str(steps), "--format", fmt, *extra,
     )
     assert code == 0
-    # Reference: one row at a time from the public Lax build.
     datum = build_root_datum(AlgebraType(fam, n))
     k = int(extra[1]) if extra else quadratic_index(datum)
-    traj = integrate_flow(datum, sample_flow_toda(datum, spawn_rng(seed, 0)), k, dt, steps)
+    point = sample_flow_toda(datum, spawn_rng(seed, 0))
+    assert_rows_match_reference(out, datum, point, k, dt, steps, fmt)
+
+
+def assert_rows_match_reference(out, datum, point, k, dt, steps, fmt):
+    # Reference: one row at a time from the public Lax build, each cell cli._fmt's.
+    n = datum.algebra.rank
+    traj = integrate_flow(datum, point, k, dt, steps)
     sep = "," if fmt == "csv" else "\t"
     lines = out.split("\n")
     assert len(lines) == steps + 3 and lines[-1] == ""
@@ -166,6 +173,85 @@ def test_integrate_table_matches_per_row_reference(capsys, fam, n, extra, steps,
         X = build_lax(datum, TodaPoint(q=row[:n], p=row[n:]))
         cells = [step * dt, *row, *_trace_hamiltonians(datum, X), *np.linalg.eigvalsh(X)[::-1]]
         assert lines[step + 1] == sep.join(cli._fmt(v) for v in cells)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "tsv"])
+@pytest.mark.parametrize(
+    "p,cell",
+    [
+        ("1e-310,-1e-310", "9.9999999999999694e-311"),  # a subnormal, in scientific notation
+        ("-0.0,0", "-0"),
+    ],
+)
+def test_integrate_writes_scientific_cells_and_signed_zeros(capsys, p, cell, fmt):
+    code, out, _ = run_cli(
+        capsys, "integrate", "--type", "A", "--rank", "2", "--q", "0,0", f"--p={p}", "--steps", "3", "--format", fmt
+    )
+    assert code == 0
+    sep = "," if fmt == "csv" else "\t"
+    assert cell in out.split("\n")[1].split(sep)
+    datum = build_root_datum(AlgebraType("A", 2))
+    point = TodaPoint(q=np.zeros(2), p=np.array([float(v) for v in p.split(",")]))
+    assert_rows_match_reference(out, datum, point, quadratic_index(datum), 1e-3, 3, fmt)
+
+
+def g17_sweep():
+    """About a million doubles where "%.17g" is hardest to match: random bit
+    patterns of both signs, 18-digit decimals ending in 5 (ties at 17 digits),
+    every power of 2 and of 10, and the extremes."""
+    rng = np.random.default_rng(17)
+    patterns = rng.integers(0, 2**64, size=700_000, dtype=np.uint64).view(np.float64)
+    ties = [
+        float(f"{digits}5e{k}")
+        for k in range(-320, 301)
+        for digits in rng.integers(10**16, 10**17, size=240).tolist()
+    ]
+    edges = [5e-324, 0.0, -0.0, np.nan, np.inf, -np.inf]
+    powers = [2.0**k for k in range(-1074, 1024)] + [float(f"1e{k}") for k in range(-323, 309)]
+    x = np.concatenate([patterns, ties, np.negative(ties), edges, powers])
+    return np.concatenate([x, np.zeros(-x.size % 10)]).reshape(-1, 10)
+
+
+def assert_g17_text(x):
+    cells = np.zeros(x.shape + (cli._CELL_WORDS,), "<u8")
+    cli._write_g17(x, cells)
+    for sep in ",\t":
+        got = cli._cells_text(cells, sep).split("\n")
+        want = [sep.join("%.17g" % v for v in row) for row in x.tolist()] + [""]
+        bad = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+        assert bad is None and len(got) == len(want), (got[bad], want[bad]) if bad is not None else len(got)
+
+
+def test_table_writer_matches_percent_format_byte_for_byte():
+    assert_g17_text(g17_sweep())
+
+
+def test_table_writer_fallback_alone_matches_percent_format(monkeypatch):
+    # a margin past 0.5 sends every cell to Python's own "%.17g", as on a
+    # platform whose long double is a double; a quarter of the rows keeps
+    # the per-cell formatting of that route short
+    monkeypatch.setattr(cli, "_G17_MARGIN", (1.0, 1.0))
+    assert_g17_text(g17_sweep()[::4])
+
+
+@pytest.mark.skipif(min(cli._G17_MARGIN) >= 0.5, reason="long double is a double: every cell falls back")
+def test_table_writer_powers_of_ten_are_correctly_rounded():
+    # the writer's error bound takes each 10**s within half an ulp
+    powers, exact = cli._g17_tables()[:2]
+    u = Fraction(1, 2 ** (np.finfo(np.longdouble).nmant + 1))
+    for s, (power, is_exact) in enumerate(zip(powers, exact), cli._S_MIN):
+        error = abs(Fraction(*power.as_integer_ratio()) - Fraction(10) ** s)
+        assert error <= u * Fraction(10) ** s, s
+        assert (error == 0) == bool(is_exact), s
+
+
+def test_integrate_past_memory_is_a_runtime_error(capsys):
+    # 10**16 rows of q and p take 3.2e17 bytes, past even a 57-bit address
+    # space, so the allocator refuses them outright even where it overcommits
+    code, out, err = run_cli(capsys, "integrate", "--type", "A", "--rank", "2", "--steps", str(10**16))
+    rows = 10**16 + 1
+    assert code == 1 and out == ""
+    assert f"a table of {rows} rows and 9 columns needs at least {rows * 9 * 48} bytes" in err
 
 
 def test_integrate_worker_never_outlives_the_call(capsys, monkeypatch):
