@@ -14,17 +14,18 @@ Output conventions
   comes from the TODADUAL_SEED environment variable when set; explicit
   --seed wins.
 * `integrate` builds the whole table before writing it.  A vectorised
-  writer (_write_g17) puts each cell's text into a fixed-width slot of
-  one buffer, byte for byte the text of "%.17g" % x; the few cells it
-  cannot round with certainty take Python's own "%.17g".  The batched
-  eigensolve (the lam columns) runs on one worker thread while this
-  thread computes the trace columns and writes the t, q, p and H cells;
-  the lam cells are written after the join.  The worker makes that one
-  numpy call only, since LAPACK releases the GIL and any other numpy work
-  there would wait for the GIL that this thread holds.  The thread is
-  joined before the command returns or raises, so the bytes do not
-  depend on it.  A table too large to allocate exits 1, naming its rows
-  and bytes.
+  writer (_write_g17) rounds each cell's 17 digits in float64 with an
+  error-free product and puts its text into a fixed-width slot of one
+  buffer, byte for byte the text of "%.17g" % x; zeros, nan, inf and a
+  cell within its error bound of a rounding tie take Python's own
+  "%.17g".  The batched eigensolve (the lam columns) runs on one worker
+  thread while this thread computes the trace columns and writes the t,
+  q, p and H cells; the lam cells are written after the join.  The
+  worker makes that one numpy call only, since LAPACK releases the GIL
+  and any other numpy work there would wait for the GIL that this
+  thread holds.  The thread is joined before the command returns or
+  raises, so the bytes do not depend on it.  A table too large to
+  allocate exits 1, naming its rows and bytes.
 """
 
 from __future__ import annotations
@@ -75,22 +76,31 @@ def _fmt(x: float) -> str:
 # Unused bytes stay NUL, and one bytes.translate drops them.
 _CELL_WORDS = 6
 _CELL_BYTES = 8 * _CELL_WORDS
-_S_MIN, _S_MAX = -300, 350  # the scales s = 16 - e that a double's exponent e needs
-_X_MIN, _X_MAX = -330, 330  # the decimal exponents of a double, with room on either side
-_LONG = np.finfo(np.longdouble)
-_G17_MARGIN = (1.5 * _LONG.eps / 2 * 1e17, 3 * _LONG.eps / 2 * 1e17)  # (10**s exact, inexact)
+_E_MIN, _E_MAX = -282, 299  # the decimal exponents e whose digits _write_g17 rounds itself
+_TIE = 1e-14  # a cell this near a rounding tie falls back; above the 5e-15 error of its scaled value
 
 
 def _words(text: bytes, count: int) -> np.ndarray:
     return np.frombuffer(text.ljust(8 * count, b"\0"), "<u8")
 
 
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of doubles into halves of 26 significant bits each."""
+    c = (2.0**27 + 1) * v
+    high = c - (c - v)
+    return high, v - high
+
+
 @functools.cache
 def _g17_tables():
-    """Powers of ten in long double, and the digit and layout words of _write_g17."""
-    powers = np.array([np.longdouble(f"1e{s}") for s in range(_S_MIN, _S_MAX + 1)])
-    scales = np.arange(_S_MIN, _S_MAX + 1)
-    exact = (scales >= 0) & (5.0**scales < 2.0 ** (_LONG.nmant + 1))  # 5**s fits the significand
+    """10**(16 - e), e in [_E_MIN, _E_MAX], as rows hi, hi's halves and lo; the digit and layout words."""
+    pairs = []
+    for s in range(16 - _E_MIN, 15 - _E_MAX, -1):  # 10**s from exact integers, hi and lo correctly rounded
+        num, den = 10 ** max(s, 0), 10 ** max(-s, 0)
+        m, k = (num / den).as_integer_ratio()
+        pairs.append((m / k, (num * k - m * den) / den / k))
+    hi, lo = np.array(pairs).T
+    powers = np.stack([hi, *_split(hi), lo])
     group = np.arange(10000)
     digits = np.zeros((10000, 8), np.uint8)
     digits[:, ::2] = group[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
@@ -102,13 +112,13 @@ def _g17_tables():
         slot = x if 0 <= x < 17 else 0
         return b"\0" * (7 + 2 * slot) + (b"." if slot < 16 else b"")
 
-    xs = range(_X_MIN, _X_MAX + 1)
+    xs = range(_E_MIN, _E_MAX + 2)  # a carry takes e to _E_MAX + 1
     frames = np.array([_words(frame(x), 5) for x in xs]).T.copy()
     exponents = np.array([0 if -4 <= x < 17 else _words(b"e%+03d" % x, 1)[0] for x in xs], "<u8")
     fewest = np.array([x + 1 if 0 <= x < 17 else 1 for x in xs])  # fixed notation keeps its integer digits
     # a cell of k digits keeps its bytes up to digit k - 1, dropping the point slot after it
     keep = np.array([_words(b"\xff" * (5 + 2 * k), 5) for k in range(18)])
-    return powers, exact, digits.view("<u8")[:, 0], trailing, frames, exponents, fewest, keep
+    return powers, digits.view("<u8")[:, 0], trailing, frames, exponents, fewest, keep
 
 
 def _write_g17(x: np.ndarray, out: np.ndarray) -> None:
@@ -119,37 +129,34 @@ def _write_g17(x: np.ndarray, out: np.ndarray) -> None:
     bytes equal Python's for every double, on every platform.
 
     For a finite nonzero v with decimal exponent e, the 17 digits are
-    rint(T), T = |v| * 10**s, s = 16 - e, T in [1e16, 1e17), carried to
-    1e16 at e + 1 when they round to 1e17.  T is computed as t in long
-    double, unit roundoff u, with 10**s from np.longdouble("1e{s}"):
-    |t - T| <= u * T where 10**s is exact and (2u + u**2) * T elsewhere,
-    below _G17_MARGIN's 1.5u * 1e17 and 3u * 1e17.  A t farther than that
-    from a half-integer therefore rounds as T does.  A T on the other side
-    of 1e16 or 1e17 from t lies within that error of the bound, where
-    both round to the same power of ten.
+    rint(T), T = |v| * 10**(16 - e) in [1e16, 1e17), carried to 1e16 at
+    e + 1 when they round to 1e17.  T comes from float64 alone: 10**(16 - e)
+    is a double-double hi + lo (within 2**-105), h = fl(|v| * hi) is an even
+    integer in [2**53, 2**57), and r, Dekker's exact |v| * hi - h plus
+    fl(|v| * lo), is T - h within 5e-15 (hi + lo's error, fl(|v| * lo)'s
+    and the last sum's, each below 2e-15).  An r farther than _TIE from a
+    half-integer rounds as T - h does, so the digits are h + rint(r); a T
+    across 1e16 or 1e17 from h + r rounds to that bound as h + r does.  The
+    decades [_E_MIN, _E_MAX] keep the Veltkamp products of |v| and hi
+    finite and their halves normal, so Dekker's partial products are exact.
 
-    Fallback: a cell within the margin of a half-integer (exact ties
-    included), one whose t falls outside [1e16, 1e17) because log10
-    misjudged e next to a power of ten, and zero, nan and inf take their
-    whole text from Python's own "%.17g".  With an 80-bit long double that
-    is about 2% of integrate's cells and 3.4% of random bit patterns; where
-    long double is a double the margin exceeds 0.5, so every cell does.
+    Fallback: zero, nan and inf, a v outside those decades, an r within
+    _TIE of a half-integer (exact ties included) and an h + r outside
+    [1e16, 1e17), where log10 misjudged e, take Python's own "%.17g".  On
+    integrate's tables that is in practice the zero cells alone.
     """
-    powers, exact, digits, trailing, frames, exponents, fewest, keep = _g17_tables()
+    powers, digits, trailing, frames, exponents, fewest, keep = _g17_tables()
     a = np.abs(x)
-    fast = np.isfinite(a) & (a > 0)
+    fast = (a >= 10.0**_E_MIN) & (a < 10.0 ** (_E_MAX + 1))  # zero, inf and nan are outside
     a = np.where(fast, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.intp)
-    scale = 16 - e - _S_MIN
-    # where long double is a double, 10**s overflows for a subnormal v, and
-    # its inf and nan cells fall back
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = a.astype(np.longdouble) * powers[scale]
-        fast &= (t >= 1e16) & (t < 1e17)
-        rounded = np.rint(t)
-        limit = 0.5 - np.where(exact, *_G17_MARGIN)
-        fast &= np.abs((t - rounded).astype(np.float64)) <= limit[scale]
-        d = rounded.astype(np.int64)
+    e = np.clip(np.floor(np.log10(a)), _E_MIN, _E_MAX).astype(np.intp)
+    hi, hi1, hi2, lo = np.take(powers, e - _E_MIN, axis=1)
+    a_hi, a_lo = _split(a)
+    h = a * hi
+    r = (((a_hi * hi1 - h) + a_hi * hi2) + a_lo * hi1) + a_lo * hi2 + a * lo  # exact a * hi - h, then a * lo
+    rounded = np.rint(r)
+    fast &= (np.abs(r - rounded) <= 0.5 - _TIE) & ((h - 1e16) + r >= 0) & ((h - 1e17) + r < 0)
+    d = h.astype(np.int64) + rounded.astype(np.int64)
     carry = d == 10**17
     d[carry] = 10**16
     e += carry
@@ -162,7 +169,7 @@ def _write_g17(x: np.ndarray, out: np.ndarray) -> None:
     hi -= d0 * 10**8
     g1 = hi // 10**4
     g2 = hi - g1 * 10**4
-    xi = e - _X_MIN
+    xi = e - _E_MIN
     sign = np.signbit(x).astype(np.uint64) * ord("-")
     out[..., 0] = frames[0][xi] | (d0 + ord("0")).astype(np.uint64) << 48 | sign
     for word, group in enumerate((g1, g2, g3, g4), 1):

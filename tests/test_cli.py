@@ -197,8 +197,9 @@ def test_integrate_writes_scientific_cells_and_signed_zeros(capsys, p, cell, fmt
 
 def g17_sweep():
     """About a million doubles where "%.17g" is hardest to match: random bit
-    patterns of both signs, 18-digit decimals ending in 5 (ties at 17 digits),
-    every power of 2 and of 10, and the extremes."""
+    patterns of both signs, 18-digit decimals ending in 5 (near ties at 17
+    digits), exact ties of both signs, every power of 2 and of 10, and the
+    extremes."""
     rng = np.random.default_rng(17)
     patterns = rng.integers(0, 2**64, size=700_000, dtype=np.uint64).view(np.float64)
     ties = [
@@ -206,9 +207,15 @@ def g17_sweep():
         for k in range(-320, 301)
         for digits in rng.integers(10**16, 10**17, size=240).tolist()
     ]
+    # x = m / 2**(s + 1), m odd: x * 10**s = m * 5**s / 2 is a half-integer in [1e16, 1e17)
+    exact_ties = []
+    for s in range(1, 24):
+        low, high = -(-2 * 10**16 // 5**s), min(-(-2 * 10**17 // 5**s), 2**53)
+        m = 2 * rng.integers(low // 2, (high - 2) // 2, size=400, endpoint=True) + 1
+        exact_ties += (m * 2.0 ** -(s + 1)).tolist()
     edges = [5e-324, 0.0, -0.0, np.nan, np.inf, -np.inf]
     powers = [2.0**k for k in range(-1074, 1024)] + [float(f"1e{k}") for k in range(-323, 309)]
-    x = np.concatenate([patterns, ties, np.negative(ties), edges, powers])
+    x = np.concatenate([patterns, ties, np.negative(ties), exact_ties, np.negative(exact_ties), edges, powers])
     return np.concatenate([x, np.zeros(-x.size % 10)]).reshape(-1, 10)
 
 
@@ -227,22 +234,41 @@ def test_table_writer_matches_percent_format_byte_for_byte():
 
 
 def test_table_writer_fallback_alone_matches_percent_format(monkeypatch):
-    # a margin past 0.5 sends every cell to Python's own "%.17g", as on a
-    # platform whose long double is a double; a quarter of the rows keeps
-    # the per-cell formatting of that route short
-    monkeypatch.setattr(cli, "_G17_MARGIN", (1.0, 1.0))
+    # a tie margin past 0.5 sends every cell to Python's own "%.17g"; a
+    # quarter of the rows keeps the per-cell formatting of that route short
+    monkeypatch.setattr(cli, "_TIE", 1.0)
     assert_g17_text(g17_sweep()[::4])
 
 
-@pytest.mark.skipif(min(cli._G17_MARGIN) >= 0.5, reason="long double is a double: every cell falls back")
 def test_table_writer_powers_of_ten_are_correctly_rounded():
-    # the writer's error bound takes each 10**s within half an ulp
-    powers, exact = cli._g17_tables()[:2]
-    u = Fraction(1, 2 ** (np.finfo(np.longdouble).nmant + 1))
-    for s, (power, is_exact) in enumerate(zip(powers, exact), cli._S_MIN):
-        error = abs(Fraction(*power.as_integer_ratio()) - Fraction(10) ** s)
-        assert error <= u * Fraction(10) ** s, s
-        assert (error == 0) == bool(is_exact), s
+    # the writer's error bound takes hi + lo within 2**-105 of 10**(16 - e),
+    # and Dekker's product needs hi's split halves to be exact 26-bit parts
+    def bits(v):  # significant bits of a double
+        m = abs(v.as_integer_ratio()[0])
+        return (m // (m & -m)).bit_length() if m else 0
+
+    hi, hi1, hi2, lo = cli._g17_tables()[0].tolist()
+    assert len(hi) == cli._E_MAX - cli._E_MIN + 1
+    for e, parts in enumerate(zip(hi, hi1, hi2, lo), cli._E_MIN):
+        power = Fraction(10) ** (16 - e)
+        high, half1, half2, low = map(Fraction, parts)
+        assert abs(high + low - power) <= power / 2**105, e
+        assert half1 + half2 == high and bits(parts[1]) <= 26 and bits(parts[2]) <= 26, e
+
+
+@pytest.mark.parametrize("fam,n", [("A", 4), ("A", 8), ("B", 4), ("C", 6), ("D", 5), ("D", 8)])
+def test_table_writer_falls_back_only_for_zero_and_nonfinite_cells(capsys, monkeypatch, fam, n):
+    # the float64 rounding decides every finite nonzero cell of integrate's
+    # tables itself: only zeros, nan and inf reach Python's "%.17g"
+    handed = []
+    monkeypatch.setattr(cli, "_fmt", lambda v: handed.append(v) or "%.17g" % v)
+    for seed in range(4):
+        handed.clear()
+        code, out, _ = run_cli(capsys, "integrate", "--type", fam, "--rank", str(n), "--seed", str(seed))
+        assert code == 0
+        cells = np.array([float(v) for line in out.split("\n")[1:-1] for v in line.split(",")])
+        special = cells[(cells == 0) | ~np.isfinite(cells)]
+        assert sorted(map(repr, handed)) == sorted(map(repr, special.tolist())), (seed, len(handed))
 
 
 def test_integrate_past_memory_is_a_runtime_error(capsys):
